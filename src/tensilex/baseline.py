@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import run_folds
 from .errors import DegenerateLabels, EmptyCorpus
-from .metrics import MetricsReport, PairedSeries, exact_within1, mad, pearson
 from .textproc import segment_sentences, tokenize
 
 DENSE_FEATURES = ("<n_unigrams>", "<n_bigrams>", "<n_trigrams>")
@@ -245,33 +245,19 @@ def crossval_baseline(corpus, scale: str, kind: str, n_features: int,
     Feature selection happens inside each training fold. Returns the
     repetition-averaged report for the requested scale.
     """
-    from .corpus import AveragedReport, _average, make_folds  # late: avoid cycle at import time
-
     if scale not in ("stress", "relax"):
         raise ValueError(f"unknown scale {scale!r}")
-    label_of = (lambda ex: ex.gold_stress) if scale == "stress" else (lambda ex: ex.gold_relax)
+    gold = f"gold_{scale}"
     vectors = {ex.id: extract_features(ex.text) for ex in corpus}
 
-    rep_reports = []
-    for rep in range(reps):
-        plan = make_folds(corpus, k, base_seed * 1_000_003 + rep)
-        preds, golds = [], []
-        for fold in range(k):
-            held = plan.fold_ids(fold)
-            train_ex = [ex for ex in corpus if ex.id not in held]
-            test_ex = [ex for ex in corpus if ex.id in held]
-            train_vecs = [vectors[ex.id] for ex in train_ex]
-            train_labels = [label_of(ex) for ex in train_ex]
-            table = information_gain(train_vecs, train_labels)
-            subset = select_top(table, n_features)
-            model = train(kind, train_vecs, train_labels, subset)
-            for ex in test_ex:
-                preds.append(predict(model, vectors[ex.id]))
-                golds.append(label_of(ex))
-        series = PairedSeries(tuple(preds), tuple(golds))
-        rep_reports.append(MetricsReport(len(preds), *exact_within1(series),
-                                         pearson(series), mad(series)))
-    return _average(rep_reports, len(corpus))
+    def fit_predict(train_ex, test_ex, _fold_seed):
+        train_vecs = [vectors[ex.id] for ex in train_ex]
+        train_labels = [getattr(ex, gold) for ex in train_ex]
+        subset = select_top(information_gain(train_vecs, train_labels), n_features)
+        model = train(kind, train_vecs, train_labels, subset)
+        return {scale: [predict(model, vectors[ex.id]) for ex in test_ex]}
+
+    return run_folds(corpus, k, reps, base_seed, fit_predict, (scale,)).averaged[scale]
 
 
 def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,

@@ -19,7 +19,7 @@ from . import lexicon as lx
 from . import metrics as mx
 from .errors import TensilexError
 from .optimizer import OptimizerConfig, hill_climb, total_absolute_error
-from .scorer import explain, score_text
+from .scorer import format_trace, score_text
 
 ENV_LEXICON_DIR = "TENSILEX_LEXICON_DIR"
 
@@ -45,7 +45,6 @@ def _input_lines(path):
 
 def cmd_score(args) -> int:
     lex = _load_lexicon(args)
-    recognised = lex.recognised_words
     out = sys.stdout
     out.write("id\tstress\trelaxation\n")
     for i, line in enumerate(_input_lines(args.input), start=1):
@@ -53,10 +52,10 @@ def cmd_score(args) -> int:
             text_id, _, text = line.partition("\t")
         else:
             text_id, text = str(i), line
-        score, _ = score_text(text, lex, recognised)
+        score, trace = score_text(text, lex)
         out.write(f"{text_id}\t{score.stress}\t{score.relaxation}\n")
         if args.trace:
-            sys.stderr.write(f"--- {text_id}\n{explain(text, lex)}\n")
+            sys.stderr.write(f"--- {text_id}\n{format_trace(trace)}\n")
     return 0
 
 

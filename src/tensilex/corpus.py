@@ -1,5 +1,6 @@
 """Annotated corpora: loading, gold aggregation, slicing, folds, and the
-repeated k-fold cross-validation driver for supervised runs.
+repeated k-fold cross-validation driver shared by supervised runs and the
+n-gram baseline.
 
 Corpus TSV format (UTF-8, ``#`` comments allowed)::
 
@@ -10,18 +11,20 @@ where the code columns hold comma-separated per-coder integers, e.g.
 raw and rounded half away from zero.
 
 All randomness derives from an explicit base seed: repetition ``r`` uses
-fold seed ``base_seed * 1000003 + r`` and the optimizer run on fold ``f``
-of that repetition uses ``(base_seed * 1000003 + r) * 101 + f``.
+fold seed ``base_seed * 1000003 + r`` and the model fitted on fold ``f``
+of that repetition gets ``(base_seed * 1000003 + r) * 101 + f`` (the
+optimizer's seed; the baseline's classifiers are deterministic and ignore
+it). :func:`run_folds` is the one place that derives them.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import EmptyCorpus, ParseError, TooSmall
-from .metrics import MetricsReport, PairedSeries, exact_within1, mad, pearson
+from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
+from .metrics import MetricsReport, PairedSeries, mad, pearson, report
 from .optimizer import OptimizerConfig, hill_climb_tokenized, tokenize_corpus
 from .scorer import score_text, score_tokenized
 
@@ -101,12 +104,20 @@ def load_corpus(path) -> list[AnnotatedExample]:
 
 
 def save_corpus(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id\tsubcorpus\ttext\tstress_codes\trelax_codes\n")
-        for ex in examples:
-            fh.write(f"{ex.id}\t{ex.subcorpus}\t{ex.text}\t"
+    """Write the corpus TSV. A field that :func:`load_corpus` would split or
+    skip raises :class:`WriteError` naming the example, before the file opens."""
+    lines = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes\n"]
+    for ex in examples:
+        for name in ("id", "subcorpus", "text"):
+            if any(ch in getattr(ex, name) for ch in "\t\n\r"):
+                raise WriteError(f"example {ex.id!r}: {name} contains a tab or line break")
+        if ex.id.lstrip().startswith("#"):
+            raise WriteError(f"example {ex.id!r}: an id starting with '#' reads back as a comment")
+        lines.append(f"{ex.id}\t{ex.subcorpus}\t{ex.text}\t"
                      f"{','.join(map(str, ex.coder_stress))}\t"
                      f"{','.join(map(str, ex.coder_relax))}\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def slice_corpus(corpus, subcorpus_label) -> list[AnnotatedExample]:
@@ -127,20 +138,20 @@ def make_folds(corpus, k: int, seed: int) -> FoldPlan:
 def _mixed_report(preds, golds_rounded, golds_raw, unrounded) -> MetricsReport:
     # Exact/within-1 always compare against rounded codes; with unrounded
     # golds, MAD and the correlation use the raw coder means.
-    rounded = PairedSeries(tuple(preds), tuple(golds_rounded))
-    exact, within1 = exact_within1(rounded)
-    scored = PairedSeries(tuple(preds), tuple(golds_raw)) if unrounded else rounded
-    return MetricsReport(len(preds), exact, within1, pearson(scored), mad(scored))
+    rpt = report(PairedSeries(tuple(preds), tuple(golds_rounded)))
+    if unrounded:
+        raw = PairedSeries(tuple(preds), tuple(golds_raw))
+        rpt = replace(rpt, pearson=pearson(raw), mad=mad(raw))
+    return rpt
 
 
 def evaluate_lexicon(lex, corpus, unrounded: bool = False) -> dict[str, MetricsReport]:
     """Unsupervised evaluation: score every text with the lexicon as-is."""
     if not corpus:
         raise EmptyCorpus("cannot evaluate an empty corpus")
-    recognised = lex.recognised_words
     stress_pred, relax_pred = [], []
     for ex in corpus:
-        score, _ = score_text(ex.text, lex, recognised)
+        score, _ = score_text(ex.text, lex)
         stress_pred.append(score.stress)
         relax_pred.append(score.relaxation)
     return {
@@ -200,65 +211,65 @@ def _average(reports: list[MetricsReport], n: int) -> AveragedReport:
     )
 
 
-def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int = 0,
-                        cfg: OptimizerConfig | None = None,
-                        supervised: bool = True) -> CrossValResult:
+def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, scales) -> CrossValResult:
     """Repeated k-fold cross validation; repetition-level metrics averaged.
 
-    With ``supervised=False`` the hill climb is skipped and the starting
-    lexicon scores every held-out fold (the unsupervised protocol).
+    For each repetition and fold, ``fit_predict(train, test, fold_seed)``
+    fits on ``train`` and returns ``{scale: predictions for test}`` for
+    every scale in ``scales``; predictions are compared with each
+    example's ``gold_<scale>``. Each repetition pools its folds' predictions
+    into one report per scale.
     """
     if not corpus:
         raise EmptyCorpus("cannot cross-validate an empty corpus")
     if len(corpus) < k:
         raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
-    by_id = {ex.id: ex for ex in corpus}
-    if len(by_id) != len(corpus):
+    if len({ex.id for ex in corpus}) != len(corpus):
         raise ParseError("duplicate example ids in corpus")
 
-    # Each text is tokenized once: hill climbing edits strengths only.
-    tokenized = {ex.id: t for ex, t in zip(corpus, tokenize_corpus(lex, corpus))}
     rep_reports = []
     log_rows = []
     for rep in range(reps):
         rep_seed = base_seed * 1_000_003 + rep
         plan = make_folds(corpus, k, rep_seed)
-        pooled = {"stress": ([], []), "relax": ([], [])}
+        pooled = {scale: ([], []) for scale in scales}
         for fold in range(k):
             held_ids = plan.fold_ids(fold)
             train = [ex for ex in corpus if ex.id not in held_ids]
             test = [ex for ex in corpus if ex.id in held_ids]
-            assert not held_ids & {ex.id for ex in train}
-            if supervised:
-                fold_cfg = OptimizerConfig(seed=rep_seed * 101 + fold,
-                                           min_improvement=(cfg or OptimizerConfig()).min_improvement,
-                                           max_passes=(cfg or OptimizerConfig()).max_passes)
-                fold_lex, _ = hill_climb_tokenized(lex, [tokenized[ex.id] for ex in train], fold_cfg)
-            else:
-                fold_lex = lex
-            fold_preds = {"stress": ([], []), "relax": ([], [])}
-            for ex in test:
-                score, _ = score_tokenized(tokenized[ex.id][0], fold_lex)
-                for scale, pred, gold in (("stress", score.stress, ex.gold_stress),
-                                          ("relax", score.relaxation, ex.gold_relax)):
-                    pooled[scale][0].append(pred)
-                    pooled[scale][1].append(gold)
-                    fold_preds[scale][0].append(pred)
-                    fold_preds[scale][1].append(gold)
-            for scale in ("stress", "relax"):
-                preds, golds = fold_preds[scale]
-                series = PairedSeries(tuple(preds), tuple(golds))
-                log_rows.append((rep, fold, scale,
-                                 MetricsReport(len(preds), *exact_within1(series),
-                                               pearson(series), mad(series))))
-        rep_report = {}
-        for scale in ("stress", "relax"):
-            preds, golds = pooled[scale]
-            series = PairedSeries(tuple(preds), tuple(golds))
-            rep_report[scale] = MetricsReport(len(preds), *exact_within1(series),
-                                              pearson(series), mad(series))
-        rep_reports.append(rep_report)
+            predictions = fit_predict(train, test, rep_seed * 101 + fold)
+            for scale in scales:
+                preds = tuple(predictions[scale])
+                golds = tuple(getattr(ex, f"gold_{scale}") for ex in test)
+                log_rows.append((rep, fold, scale, report(PairedSeries(preds, golds))))
+                pooled[scale][0].extend(preds)
+                pooled[scale][1].extend(golds)
+        rep_reports.append({scale: report(PairedSeries(tuple(preds), tuple(golds)))
+                            for scale, (preds, golds) in pooled.items()})
 
-    averaged = {scale: _average([r[scale] for r in rep_reports], len(corpus))
-                for scale in ("stress", "relax")}
+    averaged = {scale: _average([r[scale] for r in rep_reports], len(corpus)) for scale in scales}
     return CrossValResult(k, reps, base_seed, averaged, rep_reports, log_rows)
+
+
+def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int = 0,
+                        cfg: OptimizerConfig | None = None,
+                        supervised: bool = True) -> CrossValResult:
+    """Repeated k-fold cross validation of the lexicon on both scales.
+
+    Each training fold hill-climbs from ``lex`` with ``cfg`` and the fold's
+    seed. With ``supervised=False`` the hill climb is skipped and the
+    starting lexicon scores every held-out fold (the unsupervised protocol).
+    """
+    cfg = cfg or OptimizerConfig()
+    # Each text is tokenized once: hill climbing edits strengths only.
+    tokenized = {ex.id: t for ex, t in zip(corpus, tokenize_corpus(lex, corpus))}
+
+    def fit_predict(train, test, fold_seed):
+        fold_lex = lex
+        if supervised:
+            fold_lex, _ = hill_climb_tokenized(lex, [tokenized[ex.id] for ex in train],
+                                               replace(cfg, seed=fold_seed))
+        scores = [score_tokenized(tokenized[ex.id][0], fold_lex)[0] for ex in test]
+        return {"stress": [s.stress for s in scores], "relax": [s.relaxation for s in scores]}
+
+    return run_folds(corpus, k, reps, base_seed, fit_predict, ("stress", "relax"))

@@ -35,7 +35,7 @@ class StrengthRangeError(TensilexError):
 
 
 class WriteError(TensilexError):
-    """Persisting a lexicon or report failed."""
+    """Persisting a lexicon, corpus or report failed, or would not read back."""
 
 
 class EmptyCorpus(TensilexError):

@@ -150,18 +150,23 @@ class LexiconSet:
                     raise DuplicateTerm(f"duplicate {name} pattern {e.pattern!r}")
                 seen.add(e.pattern)
         # Canonical ordering so equality and the save/load round trip are
-        # insensitive to insertion order.
+        # insensitive to insertion order. Idioms come longest first, the
+        # order in which the scorer matches them.
         object.__setattr__(self, "stress_terms", tuple(sorted(self.stress_terms, key=lambda e: e.pattern)))
         object.__setattr__(self, "relax_terms", tuple(sorted(self.relax_terms, key=lambda e: e.pattern)))
         object.__setattr__(self, "boosters", tuple(sorted(self.boosters, key=lambda b: b.word)))
-        object.__setattr__(self, "idioms", tuple(sorted(self.idioms, key=lambda i: i.tokens)))
+        object.__setattr__(self, "idioms", tuple(sorted(self.idioms, key=lambda i: (-len(i.tokens), i.tokens))))
         object.__setattr__(self, "emoticons", tuple(sorted(self.emoticons, key=lambda e: e.glyph)))
 
-    @property
+    # The cached properties below are computed once per set and stored in the
+    # instance __dict__, which dataclasses.replace does not copy, so a
+    # modified set never sees its parent's values. Callers must not mutate them.
+
+    @cached_property
     def booster_deltas(self) -> dict[str, int]:
         return {b.word: b.delta for b in self.boosters}
 
-    @property
+    @cached_property
     def recognised_words(self) -> frozenset[str]:
         """Dictionary plus every non-wildcard term pattern."""
         words = set(self.dictionary)
@@ -182,8 +187,6 @@ class LexiconSet:
 
     @cached_property
     def _term_indexes(self) -> dict[Kind, TermIndex]:
-        # Stored in the instance __dict__, which dataclasses.replace does not
-        # copy, so a modified set never sees this set's index.
         return {Kind.STRESS: TermIndex(self.stress_terms),
                 Kind.RELAXATION: TermIndex(self.relax_terms)}
 
@@ -225,44 +228,53 @@ def _data_lines(path):
             yield i, text
 
 
-def _parse_int(text, lineno, what):
+def _parse_int(text, what):
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{what} is not an integer: {text!r}", line=lineno) from None
+        raise ParseError(f"{what} is not an integer: {text!r}") from None
 
 
-def _parse_strength(text, lineno):
-    value = _parse_int(text, lineno, "strength")
+def _parse_strength(text):
+    value = _parse_int(text, "strength")
     if not 1 <= value <= 5:
-        raise ParseError(f"strength out of range 1..5: {value}", line=lineno)
+        raise ParseError(f"strength out of range 1..5: {value}")
     return value
 
 
-def _parse_kind(text, lineno):
+def _parse_kind(text):
     kind = _KIND_NAMES.get(text.strip().lower())
     if kind is None:
-        raise ParseError(f"unknown kind {text!r}", line=lineno)
+        raise ParseError(f"unknown kind {text!r}")
     return kind
 
 
-def _load_terms(path, kind):
+def _read_rows(path, n_cols, build):
+    """``build(*columns)`` for each data line of a TSV file with ``n_cols``
+    columns; a ParseError from any row is re-raised with its line number."""
     entries = []
-    seen = {}
     for lineno, text in _data_lines(path):
         cols = text.split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"expected 2 columns, got {len(cols)}", line=lineno)
-        pattern = cols[0].strip().lower()
-        if pattern in seen:
-            raise DuplicateTerm(f"duplicate pattern {pattern!r} (first at line {seen[pattern]})", line=lineno)
-        seen[pattern] = lineno
-        strength = _parse_strength(cols[1], lineno)
         try:
-            entries.append(LexiconEntry(pattern, kind, strength))
+            if len(cols) != n_cols:
+                raise ParseError(f"expected {n_cols} columns, got {len(cols)}")
+            entries.append(build(*cols))
         except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise type(exc)(str(exc), line=lineno) from None
     return tuple(entries)
+
+
+def _load_terms(path, kind):
+    seen = set()
+
+    def build(pattern, strength):
+        pattern = pattern.strip().lower()
+        if pattern in seen:
+            raise DuplicateTerm(f"duplicate pattern {pattern!r}")
+        seen.add(pattern)
+        return LexiconEntry(pattern, kind, _parse_strength(strength))
+
+    return _read_rows(path, 2, build)
 
 
 def load_lexicon_set(directory_path) -> LexiconSet:
@@ -274,47 +286,18 @@ def load_lexicon_set(directory_path) -> LexiconSet:
             raise MissingResource(f"missing lexicon file: {path}")
         paths[name] = path
 
-    stress = _load_terms(paths["stress_terms.tsv"], Kind.STRESS)
-    relax = _load_terms(paths["relax_terms.tsv"], Kind.RELAXATION)
-
-    boosters = []
-    for lineno, text in _data_lines(paths["boosters.tsv"]):
-        cols = text.split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"expected 2 columns, got {len(cols)}", line=lineno)
-        delta = _parse_int(cols[1], lineno, "booster delta")
-        try:
-            boosters.append(BoosterEntry(cols[0].strip().lower(), delta))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-
-    negators = frozenset(text.strip().lower() for _, text in _data_lines(paths["negators.txt"]))
-
-    idioms = []
-    for lineno, text in _data_lines(paths["idioms.tsv"]):
-        cols = text.split("\t")
-        if len(cols) != 3:
-            raise ParseError(f"expected 3 columns, got {len(cols)}", line=lineno)
-        tokens = tuple(cols[0].strip().lower().split())
-        kind = _parse_kind(cols[1], lineno)
-        strength = _parse_strength(cols[2], lineno)
-        try:
-            idioms.append(IdiomEntry(tokens, kind, strength))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-
-    emoticons = []
-    for lineno, text in _data_lines(paths["emoticons.tsv"]):
-        cols = text.split("\t")
-        if len(cols) != 3:
-            raise ParseError(f"expected 3 columns, got {len(cols)}", line=lineno)
-        kind = _parse_kind(cols[1], lineno)
-        strength = _parse_strength(cols[2], lineno)
-        emoticons.append(EmoticonEntry(cols[0], kind, strength))
-
-    dictionary = frozenset(text.strip().lower() for _, text in _data_lines(paths["dictionary.txt"]))
-
-    return LexiconSet(stress, relax, tuple(boosters), negators, tuple(idioms), tuple(emoticons), dictionary)
+    return LexiconSet(
+        _load_terms(paths["stress_terms.tsv"], Kind.STRESS),
+        _load_terms(paths["relax_terms.tsv"], Kind.RELAXATION),
+        _read_rows(paths["boosters.tsv"], 2, lambda word, delta: BoosterEntry(
+            word.strip().lower(), _parse_int(delta, "booster delta"))),
+        frozenset(text.strip().lower() for _, text in _data_lines(paths["negators.txt"])),
+        _read_rows(paths["idioms.tsv"], 3, lambda phrase, kind, strength: IdiomEntry(
+            tuple(phrase.strip().lower().split()), _parse_kind(kind), _parse_strength(strength))),
+        _read_rows(paths["emoticons.tsv"], 3, lambda glyph, kind, strength: EmoticonEntry(
+            glyph, _parse_kind(kind), _parse_strength(strength))),
+        frozenset(text.strip().lower() for _, text in _data_lines(paths["dictionary.txt"])),
+    )
 
 
 def lookup(token: str, entries) -> tuple[LexiconEntry, int] | None:

@@ -89,7 +89,7 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                (Kind.RELAXATION, lex.term_index(Kind.RELAXATION)))
 
     # 1. Idioms override their constituent words: longest first, leftmost.
-    for idiom in sorted(lex.idioms, key=lambda i: -len(i.tokens)):
+    for idiom in lex.idioms:
         width = len(idiom.tokens)
         i = 0
         while i + width <= n:
@@ -242,7 +242,12 @@ def replay_trace(trace: ScoreTrace) -> DualScore:
 
 def explain(text: str, lex: LexiconSet) -> str:
     """Human-readable rendering of the score trace for one text."""
-    score, trace = score_text(text, lex)
+    return format_trace(score_text(text, lex)[1])
+
+
+def format_trace(trace: ScoreTrace) -> str:
+    """Human-readable rendering of a score trace, as :func:`explain` prints it."""
+    score = trace.score
     lines = [f"text score: stress {score.stress}, relaxation {score.relaxation}"]
     for s_idx, sent in enumerate(trace.sentences, start=1):
         words = " ".join(t.raw for t in sent.tokens)

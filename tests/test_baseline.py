@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from tensilex.baseline import (
     train,
 )
 from tensilex.corpus import make_example
-from tensilex.errors import DegenerateLabels, EmptyCorpus
+from tensilex.errors import DegenerateLabels, EmptyCorpus, ParseError
 
 from .oracles import information_gain_bruteforce
 
@@ -214,3 +215,11 @@ def test_crossval_baseline_deterministic():
     a = crossval_baseline(corpus, "stress", "nb", 10, k=4, reps=2, base_seed=7)
     b = crossval_baseline(corpus, "stress", "nb", 10, k=4, reps=2, base_seed=7)
     assert a == b
+
+
+def test_crossval_baseline_rejects_duplicate_ids():
+    corpus = injected_token_corpus(n=12)
+    corpus[3] = replace(corpus[3], id="dup")
+    corpus[8] = replace(corpus[8], id="dup")
+    with pytest.raises(ParseError, match="duplicate"):
+        crossval_baseline(corpus, "stress", "nb", 5, k=3, reps=1, base_seed=0)

@@ -1,10 +1,12 @@
 import os
+import random
 
 import pytest
 
 from tensilex.cli import main
-from tensilex.corpus import save_corpus
+from tensilex.corpus import make_example, save_corpus
 from tensilex.lexicon import load_lexicon_set, save_lexicon_set, set_strength, Kind
+from tensilex.scorer import explain
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -247,3 +249,90 @@ def test_baseline_sweep_row_count(capsys, tmp_path):
     rows = out.splitlines()[1:]
     assert len(rows) == 20  # 10 grid sizes x 2 classifiers
     assert any(row.split("\t")[-1] for row in rows)  # best cells marked
+
+
+DEFAULT_LEXICON = os.path.join(os.path.dirname(__file__), os.pardir, "data", "default_lexicon")
+
+GOLDEN_WORDS = ("the train is delayed late again very so not never relaxed calm chill out "
+                "at ease fed up holiday deadline worried quiet home :) :( !!!").split()
+
+
+def golden_corpus():
+    """Random golds on default-lexicon words. With seed 15 a full hill climb
+    keeps 8 changes whose outcome depends on term order, so the per-fold
+    optimizer seed shows in the output."""
+    rng = random.Random(15)
+    examples = []
+    for i in range(40):
+        text = " ".join(rng.choices(GOLDEN_WORDS, k=rng.randint(3, 8)))
+        stress = tuple(rng.randint(-5, -1) for _ in range(2))
+        relax = tuple(rng.randint(1, 5) for _ in range(2))
+        examples.append(make_example(f"g{i:02d}", "golden", text, stress, relax))
+    return examples
+
+
+# Pinned CLI output on golden_corpus(); any change to fold order, seed
+# derivation or pooling order fails loudly.
+GOLDEN_EVALUATE_STDOUT = """\
+scale\tn\treps\texact\twithin1\tpearson\tpearson_skipped\tmad
+stress\t40\t2\t23.750\t67.500\t0.191\t0\t1.163
+relax\t40\t2\t16.250\t58.750\t-0.039\t0\t1.325
+"""
+
+GOLDEN_EVALUATE_LOG = """\
+rep\tfold\tscale\tn\texact\twithin1\tpearson\tmad
+0\t0\tstress\t8\t25.000\t62.500\t0.354\t1.250
+0\t0\trelax\t8\t25.000\t75.000\t-0.162\t1.125
+0\t1\tstress\t8\t25.000\t87.500\t0.333\t0.875
+0\t1\trelax\t8\t0.000\t62.500\t-0.234\t1.375
+0\t2\tstress\t8\t37.500\t62.500\t-0.257\t1.125
+0\t2\trelax\t8\t12.500\t37.500\t0.234\t1.625
+0\t3\tstress\t8\t12.500\t62.500\t0.284\t1.375
+0\t3\trelax\t8\t0.000\t37.500\t-0.178\t1.750
+0\t4\tstress\t8\t25.000\t62.500\t0.000\t1.250
+0\t4\trelax\t8\t25.000\t75.000\t0.349\t1.000
+1\t0\tstress\t8\t12.500\t87.500\t0.578\t1.000
+1\t0\trelax\t8\t12.500\t37.500\t-0.354\t1.750
+1\t1\tstress\t8\t37.500\t75.000\t0.048\t0.875
+1\t1\trelax\t8\t12.500\t50.000\t0.232\t1.375
+1\t2\tstress\t8\t37.500\t87.500\t0.516\t0.750
+1\t2\trelax\t8\t37.500\t87.500\t0.000\t0.750
+1\t3\tstress\t8\t25.000\t50.000\t0.352\t1.375
+1\t3\trelax\t8\t12.500\t62.500\t0.293\t1.375
+1\t4\tstress\t8\t0.000\t37.500\t0.017\t1.750
+1\t4\trelax\t8\t25.000\t62.500\t-0.225\t1.125
+"""
+
+GOLDEN_BASELINE_STDOUT = """\
+classifier\tn_features\tscale\tn\treps\texact\twithin1\tpearson\tpearson_skipped\tmad\tbest_for
+nb\t20\tstress\t40\t2\t12.500\t87.500\t-0.168\t0\t1.062\t
+logistic\t20\tstress\t40\t2\t15.000\t85.000\t-0.164\t0\t1.087\t
+"""
+
+
+def test_golden_supervised_and_baseline_output(capsys, tmp_path):
+    corpus_path = str(tmp_path / "golden.tsv")
+    save_corpus(golden_corpus(), corpus_path)
+    log = str(tmp_path / "cv.tsv")
+    code, out, _ = run(capsys, "evaluate", "--lexicon-dir", DEFAULT_LEXICON, corpus_path,
+                       "--supervised", "--k", "5", "--reps", "2", "--seed", "3", "--log", log)
+    assert code == 0
+    assert out == GOLDEN_EVALUATE_STDOUT
+    assert open(log, encoding="utf-8").read() == GOLDEN_EVALUATE_LOG
+    code, out, _ = run(capsys, "baseline", corpus_path, "--features", "20", "--scale", "stress",
+                       "--k", "5", "--reps", "2", "--seed", "5")
+    assert code == 0
+    assert out == GOLDEN_BASELINE_STDOUT
+
+
+def test_score_trace_renders_like_explain(capsys, tmp_path):
+    texts = ["never relaxed before a deadline!!!",
+             "totally chill out :) but the train is delayed. so very late",
+             "",
+             "sooo stressssed about the exam!!!"]
+    inp = tmp_path / "texts.txt"
+    inp.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", str(inp))
+    assert code == 0
+    lex = load_lexicon_set(DEFAULT_LEXICON)
+    assert err == "".join(f"--- {i}\n{explain(text, lex)}\n" for i, text in enumerate(texts, start=1))

@@ -10,7 +10,7 @@ from tensilex.corpus import (
     save_corpus,
     slice_corpus,
 )
-from tensilex.errors import ParseError, TooSmall
+from tensilex.errors import ParseError, TooSmall, WriteError
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -62,9 +62,32 @@ def test_load_rejects_bad_rows(tmp_path):
 def test_corpus_roundtrip(tmp_path):
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=12, seed=1)
+    corpus += [make_example("x#1", "", "  #not a comment, \"quoted\" ünïcode :) !!!  ", (-2, -3), (1, 4)),
+               make_example("x2", "sub label", "", (-1,), (5,))]
     path = tmp_path / "round.tsv"
     save_corpus(corpus, str(path))
     assert load_corpus(str(path)) == corpus
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+@pytest.mark.parametrize("field", ["id", "subcorpus", "text"])
+def test_save_rejects_unreadable_fields(tmp_path, char, field):
+    values = {"id": "ok1", "subcorpus": "s", "text": "fine text"}
+    values[field] = f"one{char}two"
+    bad = make_example(values["id"], values["subcorpus"], values["text"], (-2,), (1,))
+    good = make_example("ok0", "s", "first", (-1,), (2,))
+    path = tmp_path / "bad.tsv"
+    with pytest.raises(WriteError) as exc:
+        save_corpus([good, bad], str(path))
+    assert repr(bad.id) in str(exc.value) and field in str(exc.value)
+    assert not path.exists()
+
+
+def test_save_rejects_comment_like_id(tmp_path):
+    path = tmp_path / "bad.tsv"
+    with pytest.raises(WriteError, match="'  #x'"):
+        save_corpus([make_example("  #x", "s", "text", (-1,), (1,))], str(path))
+    assert not path.exists()
 
 
 def test_slice_by_label():

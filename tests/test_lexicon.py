@@ -72,6 +72,14 @@ def test_wrong_column_count(tmp_path):
     assert exc.value.line == 1
 
 
+def test_emoticon_row_error_names_line(tmp_path):
+    d = write_dir(tmp_path, **{"emoticons.tsv": ":)\trelax\t2\n\tstress\t3\n"})
+    with pytest.raises(errors.ParseError) as exc:
+        load_lexicon_set(d)
+    assert exc.value.line == 2
+    assert "empty emoticon glyph" in str(exc.value)
+
+
 def test_comments_and_blanks_skipped(tmp_path):
     d = write_dir(tmp_path, **{"stress_terms.tsv": "# comment\n\ndelayed\t3\n"})
     assert len(load_lexicon_set(d).stress_terms) == 1

@@ -128,6 +128,17 @@ def test_idiom_longest_first():
     assert score("look at the moon") == (-5, 1)
 
 
+def test_idiom_longest_first_whatever_the_spelling():
+    # "moon rises" sorts before "the moon rises" by tokens, so only a
+    # length-first order lets the longer idiom win.
+    lex = LexiconSet((), (), (), frozenset(),
+                     (IdiomEntry(("moon", "rises"), Kind.STRESS, 4),
+                      IdiomEntry(("the", "moon", "rises"), Kind.RELAXATION, 3)),
+                     (), frozenset("the moon rises".split()))
+    assert score("the moon rises", lex) == (-1, 3)
+    assert score("a moon rises", lex) == (-4, 1)
+
+
 def test_neutral_idiom_masks_terms():
     assert score("dead calm") == (-1, 1)
     assert score("calm") == (-1, 3)
