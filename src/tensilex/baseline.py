@@ -242,31 +242,41 @@ def crossval_baseline(corpus, scale: str, kind: str, n_features: int,
                       k: int = 10, reps: int = 30, base_seed: int = 0):
     """Repeated k-fold CV of one classifier at one feature-set size.
 
-    Feature selection happens inside each training fold. Returns the
-    repetition-averaged report for the requested scale.
+    The one-cell :func:`sweep`; returns its repetition-averaged report.
+    """
+    rows, _ = sweep(corpus, scale, (kind,), (n_features,), k, reps, base_seed)
+    return rows[0][3]
+
+
+def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
+          k: int = 10, reps: int = 30, base_seed: int = 0):
+    """Feature-count sweep; returns rows plus the best cell per metric.
+
+    One cross-validation pass serves every (classifier, size) cell: each
+    text's features are extracted once, and each training fold's
+    information gain is computed once and cut to every size in ``grid``.
+    Feature selection thus happens inside each training fold.
     """
     if scale not in ("stress", "relax"):
         raise ValueError(f"unknown scale {scale!r}")
+    if any(n < 1 for n in grid):
+        raise ValueError(f"feature counts must be >= 1, got {tuple(grid)}")
     gold = f"gold_{scale}"
+    cells = [(kind, n) for kind in kinds for n in grid]
     vectors = {ex.id: extract_features(ex.text) for ex in corpus}
 
     def fit_predict(train_ex, test_ex, _fold_seed):
         train_vecs = [vectors[ex.id] for ex in train_ex]
         train_labels = [getattr(ex, gold) for ex in train_ex]
-        subset = select_top(information_gain(train_vecs, train_labels), n_features)
-        model = train(kind, train_vecs, train_labels, subset)
-        return {scale: [predict(model, vectors[ex.id]) for ex in test_ex]}
+        table = information_gain(train_vecs, train_labels)
+        predictions = {}
+        for kind, n in cells:
+            model = train(kind, train_vecs, train_labels, select_top(table, n))
+            predictions[kind, n] = [predict(model, vectors[ex.id]) for ex in test_ex]
+        return predictions
 
-    return run_folds(corpus, k, reps, base_seed, fit_predict, (scale,)).averaged[scale]
-
-
-def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
-          k: int = 10, reps: int = 30, base_seed: int = 0):
-    """Feature-count sweep; returns rows plus the best cell per metric."""
-    rows = []
-    for kind in kinds:
-        for n in grid:
-            rows.append((kind, n, scale, crossval_baseline(corpus, scale, kind, n, k, reps, base_seed)))
+    averaged = run_folds(corpus, k, reps, base_seed, fit_predict, dict.fromkeys(cells, gold)).averaged
+    rows = [(kind, n, scale, averaged[kind, n]) for kind, n in cells]
     best = {
         "exact": max(rows, key=lambda r: r[3].exact_pct),
         "within1": max(rows, key=lambda r: r[3].within1_pct),

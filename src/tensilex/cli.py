@@ -78,16 +78,17 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     lex = _load_lexicon(args)
     corpus = cp.load_corpus(args.corpus)
+    report_type = cp.AveragedReport if args.supervised else mx.MetricsReport
     if args.subcorpus:
         corpus = cp.slice_corpus(corpus, args.subcorpus)
         if not corpus:
             sys.stderr.write(f"warning: no examples with subcorpus {args.subcorpus!r}\n")
-            print("scale\t" + mx.MetricsReport.TSV_HEADER)
+            print("scale\t" + report_type.TSV_HEADER)
             return 0
     if args.supervised:
         result = cp.crossval_supervised(lex, corpus, k=args.k, reps=args.reps,
                                         base_seed=args.seed)
-        print("scale\t" + cp.AveragedReport.TSV_HEADER)
+        print("scale\t" + report_type.TSV_HEADER)
         for scale in ("stress", "relax"):
             print(f"{scale}\t{result.averaged[scale].tsv_row()}")
         if args.log:
@@ -96,7 +97,7 @@ def cmd_evaluate(args) -> int:
                     fh.write(line + "\n")
     else:
         reports = cp.evaluate_lexicon(lex, corpus, unrounded=args.unrounded)
-        print("scale\t" + mx.MetricsReport.TSV_HEADER)
+        print("scale\t" + report_type.TSV_HEADER)
         for scale in ("stress", "relax"):
             print(f"{scale}\t{reports[scale].tsv_row()}")
     return 0
@@ -133,22 +134,30 @@ def cmd_baseline(args) -> int:
     corpus = cp.load_corpus(args.corpus)
     kinds = ("nb", "logistic") if args.classifier == "both" else (args.classifier,)
     print("classifier\tn_features\tscale\t" + cp.AveragedReport.TSV_HEADER + "\tbest_for")
-    if args.features == "sweep":
-        rows, best = bl.sweep(corpus, args.scale, kinds=kinds, k=args.k,
-                              reps=args.reps, base_seed=args.seed)
-        marks = {}
+    grid = bl.SWEEP_GRID if args.features == "sweep" else (args.features,)
+    rows, best = bl.sweep(corpus, args.scale, kinds=kinds, grid=grid, k=args.k,
+                          reps=args.reps, base_seed=args.seed)
+    marks = {}
+    if args.features == "sweep":  # a single feature count marks no best cell
         for metric, row in best.items():
             marks.setdefault((row[0], row[1]), []).append(metric)
-        for kind, n, scale, rpt in rows:
-            mark = ",".join(marks.get((kind, n), []))
-            print(f"{kind}\t{n}\t{scale}\t{rpt.tsv_row()}\t{mark}")
-    else:
-        n = int(args.features)
-        for kind in kinds:
-            rpt = bl.crossval_baseline(corpus, args.scale, kind, n, k=args.k,
-                                       reps=args.reps, base_seed=args.seed)
-            print(f"{kind}\t{n}\t{args.scale}\t{rpt.tsv_row()}\t")
+    for kind, n, scale, rpt in rows:
+        mark = ",".join(marks.get((kind, n), []))
+        print(f"{kind}\t{n}\t{scale}\t{rpt.tsv_row()}\t{mark}")
     return 0
+
+
+def _feature_count(value: str):
+    """``--features``: the word ``sweep`` or a feature count of at least 1."""
+    if value == "sweep":
+        return value
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'sweep' or a count, got {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"feature count must be >= 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="n-gram machine-learning baseline")
     p.add_argument("corpus")
     p.add_argument("--classifier", choices=("nb", "logistic", "both"), default="both")
-    p.add_argument("--features", default="sweep", help="feature count or 'sweep'")
+    p.add_argument("--features", type=_feature_count, default="sweep",
+                   help="feature count or 'sweep'")
     p.add_argument("--scale", choices=("stress", "relax"), required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--reps", type=int, default=30)

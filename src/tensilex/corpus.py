@@ -167,9 +167,9 @@ class CrossValResult:
     k: int
     reps: int
     base_seed: int
-    averaged: dict[str, "AveragedReport"]
-    rep_reports: list[dict[str, MetricsReport]]  # per repetition, pooled
-    log_rows: list[tuple] = field(default_factory=list)  # (rep, fold, scale, report)
+    averaged: dict[object, "AveragedReport"]  # keyed like run_folds' golds
+    rep_reports: list[dict[object, MetricsReport]]  # per repetition, pooled
+    log_rows: list[tuple] = field(default_factory=list)  # (rep, fold, key, report)
 
     LOG_HEADER = "rep\tfold\tscale\t" + MetricsReport.TSV_HEADER
 
@@ -211,17 +211,26 @@ def _average(reports: list[MetricsReport], n: int) -> AveragedReport:
     )
 
 
-def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, scales) -> CrossValResult:
+def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> CrossValResult:
     """Repeated k-fold cross validation; repetition-level metrics averaged.
 
-    For each repetition and fold, ``fit_predict(train, test, fold_seed)``
-    fits on ``train`` and returns ``{scale: predictions for test}`` for
-    every scale in ``scales``; predictions are compared with each
-    example's ``gold_<scale>``. Each repetition pools its folds' predictions
-    into one report per scale.
+    ``golds`` maps each prediction key to the example attribute holding its
+    gold code, e.g. ``{"stress": "gold_stress"}``. For each repetition and
+    fold, ``fit_predict(train, test, fold_seed)`` fits on ``train`` and
+    returns ``{key: predictions for test}`` for every key in ``golds``. Each
+    repetition pools its folds' predictions into one report per key, so one
+    pass can evaluate many models on the same folds.
+
+    Raises :class:`EmptyCorpus` for an empty corpus, :class:`TooSmall` when
+    ``k < 2``, ``reps < 1`` or the corpus has fewer than ``k`` examples, and
+    :class:`ParseError` for duplicate example ids.
     """
     if not corpus:
         raise EmptyCorpus("cannot cross-validate an empty corpus")
+    if k < 2:
+        raise TooSmall(f"cross validation needs at least 2 folds, got k={k}")
+    if reps < 1:
+        raise TooSmall(f"cross validation needs at least 1 repetition, got reps={reps}")
     if len(corpus) < k:
         raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
     if len({ex.id for ex in corpus}) != len(corpus):
@@ -232,22 +241,22 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, scales) ->
     for rep in range(reps):
         rep_seed = base_seed * 1_000_003 + rep
         plan = make_folds(corpus, k, rep_seed)
-        pooled = {scale: ([], []) for scale in scales}
+        pooled = {key: ([], []) for key in golds}
         for fold in range(k):
             held_ids = plan.fold_ids(fold)
             train = [ex for ex in corpus if ex.id not in held_ids]
             test = [ex for ex in corpus if ex.id in held_ids]
             predictions = fit_predict(train, test, rep_seed * 101 + fold)
-            for scale in scales:
-                preds = tuple(predictions[scale])
-                golds = tuple(getattr(ex, f"gold_{scale}") for ex in test)
-                log_rows.append((rep, fold, scale, report(PairedSeries(preds, golds))))
-                pooled[scale][0].extend(preds)
-                pooled[scale][1].extend(golds)
-        rep_reports.append({scale: report(PairedSeries(tuple(preds), tuple(golds)))
-                            for scale, (preds, golds) in pooled.items()})
+            for key, attr in golds.items():
+                preds = tuple(predictions[key])
+                gold = tuple(getattr(ex, attr) for ex in test)
+                log_rows.append((rep, fold, key, report(PairedSeries(preds, gold))))
+                pooled[key][0].extend(preds)
+                pooled[key][1].extend(gold)
+        rep_reports.append({key: report(PairedSeries(tuple(preds), tuple(gold)))
+                            for key, (preds, gold) in pooled.items()})
 
-    averaged = {scale: _average([r[scale] for r in rep_reports], len(corpus)) for scale in scales}
+    averaged = {key: _average([r[key] for r in rep_reports], len(corpus)) for key in golds}
     return CrossValResult(k, reps, base_seed, averaged, rep_reports, log_rows)
 
 
@@ -272,4 +281,5 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
         scores = [score_tokenized(tokenized[ex.id][0], fold_lex)[0] for ex in test]
         return {"stress": [s.stress for s in scores], "relax": [s.relaxation for s in scores]}
 
-    return run_folds(corpus, k, reps, base_seed, fit_predict, ("stress", "relax"))
+    return run_folds(corpus, k, reps, base_seed, fit_predict,
+                     {"stress": "gold_stress", "relax": "gold_relax"})

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import lexicon as lx
 from .errors import EmptyCorpus
-from .scorer import score_tokenized
+from .scorer import Source, score_tokenized
 from .textproc import TokenizedText, process
 
 
@@ -64,16 +64,17 @@ class OptimizationReport:
         yield f"final_error\t{self.final_error}"
 
 
-def _example_error(doc, lex, gold_stress, gold_relax) -> int:
-    score, _ = score_tokenized(doc, lex)
-    return abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax)
+def _example_error(doc, lex, gold_stress, gold_relax):
+    """``(|stress - gold| + |relaxation - gold|, score trace)`` for one text."""
+    score, trace = score_tokenized(doc, lex)
+    return abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax), trace
 
 
 def total_absolute_error(lex: lx.LexiconSet, corpus) -> int:
     """Summed |prediction - gold| over both scales, over the whole corpus."""
     if not corpus:
         raise EmptyCorpus("cannot evaluate an empty corpus")
-    return sum(_example_error(doc, lex, gs, gr) for doc, gs, gr in tokenize_corpus(lex, corpus))
+    return sum(_example_error(doc, lex, gs, gr)[0] for doc, gs, gr in tokenize_corpus(lex, corpus))
 
 
 def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[TokenizedText, int, int]]:
@@ -86,33 +87,33 @@ def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[TokenizedText, int
     return [(process(ex.text, recognised), ex.gold_stress, ex.gold_relax) for ex in corpus]
 
 
+# The trace sources of a lexicon term match, by the kind of term matched.
+_TERM_SOURCES = {Source.STRESS_TERM: lx.Kind.STRESS, Source.NEGATED_STRESS: lx.Kind.STRESS,
+                 Source.RELAX_TERM: lx.Kind.RELAXATION, Source.NEGATED_RELAX: lx.Kind.RELAXATION}
+
+
 class _ErrorTracker:
     """Incremental corpus error: re-scores only the examples a term can touch.
 
-    Which lexicon entry a token matches depends only on patterns, never on
-    strengths, so the affected-example index, built from the starting set's
-    :meth:`~tensilex.lexicon.LexiconSet.term_index` (the one the scorer
-    uses), stays valid across strength edits. The index is a superset (idiom
-    masking may hide a match) which only costs a little extra re-scoring.
+    The affected-example index is read from the traces of the first scoring
+    pass. Masking and term matching depend only on patterns, never on
+    strengths, so a strength edit of the starting set can change an
+    example's score only if its trace names the edited term.
     """
 
     def __init__(self, lex, examples):
         self.docs = [doc for doc, _, _ in examples]
         self.golds = [(gs, gr) for _, gs, gr in examples]
         self.affected: dict[tuple[lx.Kind, str], list[int]] = {}
-        indexes = [(kind, lex.term_index(kind)) for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION)]
-        for i, doc in enumerate(self.docs):
-            hit = set()
-            for sentence in doc.sentences:
-                for token in sentence:
-                    for kind, index in indexes:
-                        found = index.lookup(token.normalized)
-                        if found is not None:
-                            hit.add((kind, found.pattern))
+        self.errors = []
+        for i, (doc, (gs, gr)) in enumerate(zip(self.docs, self.golds)):
+            error, trace = _example_error(doc, lex, gs, gr)
+            self.errors.append(error)
+            hit = {(_TERM_SOURCES[c.source], c.label)
+                   for sentence in trace.sentences for c in sentence.contributions
+                   if c.source in _TERM_SOURCES}
             for key in hit:
                 self.affected.setdefault(key, []).append(i)
-        self.errors = [_example_error(doc, lex, gs, gr)
-                       for doc, (gs, gr) in zip(self.docs, self.golds)]
         self.total = sum(self.errors)
 
     def total_with(self, lex, key) -> tuple[int, list[int]]:
@@ -121,7 +122,7 @@ class _ErrorTracker:
         updates = []
         for i in self.affected.get(key, ()):
             gs, gr = self.golds[i]
-            new = _example_error(self.docs[i], lex, gs, gr)
+            new, _ = _example_error(self.docs[i], lex, gs, gr)
             total += new - self.errors[i]
             updates.append(new)
         return total, updates

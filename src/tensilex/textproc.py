@@ -16,7 +16,9 @@ _SENTENCE_RE = re.compile(r"[^.!?]*[.!?]+|[^.!?]+")
 # Word tokens may start with # or @ (hashtags/mentions stay whole) and keep
 # internal apostrophes; everything else groups into maximal punctuation runs.
 _TOKEN_RE = re.compile(r"[#@]?\w[\w']*|[^\w\s]+")
-_URL_RE = re.compile(r"^(https?://|www\.)", re.IGNORECASE)
+# A whitespace chunk that starts like a URL is one URL, whatever follows.
+_URL_RE = re.compile(r"(?<!\S)(?:https?://|www\.)\S*", re.IGNORECASE)
+_BLANK_TERMINATORS = str.maketrans(".!?", "___")
 _RUN_RE = re.compile(r"(.)\1+")
 
 URL_TOKEN = "<url>"
@@ -36,14 +38,26 @@ class TokenizedText:
 
 
 def segment_sentences(text: str) -> list[str]:
-    """Split on newlines and runs of ``.!?``; terminators stay attached."""
+    """Split on newlines and runs of ``.!?``; terminators stay attached.
+
+    A URL never splits: of the terminators in a URL's whitespace chunk,
+    only a run that ends the chunk can end a sentence.
+    """
     sentences = []
     for line in text.splitlines():
-        for match in _SENTENCE_RE.finditer(line):
-            sentence = match.group().strip()
+        # Split a copy whose URL-inner terminators are blanked; slice the line.
+        masked = _URL_RE.sub(_blank_url_terminators, line)
+        for match in _SENTENCE_RE.finditer(masked):
+            sentence = line[match.start():match.end()].strip()
             if sentence:
                 sentences.append(sentence)
     return sentences
+
+
+def _blank_url_terminators(match: re.Match) -> str:
+    url = match.group()
+    body = url.rstrip(".!?")
+    return body.translate(_BLANK_TERMINATORS) + url[len(body):]
 
 
 def tokenize(sentence: str) -> list[Token]:

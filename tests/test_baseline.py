@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from tensilex import baseline
 from tensilex.baseline import (
     DENSE_FEATURES,
     SWEEP_GRID,
@@ -15,6 +16,7 @@ from tensilex.baseline import (
     predict,
     save_model,
     select_top,
+    sweep,
     train,
 )
 from tensilex.corpus import make_example
@@ -223,3 +225,45 @@ def test_crossval_baseline_rejects_duplicate_ids():
     corpus[8] = replace(corpus[8], id="dup")
     with pytest.raises(ParseError, match="duplicate"):
         crossval_baseline(corpus, "stress", "nb", 5, k=3, reps=1, base_seed=0)
+
+
+def test_sweep_rows_equal_single_cell_runs():
+    from .test_cli import golden_corpus
+    corpus = golden_corpus()
+    grid = (5, 100)
+    rows, _ = sweep(corpus, "relax", ("nb", "logistic"), grid, k=4, reps=2, base_seed=9)
+    assert [(kind, n) for kind, n, _, _ in rows] == [(kind, n) for kind in ("nb", "logistic")
+                                                     for n in grid]
+    assert len({rpt for *_, rpt in rows}) > 1  # the cells differ, so a mix-up would show
+    for kind, n, scale, rpt in rows:
+        assert scale == "relax"
+        assert rpt == crossval_baseline(corpus, "relax", kind, n, k=4, reps=2, base_seed=9)
+
+
+def test_sweep_is_one_fold_pass(monkeypatch):
+    calls = {"run_folds": 0, "information_gain": 0}
+
+    def counted(name):
+        real = getattr(baseline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(baseline, name, counted(name))
+    rows, _ = sweep(injected_token_corpus(n=30), "stress", grid=(1, 2, 3), k=3, reps=2,
+                    base_seed=1)
+    assert len(rows) == 2 * 3
+    assert calls == {"run_folds": 1, "information_gain": 3 * 2}  # once per training fold
+
+
+def test_sweep_rejects_bad_grid_before_work(monkeypatch):
+    def no_work(text):
+        raise AssertionError("features extracted before the grid was checked")
+
+    monkeypatch.setattr(baseline, "extract_features", no_work)
+    for grid in ((100, 0), (-5,)):
+        with pytest.raises(ValueError, match=">= 1"):
+            sweep(injected_token_corpus(), "stress", grid=grid)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tensilex.cli import main
-from tensilex.corpus import make_example, save_corpus
+from tensilex.corpus import AveragedReport, make_example, save_corpus
 from tensilex.lexicon import load_lexicon_set, save_lexicon_set, set_strength, Kind
 from tensilex.scorer import explain
 
@@ -182,6 +182,25 @@ def test_evaluate_unknown_subcorpus_warns(capsys, ref_setup):
     assert len(out.splitlines()) == 1  # header only
 
 
+def test_evaluate_unknown_subcorpus_supervised_header(capsys, ref_setup):
+    _, lex_dir, corpus_path, _ = ref_setup
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
+                         "--subcorpus", "nosuch", "--supervised", "--seed", "1")
+    assert code == 0
+    assert "warning" in err
+    assert out == "scale\t" + AveragedReport.TSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "1"), ("--reps", "0")])
+def test_evaluate_supervised_bad_numeric_flag_exit_2(capsys, ref_setup, flags):
+    _, lex_dir, corpus_path, _ = ref_setup
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
+                         "--supervised", "--seed", "1", *flags)
+    assert code == 2
+    assert err.startswith("error: ") and f"{flags[0][2:]}={flags[1]}" in err
+    assert out == ""
+
+
 def test_evaluate_supervised_requires_seed(capsys, ref_setup):
     _, lex_dir, corpus_path, _ = ref_setup
     code, _, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
@@ -251,6 +270,28 @@ def test_baseline_sweep_row_count(capsys, tmp_path):
     assert any(row.split("\t")[-1] for row in rows)  # best cells marked
 
 
+def test_baseline_k_0_exit_2(capsys, tmp_path):
+    from .test_baseline import injected_token_corpus
+    corpus_path = tmp_path / "bl.tsv"
+    save_corpus(injected_token_corpus(), str(corpus_path))
+    code, out, err = run(capsys, "baseline", str(corpus_path), "--scale", "stress",
+                         "--k", "0", "--seed", "5")
+    assert code == 2
+    assert err.startswith("error: ") and "k=0" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_baseline_bad_features_exit_2(capsys, tmp_path, value):
+    corpus_path = tmp_path / "bl.tsv"
+    save_corpus(golden_corpus(), str(corpus_path))
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+        main(["baseline", str(corpus_path), "--features", value, "--scale", "stress",
+              "--seed", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --features" in err and "Traceback" not in err
+
+
 DEFAULT_LEXICON = os.path.join(os.path.dirname(__file__), os.pardir, "data", "default_lexicon")
 
 GOLDEN_WORDS = ("the train is delayed late again very so not never relaxed calm chill out "
@@ -309,6 +350,30 @@ nb\t20\tstress\t40\t2\t12.500\t87.500\t-0.168\t0\t1.062\t
 logistic\t20\tstress\t40\t2\t15.000\t85.000\t-0.164\t0\t1.087\t
 """
 
+GOLDEN_BASELINE_SWEEP_STDOUT = """\
+classifier\tn_features\tscale\tn\treps\texact\twithin1\tpearson\tpearson_skipped\tmad\tbest_for
+nb\t100\tstress\t40\t1\t17.500\t87.500\t-0.136\t0\t0.975\twithin1,mad
+nb\t200\tstress\t40\t1\t17.500\t85.000\t-0.119\t0\t1.000\tpearson
+nb\t300\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t400\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t500\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t600\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t700\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t800\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t900\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+nb\t1000\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
+logistic\t100\tstress\t40\t1\t22.500\t85.000\t-0.224\t0\t0.975\texact
+logistic\t200\tstress\t40\t1\t17.500\t82.500\t-0.240\t0\t1.050\t
+logistic\t300\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t400\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t500\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t600\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t700\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t800\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t900\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t1000\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+"""
+
 
 def test_golden_supervised_and_baseline_output(capsys, tmp_path):
     corpus_path = str(tmp_path / "golden.tsv")
@@ -323,6 +388,10 @@ def test_golden_supervised_and_baseline_output(capsys, tmp_path):
                        "--k", "5", "--reps", "2", "--seed", "5")
     assert code == 0
     assert out == GOLDEN_BASELINE_STDOUT
+    code, out, _ = run(capsys, "baseline", corpus_path, "--classifier", "both", "--features", "sweep",
+                       "--scale", "stress", "--k", "5", "--reps", "1", "--seed", "5")
+    assert code == 0
+    assert out == GOLDEN_BASELINE_SWEEP_STDOUT
 
 
 def test_score_trace_renders_like_explain(capsys, tmp_path):

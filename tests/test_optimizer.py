@@ -2,8 +2,14 @@ import pytest
 
 from tensilex.corpus import make_example
 from tensilex.errors import EmptyCorpus
-from tensilex.lexicon import Kind, set_strength
-from tensilex.optimizer import OptimizerConfig, hill_climb, total_absolute_error
+from tensilex.lexicon import IdiomEntry, Kind, LexiconEntry, LexiconSet, set_strength
+from tensilex.optimizer import (
+    OptimizerConfig,
+    _ErrorTracker,
+    hill_climb,
+    tokenize_corpus,
+    total_absolute_error,
+)
 from tensilex.scorer import score_text
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
@@ -118,3 +124,17 @@ def test_min_improvement_validation():
         OptimizerConfig(min_improvement=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_passes=0)
+
+
+def test_tracker_indexes_only_terms_that_score():
+    lex = LexiconSet(
+        stress_terms=(LexiconEntry("late", Kind.STRESS, 3),),
+        relax_terms=(LexiconEntry("chill", Kind.RELAXATION, 2),),
+        boosters=(), negators=frozenset({"not"}),
+        idioms=(IdiomEntry(("chill", "out"), Kind.RELAXATION, 4),), emoticons=(),
+        dictionary=frozenset("late chill out not so".split()))
+    corpus = [make_example("a", "s", "chill out so late", (-3,), (4,)),
+              make_example("b", "s", "not late. chill", (-1,), (2,))]
+    tracker = _ErrorTracker(lex, tokenize_corpus(lex, corpus))
+    # "chill" inside the idiom is masked, so only text b can move with it.
+    assert tracker.affected == {(Kind.STRESS, "late"): [0, 1], (Kind.RELAXATION, "chill"): [1]}

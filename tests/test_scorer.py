@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from tensilex.lexicon import (
     Kind,
     LexiconEntry,
     LexiconSet,
+    load_lexicon_set,
     set_strength,
 )
 from tensilex.scorer import (
@@ -156,6 +159,15 @@ def test_url_never_matches():
                       lex.relax_terms, lex.boosters, lex.negators, lex.idioms,
                       lex.emoticons, lex.dictionary)
     assert score("see http://delayed.example", lex2) == (-1, 1)
+
+
+def test_url_dots_do_not_split_sentences():
+    lex = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "data", "default_lexicon"))
+    assert score("nice day www.delayed.com", lex) == (-1, 1)
+    # The "!" boosts "late" only if the URL leaves the two in one sentence.
+    assert score("late again!", lex) == (-3, 1)
+    assert score("late http://t.co/x again!", lex) == (-3, 1)
 
 
 def test_trace_names_rules():

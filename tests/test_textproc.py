@@ -47,6 +47,12 @@ def test_tokenize_apostrophe_does_not_split():
     assert [t.raw for t in tokenize("don't panic")] == ["don't", "panic"]
 
 
+def test_segment_keeps_urls_whole():
+    assert segment_sentences("see www.x.com/a?b=c. so late!") == ["see www.x.com/a?b=c.", "so late!"]
+    assert segment_sentences("HTTP://t.co/x!! ok") == ["HTTP://t.co/x!!", "ok"]
+    assert segment_sentences("a.www.x b") == ["a.", "www.", "x b"]  # not a URL chunk
+
+
 def test_tokenize_url_and_hashtag():
     tokens = tokenize("see http://x.com #Fuming @Bob")
     assert [t.normalized for t in tokens] == ["see", URL_TOKEN, "#fuming", "@bob"]
