@@ -28,6 +28,11 @@ DENSE_FEATURES = ("<n_unigrams>", "<n_bigrams>", "<n_trigrams>")
 
 MODEL_FORMAT_VERSION = 1
 
+LOGISTIC_L2 = 1e-2
+LOGISTIC_STEP_SIZE = 0.1
+LOGISTIC_MAX_EPOCHS = 500
+LOGISTIC_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -48,6 +53,7 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class FeatureTable:
+    """Sparse features in rank order: gain descending, ties lexicographic."""
     vocabulary: tuple[str, ...]  # sparse features only, ids dense 0..V-1
     doc_freq: tuple[int, ...]
     gains: tuple[float, ...]
@@ -101,17 +107,13 @@ def information_gain(vectors, labels) -> FeatureTable:
     h_y = _entropy(total_counts)
 
     present: dict[str, list[int]] = {}
-    doc_freq: Counter[str] = Counter()
     for vec, y in zip(vectors, labels):
         for feature, count in vec.counts.items():
             if count > 0:
-                doc_freq[feature] += 1
                 present.setdefault(feature, [0] * len(label_values))[label_index[y]] += 1
 
-    vocabulary = sorted(present)
-    gains = []
-    for feature in vocabulary:
-        with_f = present[feature]
+    gains = {}
+    for feature, with_f in present.items():
         n_with = sum(with_f)
         without_f = [t - w for t, w in zip(total_counts, with_f)]
         n_without = n - n_with
@@ -120,17 +122,17 @@ def information_gain(vectors, labels) -> FeatureTable:
             h_cond += (n_with / n) * _entropy(with_f)
         if n_without:
             h_cond += (n_without / n) * _entropy(without_f)
-        gains.append(max(0.0, h_y - h_cond))
-    return FeatureTable(tuple(vocabulary), tuple(doc_freq[f] for f in vocabulary), tuple(gains))
+        gains[feature] = max(0.0, h_y - h_cond)
+    vocabulary = sorted(gains, key=lambda f: (-gains[f], f))
+    return FeatureTable(tuple(vocabulary), tuple(sum(present[f]) for f in vocabulary),
+                        tuple(gains[f] for f in vocabulary))
 
 
 def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
     """Top-n sparse features by gain (ties lexicographic) plus dense counts."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranked = sorted(zip(table.vocabulary, table.gains), key=lambda fg: (-fg[1], fg[0]))
-    chosen = tuple(f for f, _ in ranked[:n])
-    return chosen + DENSE_FEATURES
+    return table.vocabulary[:n] + DENSE_FEATURES
 
 
 def _design_matrix(vectors, subset) -> np.ndarray:
@@ -141,20 +143,11 @@ def _design_matrix(vectors, subset) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
-    l2: float = 1e-2
-    step_size: float = 0.1
-    max_epochs: int = 500
-    tolerance: float = 1e-6
-
-
 def _neutral_code(classes) -> int:
     return min(classes, key=abs)
 
 
-def train(kind: str, vectors, labels, subset,
-          logistic_config: LogisticConfig = LogisticConfig()) -> TrainedModel:
+def train(kind: str, vectors, labels, subset) -> TrainedModel:
     if not vectors:
         raise EmptyCorpus("empty training set")
     classes = tuple(sorted(set(labels)))
@@ -171,36 +164,36 @@ def train(kind: str, vectors, labels, subset,
             log_like[ci] = np.log(totals / totals.sum())
         params = {"log_prior": log_prior, "log_like": log_like}
     elif kind == "logistic":
-        params = {"weights": _train_logistic(x, y, classes, logistic_config)}
+        params = {"weights": _train_logistic(x, y, classes)}
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
 
     return TrainedModel(kind, classes, tuple(subset), _neutral_code(classes), params)
 
 
-def _train_logistic(x, y, classes, cfg: LogisticConfig) -> np.ndarray:
+def _train_logistic(x, y, classes) -> np.ndarray:
     n, f = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     # Step size capped at 1/L (L = Lipschitz bound of the gradient) so the
     # full-batch loss is provably non-increasing per epoch.
-    lipschitz = 0.25 * float((xb * xb).sum()) / n + cfg.l2
-    lr = min(cfg.step_size, 1.0 / lipschitz)
+    lipschitz = 0.25 * float((xb * xb).sum()) / n + LOGISTIC_L2
+    lr = min(LOGISTIC_STEP_SIZE, 1.0 / lipschitz)
     weights = np.zeros((len(classes), f + 1))
     for ci, c in enumerate(classes):
         target = np.where(y == c, 1.0, -1.0)
         w = np.zeros(f + 1)
         prev_loss = None
-        for _ in range(cfg.max_epochs):
+        for _ in range(LOGISTIC_MAX_EPOCHS):
             margin = target * (xb @ w)
-            loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * cfg.l2 * float(w[:-1] @ w[:-1])
+            loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * LOGISTIC_L2 * float(w[:-1] @ w[:-1])
             if prev_loss is not None:
                 assert loss <= prev_loss + 1e-12, "logistic loss increased"
-                if prev_loss - loss < cfg.tolerance:
+                if prev_loss - loss < LOGISTIC_TOLERANCE:
                     break
             prev_loss = loss
             sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
             grad = -(xb * (target * sig)[:, None]).mean(axis=0)
-            grad[:-1] += cfg.l2 * w[:-1]
+            grad[:-1] += LOGISTIC_L2 * w[:-1]
             w = w - lr * grad
         weights[ci] = w
     return weights

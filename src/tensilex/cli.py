@@ -18,7 +18,7 @@ from . import corpus as cp
 from . import lexicon as lx
 from . import metrics as mx
 from .errors import TensilexError
-from .optimizer import OptimizerConfig, hill_climb, total_absolute_error
+from .optimizer import OptimizerConfig, hill_climb
 from .scorer import format_trace, score_text
 
 ENV_LEXICON_DIR = "TENSILEX_LEXICON_DIR"

@@ -13,11 +13,11 @@ A lexicon lives on disk as a directory of seven UTF-8 files:
 Lines starting with ``#`` are comments. A term pattern may end in a single
 ``*`` wildcard meaning "any suffix". Strengths are integers 1..5.
 
-Loaded sets are immutable; :func:`set_strength` returns a new set so the
-optimizer can reject a change by simply discarding the new value. Each set
-compiles its two term lists once, on first use, into a :class:`TermIndex`
-that the scorer and the optimizer share; a set made by :func:`set_strength`
-compiles its own.
+Loaded sets are immutable; :func:`set_strength` returns a new set. The
+optimizer tries candidate strengths in a table of its own and calls it only
+for a change it keeps. Each set compiles its two term lists once, on first
+use, into a :class:`TermIndex`; a set made by :func:`set_strength` compiles
+its own.
 """
 
 from __future__ import annotations
@@ -328,22 +328,19 @@ def set_strength(lex: LexiconSet, kind: Kind, pattern: str, strength: int) -> Le
 
 
 def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
-    """Write the seven-file directory; entries sorted for deterministic diffs."""
+    """Write the seven-file directory; entries sorted for deterministic diffs
+    (a set holds its term lists, boosters and emoticons sorted already)."""
     try:
         os.makedirs(directory_path, exist_ok=True)
-        _write(directory_path, "stress_terms.tsv",
-               [f"{e.pattern}\t{e.strength}" for e in sorted(lex.stress_terms, key=lambda e: e.pattern)])
-        _write(directory_path, "relax_terms.tsv",
-               [f"{e.pattern}\t{e.strength}" for e in sorted(lex.relax_terms, key=lambda e: e.pattern)])
-        _write(directory_path, "boosters.tsv",
-               [f"{b.word}\t{b.delta}" for b in sorted(lex.boosters, key=lambda b: b.word)])
+        _write(directory_path, "stress_terms.tsv", [f"{e.pattern}\t{e.strength}" for e in lex.stress_terms])
+        _write(directory_path, "relax_terms.tsv", [f"{e.pattern}\t{e.strength}" for e in lex.relax_terms])
+        _write(directory_path, "boosters.tsv", [f"{b.word}\t{b.delta}" for b in lex.boosters])
         _write(directory_path, "negators.txt", sorted(lex.negators))
         _write(directory_path, "idioms.tsv",
                [f"{' '.join(i.tokens)}\t{i.kind.value}\t{i.strength}"
                 for i in sorted(lex.idioms, key=lambda i: i.tokens)])
         _write(directory_path, "emoticons.tsv",
-               [f"{e.glyph}\t{e.kind.value}\t{e.strength}"
-                for e in sorted(lex.emoticons, key=lambda e: e.glyph)])
+               [f"{e.glyph}\t{e.kind.value}\t{e.strength}" for e in lex.emoticons])
         _write(directory_path, "dictionary.txt", sorted(lex.dictionary))
     except OSError as exc:
         raise WriteError(f"failed to write lexicon to {directory_path}: {exc}") from exc

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import EmptySeries, InsufficientData, LengthError
 
-MISSING = None  # missing cell marker in coding matrices
-
 
 @dataclass(frozen=True)
 class PairedSeries:
@@ -92,13 +90,6 @@ class CodingMatrix:
         width = len(self.cells[0])
         if any(len(row) != width for row in self.cells):
             raise LengthError("ragged coding matrix")
-
-    @property
-    def n_coders(self) -> int:
-        return len(self.cells[0])
-
-    def coder_column(self, j) -> list[int | None]:
-        return [row[j] for row in self.cells]
 
 
 def krippendorff_alpha_weighted(m: CodingMatrix, metric: str = "linear") -> float:

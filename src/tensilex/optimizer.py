@@ -7,6 +7,11 @@ at least ``min_improvement``; otherwise it tries strength -1 the same
 way; otherwise the term is left alone. The climb stops after a pass with
 no kept changes, or at the safety cap.
 
+The climb edits a table of term strengths, not a lexicon: each text is
+scored once per climb, a candidate re-scores from the traces of the texts
+that match the edited term, and only a kept change is written through
+:func:`lexicon.set_strength` into the set the climb returns.
+
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
 Twister); the reproducibility contract is determinism for a given seed,
 not a particular bitstream.
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import lexicon as lx
 from .errors import EmptyCorpus
-from .scorer import Source, score_tokenized
+from .scorer import Source, score_tokenized, sentence_magnitudes, term_strength
 from .textproc import TokenizedText, process
 
 
@@ -64,17 +69,11 @@ class OptimizationReport:
         yield f"final_error\t{self.final_error}"
 
 
-def _example_error(doc, lex, gold_stress, gold_relax):
-    """``(|stress - gold| + |relaxation - gold|, score trace)`` for one text."""
-    score, trace = score_tokenized(doc, lex)
-    return abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax), trace
-
-
 def total_absolute_error(lex: lx.LexiconSet, corpus) -> int:
     """Summed |prediction - gold| over both scales, over the whole corpus."""
     if not corpus:
         raise EmptyCorpus("cannot evaluate an empty corpus")
-    return sum(_example_error(doc, lex, gs, gr)[0] for doc, gs, gr in tokenize_corpus(lex, corpus))
+    return _ErrorTracker(lex, tokenize_corpus(lex, corpus)).total
 
 
 def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[TokenizedText, int, int]]:
@@ -93,41 +92,55 @@ _TERM_SOURCES = {Source.STRESS_TERM: lx.Kind.STRESS, Source.NEGATED_STRESS: lx.K
 
 
 class _ErrorTracker:
-    """Incremental corpus error: re-scores only the examples a term can touch.
+    """Incremental corpus error over a ``{(Kind, pattern): strength}`` table.
 
-    The affected-example index is read from the traces of the first scoring
-    pass. Masking and term matching depend only on patterns, never on
-    strengths, so a strength edit of the starting set can change an
-    example's score only if its trace names the edited term.
+    Each example is scored once, at the set's strengths, and its trace kept.
+    Masking and term matching depend only on patterns, never on strengths,
+    so an edit changes only the final strengths of the edited term's matches:
+    just the examples whose trace names it are re-scored, from that trace, by
+    the scorer's own rules (:func:`term_strength`, :func:`sentence_magnitudes`).
     """
 
     def __init__(self, lex, examples):
-        self.docs = [doc for doc, _, _ in examples]
+        self.strengths = {(kind, e.pattern): e.strength
+                          for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION) for e in lex.terms(kind)}
         self.golds = [(gs, gr) for _, gs, gr in examples]
+        self.traces = [score_tokenized(doc, lex)[1] for doc, _, _ in examples]
         self.affected: dict[tuple[lx.Kind, str], list[int]] = {}
-        self.errors = []
-        for i, (doc, (gs, gr)) in enumerate(zip(self.docs, self.golds)):
-            error, trace = _example_error(doc, lex, gs, gr)
-            self.errors.append(error)
+        for i, trace in enumerate(self.traces):
             hit = {(_TERM_SOURCES[c.source], c.label)
                    for sentence in trace.sentences for c in sentence.contributions
                    if c.source in _TERM_SOURCES}
             for key in hit:
                 self.affected.setdefault(key, []).append(i)
+        self.errors = [self._error(i) for i in range(len(self.traces))]
         self.total = sum(self.errors)
 
-    def total_with(self, lex, key) -> tuple[int, list[int]]:
-        """Total error under a candidate lexicon differing only at `key`."""
-        total = self.total
-        updates = []
-        for i in self.affected.get(key, ()):
-            gs, gr = self.golds[i]
-            new, _ = _example_error(self.docs[i], lex, gs, gr)
-            total += new - self.errors[i]
-            updates.append(new)
-        return total, updates
+    def _error(self, i) -> int:
+        """Example ``i``'s |stress - gold| + |relaxation - gold| under the table."""
+        strengths = self.strengths
+        stress = relax = 1  # text magnitudes: the extreme sentence on each scale
+        for sentence in self.traces[i].sentences:
+            s_mag, r_mag, _, _ = sentence_magnitudes(
+                ((c.scale, term_strength(c.source, strengths[_TERM_SOURCES[c.source], c.label],
+                                         c.booster_delta, c.repeat_boost)
+                  if c.source in _TERM_SOURCES else c.final_strength)
+                 for c in sentence.contributions),
+                sentence.exclamation_present)
+            stress, relax = max(stress, s_mag), max(relax, r_mag)
+        gold_stress, gold_relax = self.golds[i]
+        return abs(-stress - gold_stress) + abs(relax - gold_relax)
 
-    def accept(self, key, total, updates):
+    def total_with(self, key, strength) -> tuple[int, list[int]]:
+        """Total error with term ``key`` at ``strength``, and its examples' new errors."""
+        kept, self.strengths[key] = self.strengths[key], strength
+        affected = self.affected.get(key, ())
+        updates = [self._error(i) for i in affected]
+        self.strengths[key] = kept
+        return self.total + sum(new - self.errors[i] for i, new in zip(affected, updates)), updates
+
+    def accept(self, key, strength, total, updates):
+        self.strengths[key] = strength
         for i, new in zip(self.affected.get(key, ()), updates):
             self.errors[i] = new
         self.total = total
@@ -150,29 +163,23 @@ def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = Op
     tracker = _ErrorTracker(lex, examples)
     report = OptimizationReport(initial_error=tracker.total)
 
-    terms = ([(lx.Kind.STRESS, e.pattern) for e in lex.stress_terms]
-             + [(lx.Kind.RELAXATION, e.pattern) for e in lex.relax_terms])
-
     current = lex
     for _ in range(cfg.max_passes):
         report.passes_run += 1
-        order = list(terms)
+        order = list(tracker.strengths)  # stress then relaxation terms, as the set holds them
         rng.shuffle(order)
         changed = False
         for key in order:
-            kind, pattern = key
-            entry = next(e for e in current.terms(kind) if e.pattern == pattern)
-            for new_strength in (entry.strength + 1, entry.strength - 1):
-                if not 1 <= new_strength <= 5:
+            old = tracker.strengths[key]
+            for new in (old + 1, old - 1):
+                if not 1 <= new <= 5:
                     continue
-                candidate = lx.set_strength(current, kind, pattern, new_strength)
-                total, updates = tracker.total_with(candidate, key)
+                total, updates = tracker.total_with(key, new)
                 if tracker.total - total >= cfg.min_improvement:
-                    report.changes.append(Change(kind, pattern, entry.strength, new_strength,
-                                                 tracker.total, total))
+                    report.changes.append(Change(*key, old, new, tracker.total, total))
                     report.changes_made += 1
-                    tracker.accept(key, total, updates)
-                    current = candidate
+                    tracker.accept(key, new, total, updates)
+                    current = lx.set_strength(current, *key, new)
                     changed = True
                     break
         if not changed:

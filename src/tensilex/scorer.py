@@ -78,6 +78,31 @@ def _clamp(value: int) -> int:
     return max(1, min(5, value))
 
 
+def term_strength(source: Source, base: int, delta: int, repeat: int) -> int:
+    """Rules 3-6: a matched term's final strength, ``base + delta + repeat``
+    clamped to 1..5; a negated stress word is neutralised to 1."""
+    if source is Source.NEGATED_STRESS:
+        return 1
+    return _clamp(base + delta + repeat)
+
+
+def sentence_magnitudes(finals, exclaim: bool) -> tuple[int, int, bool, bool]:
+    """Rules 7-9: ``(stress, relaxation, stress boosted, relaxation boosted)``
+    from a sentence's ``(scale, final strength)`` pairs. Each scale takes its
+    strongest (1 if none); a ``!`` adds 1, clamped, to a scale already at 2+."""
+    stress_mag = relax_mag = 1
+    for scale, final in finals:
+        if scale is Scale.STRESS:
+            stress_mag = max(stress_mag, final)
+        else:
+            relax_mag = max(relax_mag, final)
+    stress_boosted = exclaim and stress_mag >= 2
+    relax_boosted = exclaim and relax_mag >= 2
+    return (_clamp(stress_mag + 1) if stress_boosted else stress_mag,
+            _clamp(relax_mag + 1) if relax_boosted else relax_mag,
+            stress_boosted, relax_boosted)
+
+
 def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     """Score one tokenized sentence; see the module pipeline description."""
     tokens = tuple(tokens)
@@ -144,37 +169,21 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                 j -= 1
             negated = j >= 0 and not masked[j] and tokens[j].normalized in lex.negators
 
-            final = _clamp(base + delta + repeat)
             if kind is Kind.RELAXATION:
-                if negated:
-                    # A negated relaxing word becomes a stress word of the
-                    # same (boosted) strength.
-                    contributions.append(TermContribution(
-                        i, Source.NEGATED_RELAX, base, delta, repeat, final, Scale.STRESS, entry.pattern))
-                else:
-                    contributions.append(TermContribution(
-                        i, Source.RELAX_TERM, base, delta, repeat, final, Scale.RELAXATION, entry.pattern))
+                # A negated relaxing word becomes a stress word of the same (boosted) strength.
+                source = Source.NEGATED_RELAX if negated else Source.RELAX_TERM
+                scale = Scale.STRESS if negated else Scale.RELAXATION
             else:
-                if negated:
-                    # A negated stress word is neutralised.
-                    contributions.append(TermContribution(
-                        i, Source.NEGATED_STRESS, base, delta, repeat, 1, Scale.STRESS, entry.pattern))
-                else:
-                    contributions.append(TermContribution(
-                        i, Source.STRESS_TERM, base, delta, repeat, final, Scale.STRESS, entry.pattern))
+                source = Source.NEGATED_STRESS if negated else Source.STRESS_TERM
+                scale = Scale.STRESS
+            contributions.append(TermContribution(
+                i, source, base, delta, repeat, term_strength(source, base, delta, repeat), scale,
+                entry.pattern))
 
     # 7-9. Per-scale maxima, exclamation boost, clamp.
-    stress_mag = max([c.final_strength for c in contributions if c.scale is Scale.STRESS], default=1)
-    relax_mag = max([c.final_strength for c in contributions if c.scale is Scale.RELAXATION], default=1)
-
     exclaim = any(t.is_punct_run and "!" in t.raw for t in tokens)
-    stress_boosted = exclaim and stress_mag >= 2
-    relax_boosted = exclaim and relax_mag >= 2
-    if stress_boosted:
-        stress_mag = _clamp(stress_mag + 1)
-    if relax_boosted:
-        relax_mag = _clamp(relax_mag + 1)
-
+    stress_mag, relax_mag, stress_boosted, relax_boosted = sentence_magnitudes(
+        ((c.scale, c.final_strength) for c in contributions), exclaim)
     score = DualScore(-stress_mag, relax_mag)
     trace = SentenceTrace(tokens, tuple(contributions), exclaim, stress_boosted, relax_boosted, score)
     return score, trace

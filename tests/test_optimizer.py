@@ -1,8 +1,20 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tensilex import lexicon, optimizer
 from tensilex.corpus import make_example
 from tensilex.errors import EmptyCorpus
-from tensilex.lexicon import IdiomEntry, Kind, LexiconEntry, LexiconSet, set_strength
+from tensilex.lexicon import (
+    BoosterEntry,
+    EmoticonEntry,
+    IdiomEntry,
+    Kind,
+    LexiconEntry,
+    LexiconSet,
+    set_strength,
+)
 from tensilex.optimizer import (
     OptimizerConfig,
     _ErrorTracker,
@@ -10,7 +22,7 @@ from tensilex.optimizer import (
     tokenize_corpus,
     total_absolute_error,
 )
-from tensilex.scorer import score_text
+from tensilex.scorer import replay_trace, score_text, score_tokenized
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -138,3 +150,110 @@ def test_tracker_indexes_only_terms_that_score():
     tracker = _ErrorTracker(lex, tokenize_corpus(lex, corpus))
     # "chill" inside the idiom is masked, so only text b can move with it.
     assert tracker.affected == {(Kind.STRESS, "late"): [0, 1], (Kind.RELAXATION, "chill"): [1]}
+
+
+# Words whose wildcard stems overlap ("cal*" and "calm*", "ten*" and "tens*"),
+# idioms that share words with terms, boosters and negators, and glyphs.
+_WORDS = ("calm", "calming", "calmer", "tense", "tension", "tens", "late", "later", "chill", "rush")
+_PATTERNS = _WORDS + ("calm*", "cal*", "tens*", "ten*", "lat*", "rush*", "chil*")
+_BOOSTERS = ("very", "so", "bit")
+_NEGATORS = ("not", "never")
+_FILLERS = ("the", "out", "down", "train")
+_IDIOMS = (("chill", "out"), ("calm", "down"), ("very", "late"), ("not", "calm", "down"))
+_GLYPHS = (":)", ":(", ":/")
+_TERMINATORS = ("", ".", "!", "?!", "???", "!!!")
+_STRENGTH = st.integers(1, 5)
+_KIND = st.sampled_from((Kind.STRESS, Kind.RELAXATION, Kind.NEUTRAL))
+
+
+@st.composite
+def _elongated(draw, word):
+    """``word``, or it with one letter repeated 1-3 extra times."""
+    if not word.isalpha() or not draw(st.booleans()):
+        return word
+    at = draw(st.integers(0, len(word) - 1))
+    return word[:at] + word[at] * draw(st.integers(1, 3)) + word[at:]
+
+
+@st.composite
+def _sentence(draw):
+    words = []
+    for _ in range(draw(st.integers(1, 5))):
+        # A term after an optional negator and booster, in either order, or
+        # any other word; then, at times, a glyph and an idiom's words.
+        prefix = draw(st.sampled_from(((), ("neg",), ("boost",), ("neg", "boost"), ("boost", "neg"))))
+        for part in prefix:
+            words.append(draw(_elongated(draw(st.sampled_from(_NEGATORS if part == "neg" else _BOOSTERS)))))
+        pool = _WORDS if prefix else _WORDS + _FILLERS + _BOOSTERS + _NEGATORS
+        words.append(draw(_elongated(draw(st.sampled_from(pool)))))
+        if draw(st.integers(0, 3)) == 0:
+            words.append(draw(st.sampled_from(_GLYPHS)))
+        if draw(st.integers(0, 3)) == 0:
+            words.extend(draw(st.sampled_from(_IDIOMS)))
+    return " ".join(words) + draw(st.sampled_from(_TERMINATORS))
+
+
+@st.composite
+def _rescore_cases(draw):
+    """A random lexicon, texts, and a random strength for every term."""
+    terms = [(kind, p) for kind in (Kind.STRESS, Kind.RELAXATION)
+             for p in draw(st.lists(st.sampled_from(_PATTERNS), unique=True, max_size=8))]
+    boosters = draw(st.dictionaries(st.sampled_from(_BOOSTERS), st.sampled_from((-2, -1, 1, 2))))
+    lex = LexiconSet(
+        tuple(LexiconEntry(p, kind, draw(_STRENGTH)) for kind, p in terms if kind is Kind.STRESS),
+        tuple(LexiconEntry(p, kind, draw(_STRENGTH)) for kind, p in terms if kind is Kind.RELAXATION),
+        tuple(BoosterEntry(word, delta) for word, delta in boosters.items()),
+        frozenset(_NEGATORS),
+        tuple(IdiomEntry(tokens, draw(_KIND), draw(_STRENGTH))
+              for tokens in draw(st.lists(st.sampled_from(_IDIOMS), unique=True))),
+        tuple(EmoticonEntry(glyph, draw(_KIND), draw(_STRENGTH))
+              for glyph in draw(st.lists(st.sampled_from(_GLYPHS), unique=True))),
+        frozenset(_WORDS + _BOOSTERS + _NEGATORS + _FILLERS))
+    texts = [" ".join(draw(st.lists(_sentence(), min_size=1, max_size=3)))
+             for _ in range(draw(st.integers(1, 6)))]
+    return lex, texts, {key: draw(_STRENGTH) for key in terms}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rescore_cases())
+def test_tracker_rescore_matches_scorer(case):
+    lex, texts, table = case
+    # Golds (-1, 1) and (-1, 5) give errors s + r - 2 and s - r + 4 for
+    # magnitudes s and r, so equal errors on both mean equal scores.
+    corpus = [make_example(f"t{i}r{gold}", "s", text, (-1,), (gold,))
+              for i, text in enumerate(texts) for gold in (1, 5)]
+    tracker = _ErrorTracker(lex, tokenize_corpus(lex, corpus))
+    edited = lex
+    for (kind, pattern), strength in table.items():
+        total, updates = tracker.total_with((kind, pattern), strength)
+        tracker.accept((kind, pattern), strength, total, updates)
+        edited = set_strength(edited, kind, pattern, strength)
+    expected = []
+    for doc, gold_stress, gold_relax in tokenize_corpus(edited, corpus):
+        score, trace = score_tokenized(doc, edited)
+        assert replay_trace(trace) == score
+        expected.append(abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax))
+    assert tracker.errors == expected
+    assert tracker.total == sum(expected)
+
+
+def test_climb_compiles_no_lexicon_per_candidate(monkeypatch):
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=100, seed=4)
+    perturbed = set_strength(set_strength(lex, Kind.STRESS, "strainword1", 2),
+                             Kind.RELAXATION, "soothword2", 5)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lexicon, "set_strength", counted("set_strength", lexicon.set_strength))
+    monkeypatch.setattr(optimizer, "score_tokenized", counted("score", optimizer.score_tokenized))
+    optimized, report = hill_climb(perturbed, corpus, OptimizerConfig(seed=5))
+    assert report.changes_made >= 2
+    assert calls["set_strength"] == report.changes_made
+    assert calls["score"] == len(corpus)
+    assert optimized == lex
