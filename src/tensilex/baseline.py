@@ -9,6 +9,12 @@ retained alongside the selected subset. Two classifiers predict the
 5-level code of one scale: multinomial Naive Bayes with add-one smoothing
 and one-vs-rest L2 logistic regression trained by full-batch gradient
 descent.
+
+Training is shaped by the sweep's many small fits. The design matrix is
+built from each text's sparse counts, not cell by cell. Information gain
+is computed once per distinct per-class presence-count vector, which
+thousands of features share. All one-vs-rest classes are trained in one
+joint solve, each with its own early stop.
 """
 
 from __future__ import annotations
@@ -40,15 +46,6 @@ class FeatureVector:
     n_unigrams: int
     n_bigrams: int
     n_trigrams: int
-
-    def value(self, feature: str) -> int:
-        if feature == "<n_unigrams>":
-            return self.n_unigrams
-        if feature == "<n_bigrams>":
-            return self.n_bigrams
-        if feature == "<n_trigrams>":
-            return self.n_trigrams
-        return self.counts.get(feature, 0)
 
 
 @dataclass(frozen=True)
@@ -112,17 +109,24 @@ def information_gain(vectors, labels) -> FeatureTable:
             if count > 0:
                 present.setdefault(feature, [0] * len(label_values))[label_index[y]] += 1
 
+    # Gain depends only on the per-class presence counts, and thousands of
+    # features share a few hundred distinct count vectors.
+    gain_of: dict[tuple[int, ...], float] = {}
     gains = {}
     for feature, with_f in present.items():
-        n_with = sum(with_f)
-        without_f = [t - w for t, w in zip(total_counts, with_f)]
-        n_without = n - n_with
-        h_cond = 0.0
-        if n_with:
-            h_cond += (n_with / n) * _entropy(with_f)
-        if n_without:
-            h_cond += (n_without / n) * _entropy(without_f)
-        gains[feature] = max(0.0, h_y - h_cond)
+        key = tuple(with_f)
+        gain = gain_of.get(key)
+        if gain is None:
+            n_with = sum(with_f)
+            without_f = [t - w for t, w in zip(total_counts, with_f)]
+            n_without = n - n_with
+            h_cond = 0.0
+            if n_with:
+                h_cond += (n_with / n) * _entropy(with_f)
+            if n_without:
+                h_cond += (n_without / n) * _entropy(without_f)
+            gain = gain_of[key] = max(0.0, h_y - h_cond)
+        gains[feature] = gain
     vocabulary = sorted(gains, key=lambda f: (-gains[f], f))
     return FeatureTable(tuple(vocabulary), tuple(sum(present[f]) for f in vocabulary),
                         tuple(gains[f] for f in vocabulary))
@@ -136,10 +140,26 @@ def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
 
 
 def _design_matrix(vectors, subset) -> np.ndarray:
+    """One row per vector, one column per ``subset`` feature.
+
+    Walks each vector's sparse counts, so the cost is the number of
+    nonzeros, not rows x features. A dense count takes precedence over a
+    sparse feature of the same name.
+    """
+    column = {feature: j for j, feature in enumerate(subset)}
+    dense = [(column[f], i) for i, f in enumerate(DENSE_FEATURES) if f in column]
     x = np.zeros((len(vectors), len(subset)))
-    for i, vec in enumerate(vectors):
+    for row, vec in zip(x, vectors):
+        for feature, count in vec.counts.items():
+            j = column.get(feature)
+            if j is not None:
+                row[j] = count
+        totals = (vec.n_unigrams, vec.n_bigrams, vec.n_trigrams)
+        for j, i in dense:
+            row[j] = totals[i]
+    if len(column) < len(subset):  # a repeated feature fills each of its columns
         for j, feature in enumerate(subset):
-            x[i, j] = vec.value(feature)
+            x[:, j] = x[:, column[feature]]
     return x
 
 
@@ -172,35 +192,40 @@ def train(kind: str, vectors, labels, subset) -> TrainedModel:
 
 
 def _train_logistic(x, y, classes) -> np.ndarray:
+    """One-vs-rest weights, every class trained in one joint gradient descent.
+
+    Each epoch is one step of the ``(C, F+1)`` weight matrix. A class whose
+    loss falls by less than LOGISTIC_TOLERANCE is frozen from that epoch on,
+    so each class keeps its own early stop.
+    """
     n, f = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     # Step size capped at 1/L (L = Lipschitz bound of the gradient) so the
     # full-batch loss is provably non-increasing per epoch.
     lipschitz = 0.25 * float((xb * xb).sum()) / n + LOGISTIC_L2
     lr = min(LOGISTIC_STEP_SIZE, 1.0 / lipschitz)
+    targets = np.where(y == np.array(classes)[:, None], 1.0, -1.0)
     weights = np.zeros((len(classes), f + 1))
-    for ci, c in enumerate(classes):
-        target = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(f + 1)
-        prev_loss = None
-        for _ in range(LOGISTIC_MAX_EPOCHS):
-            margin = target * (xb @ w)
-            loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * LOGISTIC_L2 * float(w[:-1] @ w[:-1])
-            if prev_loss is not None:
-                assert loss <= prev_loss + 1e-12, "logistic loss increased"
-                if prev_loss - loss < LOGISTIC_TOLERANCE:
-                    break
-            prev_loss = loss
-            sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
-            grad = -(xb * (target * sig)[:, None]).mean(axis=0)
-            grad[:-1] += LOGISTIC_L2 * w[:-1]
-            w = w - lr * grad
-        weights[ci] = w
+    active = np.ones(len(classes), dtype=bool)
+    prev_loss = np.full(len(classes), np.inf)
+    for _ in range(LOGISTIC_MAX_EPOCHS):
+        margins = targets * (weights @ xb.T)
+        w = weights[:, :-1]
+        loss = np.logaddexp(0.0, -margins).mean(axis=1) + 0.5 * LOGISTIC_L2 * (w * w).sum(axis=1)
+        assert (loss[active] <= prev_loss[active] + 1e-12).all(), "logistic loss increased"
+        active &= prev_loss - loss >= LOGISTIC_TOLERANCE
+        if not active.any():
+            break
+        prev_loss = loss
+        sig = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
+        grad = -((targets * sig) @ xb) / n
+        grad[:, :-1] += LOGISTIC_L2 * w
+        weights -= (lr * active)[:, None] * grad  # a frozen row steps by zero
     return weights
 
 
 def _scores(model: TrainedModel, vec: FeatureVector) -> np.ndarray:
-    x = np.array([vec.value(f) for f in model.subset], dtype=float)
+    x = _design_matrix([vec], model.subset)[0]
     if model.kind == "nb":
         return model.params["log_prior"] + model.params["log_like"] @ x
     xb = np.append(x, 1.0)

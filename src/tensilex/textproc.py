@@ -55,9 +55,14 @@ def segment_sentences(text: str) -> list[str]:
 
 
 def _blank_url_terminators(match: re.Match) -> str:
-    url = match.group()
+    body, tail = _split_url(match.group())
+    return body.translate(_BLANK_TERMINATORS) + tail
+
+
+def _split_url(url: str) -> tuple[str, str]:
+    """A URL chunk's body and its trailing ``.!?`` run, which is not part of it."""
     body = url.rstrip(".!?")
-    return body.translate(_BLANK_TERMINATORS) + url[len(body):]
+    return body, url[len(body):]
 
 
 def tokenize(sentence: str) -> list[Token]:
@@ -65,12 +70,16 @@ def tokenize(sentence: str) -> list[Token]:
 
     Whitespace chunks are never merged; within a chunk, maximal punctuation
     runs (emoticons, ``!!!``) become their own tokens. URLs collapse to the
-    neutral ``<url>`` token.
+    neutral ``<url>`` token; a ``.!?`` run ending a URL chunk is a
+    punctuation run after it.
     """
     tokens = []
     for chunk in sentence.split():
         if _URL_RE.match(chunk):
-            tokens.append(Token(chunk, URL_TOKEN))
+            url, tail = _split_url(chunk)
+            tokens.append(Token(url, URL_TOKEN))
+            if tail:
+                tokens.append(Token(tail, tail, is_punct_run=True))
             continue
         for match in _TOKEN_RE.finditer(chunk):
             piece = match.group()

@@ -6,6 +6,15 @@ no shared helpers, so a bug cannot hide on both sides of a comparison.
 
 import math
 
+import numpy as np
+
+from tensilex.baseline import (
+    LOGISTIC_L2,
+    LOGISTIC_MAX_EPOCHS,
+    LOGISTIC_STEP_SIZE,
+    LOGISTIC_TOLERANCE,
+)
+
 
 def kripp_alpha_bruteforce(rows, metric="linear"):
     """Krippendorff alpha by explicit pair enumeration over items."""
@@ -84,3 +93,45 @@ def lookup_linear_scan(token, entries):
     if best is None:
         return None
     return best, best.strength
+
+
+def logistic_per_class_loop(x, y, classes):
+    """One-vs-rest logistic weights trained one class at a time, as the
+    library did before it trained the classes jointly: full-batch gradient
+    descent per class, stopping when that class's loss falls by less than
+    the tolerance. Returns the (C, F+1) weights and each class's epoch count."""
+    n, f = x.shape
+    xb = np.hstack([x, np.ones((n, 1))])
+    lipschitz = 0.25 * float((xb * xb).sum()) / n + LOGISTIC_L2
+    lr = min(LOGISTIC_STEP_SIZE, 1.0 / lipschitz)
+    weights = np.zeros((len(classes), f + 1))
+    epochs = []
+    for ci, c in enumerate(classes):
+        target = np.where(y == c, 1.0, -1.0)
+        w = np.zeros(f + 1)
+        prev_loss = None
+        for epoch in range(LOGISTIC_MAX_EPOCHS):
+            margin = target * (xb @ w)
+            loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * LOGISTIC_L2 * float(w[:-1] @ w[:-1])
+            if prev_loss is not None:
+                assert loss <= prev_loss + 1e-12, "logistic loss increased"
+                if prev_loss - loss < LOGISTIC_TOLERANCE:
+                    break
+            prev_loss = loss
+            sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
+            grad = -(xb * (target * sig)[:, None]).mean(axis=0)
+            grad[:-1] += LOGISTIC_L2 * w[:-1]
+            w = w - lr * grad
+        else:
+            epoch = LOGISTIC_MAX_EPOCHS
+        weights[ci] = w
+        epochs.append(epoch)
+    return weights, epochs
+
+
+def design_matrix_plain(vectors, subset):
+    """Feature values cell by cell: a dense total by name, else the sparse count."""
+    dense = {"<n_unigrams>": lambda v: v.n_unigrams, "<n_bigrams>": lambda v: v.n_bigrams,
+             "<n_trigrams>": lambda v: v.n_trigrams}
+    return [[float(dense[f](vec)) if f in dense else float(vec.counts.get(f, 0)) for f in subset]
+            for vec in vectors]

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tensilex import baseline
@@ -22,7 +23,7 @@ from tensilex.baseline import (
 from tensilex.corpus import make_example
 from tensilex.errors import DegenerateLabels, EmptyCorpus, ParseError
 
-from .oracles import information_gain_bruteforce
+from .oracles import design_matrix_plain, information_gain_bruteforce, logistic_per_class_loop
 
 
 def test_bigrams_do_not_cross_sentences():
@@ -111,6 +112,60 @@ def test_select_top_tie_breaks_lexicographically():
 
 def test_sweep_grid_matches_protocol():
     assert SWEEP_GRID == tuple(range(100, 1001, 100))
+
+
+def assert_matches_per_class_loop(x, labels):
+    y = np.array(labels)
+    classes = tuple(sorted(set(labels)))
+    joint = baseline._train_logistic(x, y, classes)
+    expected, epochs = logistic_per_class_loop(x, y, classes)
+    assert joint.shape == expected.shape
+    assert np.abs(joint - expected).max() <= 1e-12
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    assert ((xb @ joint.T).argmax(axis=1) == (xb @ expected.T).argmax(axis=1)).all()
+    return epochs
+
+
+def test_joint_logistic_matches_per_class_loop_on_random_counts():
+    rng = np.random.default_rng(5)
+    for n, f, n_classes in ((40, 12, 2), (60, 30, 5), (25, 80, 3)):
+        x = rng.poisson(0.4, (n, f)).astype(float)
+        labels = [int(c) for c in rng.integers(0, n_classes, n)]
+        assert_matches_per_class_loop(x, labels)
+
+
+def test_joint_logistic_matches_per_class_loop_on_separable_feature():
+    rng = np.random.default_rng(6)
+    labels = [1] * 15 + [2] * 15
+    x = rng.poisson(0.5, (30, 6)).astype(float)
+    x[:, 2] = [3.0 if y == 1 else 0.0 for y in labels]
+    assert_matches_per_class_loop(x, labels)
+
+
+def test_joint_logistic_keeps_each_class_early_stop():
+    # Only the bias moves, so each class settles at its own epoch.
+    epochs = assert_matches_per_class_loop(np.zeros((30, 4)), [1] * 3 + [2] * 20 + [3] * 7)
+    assert epochs == [385, 170, 220]
+    assert assert_matches_per_class_loop(np.zeros((12, 1)), [-1] * 6 + [2] * 6) == [1, 1]
+
+
+def test_design_matrix_matches_plain_lookup():
+    texts = ["so late again", "late late. very late!", "", "again and again and again"]
+    vectors = [extract_features(t) for t in texts]
+    vocabulary = sorted({f for vec in vectors for f in vec.counts})
+    subsets = [
+        tuple(vocabulary),
+        tuple(vocabulary[:5]) + DENSE_FEATURES,
+        ("<n_bigrams>", "late", "never seen", "<n_trigrams>", "again", "<n_unigrams>"),
+        ("absent", "also absent"),
+        DENSE_FEATURES[::-1],
+        ("late", "<n_unigrams>", "late"),  # a repeated feature fills each column
+        (),
+    ]
+    for subset in subsets:
+        got = baseline._design_matrix(vectors, subset)
+        assert got.shape == (len(vectors), len(subset))
+        assert got.tolist() == design_matrix_plain(vectors, subset)
 
 
 def test_logistic_separable_reaches_train_accuracy():
@@ -241,7 +296,7 @@ def test_sweep_rows_equal_single_cell_runs():
 
 
 def test_sweep_is_one_fold_pass(monkeypatch):
-    calls = {"run_folds": 0, "information_gain": 0}
+    calls = {"run_folds": 0, "information_gain": 0, "train": 0}
 
     def counted(name):
         real = getattr(baseline, name)
@@ -256,7 +311,8 @@ def test_sweep_is_one_fold_pass(monkeypatch):
     rows, _ = sweep(injected_token_corpus(n=30), "stress", grid=(1, 2, 3), k=3, reps=2,
                     base_seed=1)
     assert len(rows) == 2 * 3
-    assert calls == {"run_folds": 1, "information_gain": 3 * 2}  # once per training fold
+    # gain once per training fold; the public train once per cell and fold
+    assert calls == {"run_folds": 1, "information_gain": 3 * 2, "train": 2 * 3 * 3 * 2}
 
 
 def test_sweep_rejects_bad_grid_before_work(monkeypatch):

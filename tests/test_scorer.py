@@ -170,6 +170,14 @@ def test_url_dots_do_not_split_sentences():
     assert score("late http://t.co/x again!", lex) == (-3, 1)
 
 
+def test_exclamation_after_url_still_boosts():
+    lex = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "data", "default_lexicon"))
+    assert score("so late!", lex) == (-4, 1)
+    assert score("so late www.x.com !", lex) == (-4, 1)
+    assert score("so late www.x.com!", lex) == (-4, 1)
+
+
 def test_trace_names_rules():
     lex = rich_lexicon()
     _, trace = score_text("Never trust a man with a filthy kitchen", lex)

@@ -58,6 +58,13 @@ def test_tokenize_url_and_hashtag():
     assert [t.normalized for t in tokens] == ["see", URL_TOKEN, "#fuming", "@bob"]
 
 
+def test_tokenize_splits_terminators_off_a_url():
+    assert [t.normalized for t in tokenize("so late www.x.com!")] == ["so", "late", URL_TOKEN, "!"]
+    tokens = tokenize("see HTTP://t.co/x?!. ok")
+    assert [(t.raw, t.normalized, t.is_punct_run) for t in tokens[1:3]] == [
+        ("HTTP://t.co/x", URL_TOKEN, False), ("?!.", "?!.", True)]
+
+
 def test_tokenize_never_merges_whitespace_chunks():
     tokens = tokenize("a! b")
     assert [t.raw for t in tokens] == ["a", "!", "b"]
