@@ -88,18 +88,16 @@ def cmd_evaluate(args) -> int:
     if args.supervised:
         result = cp.crossval_supervised(lex, corpus, k=args.k, reps=args.reps,
                                         base_seed=args.seed)
-        print("scale\t" + report_type.TSV_HEADER)
-        for scale in ("stress", "relax"):
-            print(f"{scale}\t{result.averaged[scale].tsv_row()}")
-        if args.log:
-            with open(args.log, "w", encoding="utf-8") as fh:
-                for line in result.log_tsv():
-                    fh.write(line + "\n")
+        reports = result.averaged
     else:
         reports = cp.evaluate_lexicon(lex, corpus, unrounded=args.unrounded)
-        print("scale\t" + report_type.TSV_HEADER)
-        for scale in ("stress", "relax"):
-            print(f"{scale}\t{reports[scale].tsv_row()}")
+    print("scale\t" + report_type.TSV_HEADER)
+    for scale in ("stress", "relax"):
+        print(f"{scale}\t{reports[scale].tsv_row()}")
+    if args.supervised and args.log:
+        with open(args.log, "w", encoding="utf-8") as fh:
+            for line in result.log_tsv():
+                fh.write(line + "\n")
     return 0
 
 
@@ -215,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "supervised", False) and args.seed is None:
-        sys.stderr.write("error: --supervised requires --seed\n")
+    if getattr(args, "supervised", False) and (args.seed is None or args.unrounded):
+        problem = "requires --seed" if args.seed is None else "does not take --unrounded"
+        sys.stderr.write(f"error: --supervised {problem}\n")
         return 2
     try:
         return args.func(args)

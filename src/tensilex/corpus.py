@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
 from .metrics import MetricsReport, PairedSeries, mad, pearson, report
-from .optimizer import OptimizerConfig, hill_climb_tokenized, tokenize_corpus
-from .scorer import score_text, score_tokenized
+from .optimizer import OptimizerConfig, hill_climb_tokenized, rescore, tokenize_corpus
 
 
 @dataclass(frozen=True)
@@ -149,15 +148,11 @@ def evaluate_lexicon(lex, corpus, unrounded: bool = False) -> dict[str, MetricsR
     """Unsupervised evaluation: score every text with the lexicon as-is."""
     if not corpus:
         raise EmptyCorpus("cannot evaluate an empty corpus")
-    stress_pred, relax_pred = [], []
-    for ex in corpus:
-        score, _ = score_text(ex.text, lex)
-        stress_pred.append(score.stress)
-        relax_pred.append(score.relaxation)
+    scores = [trace.score for trace, _, _ in tokenize_corpus(lex, corpus)]
     return {
-        "stress": _mixed_report(stress_pred, [e.gold_stress for e in corpus],
+        "stress": _mixed_report([s.stress for s in scores], [e.gold_stress for e in corpus],
                                 [e.gold_stress_raw for e in corpus], unrounded),
-        "relax": _mixed_report(relax_pred, [e.gold_relax for e in corpus],
+        "relax": _mixed_report([s.relaxation for s in scores], [e.gold_relax for e in corpus],
                                [e.gold_relax_raw for e in corpus], unrounded),
     }
 
@@ -265,20 +260,21 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
                         supervised: bool = True) -> CrossValResult:
     """Repeated k-fold cross validation of the lexicon on both scales.
 
-    Each training fold hill-climbs from ``lex`` with ``cfg`` and the fold's
-    seed. With ``supervised=False`` the hill climb is skipped and the
-    starting lexicon scores every held-out fold (the unsupervised protocol).
+    Each text is scored once. Each training fold hill-climbs from ``lex``
+    with ``cfg`` and the fold's seed, and its held-out texts are predicted
+    from their traces under the fold's strength table. With
+    ``supervised=False`` the climb is skipped and the held-out texts keep
+    their scores under ``lex`` (the unsupervised protocol).
     """
     cfg = cfg or OptimizerConfig()
-    # Each text is tokenized once: hill climbing edits strengths only.
-    tokenized = {ex.id: t for ex, t in zip(corpus, tokenize_corpus(lex, corpus))}
+    scored = {ex.id: t for ex, t in zip(corpus, tokenize_corpus(lex, corpus))}
 
     def fit_predict(train, test, fold_seed):
-        fold_lex = lex
+        scores = [scored[ex.id][0].score for ex in test]
         if supervised:
-            fold_lex, _ = hill_climb_tokenized(lex, [tokenized[ex.id] for ex in train],
-                                               replace(cfg, seed=fold_seed))
-        scores = [score_tokenized(tokenized[ex.id][0], fold_lex)[0] for ex in test]
+            table, _ = hill_climb_tokenized(lex, [scored[ex.id] for ex in train],
+                                            replace(cfg, seed=fold_seed))
+            scores = [rescore(scored[ex.id][0], table) for ex in test]
         return {"stress": [s.stress for s in scores], "relax": [s.relaxation for s in scores]}
 
     return run_folds(corpus, k, reps, base_seed, fit_predict,

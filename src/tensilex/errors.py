@@ -54,8 +54,9 @@ class LengthError(TensilexError):
     """Two paired sequences differ in length."""
 
 
-class TooSmall(TensilexError):
-    """The corpus has fewer examples than requested folds."""
+class TooSmall(TensilexError, ValueError):
+    """A count is below its minimum: folds, repetitions, corpus size, or an
+    optimizer setting."""
 
 
 class DegenerateLabels(TensilexError):

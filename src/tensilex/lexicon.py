@@ -13,11 +13,11 @@ A lexicon lives on disk as a directory of seven UTF-8 files:
 Lines starting with ``#`` are comments. A term pattern may end in a single
 ``*`` wildcard meaning "any suffix". Strengths are integers 1..5.
 
-Loaded sets are immutable; :func:`set_strength` returns a new set. The
-optimizer tries candidate strengths in a table of its own and calls it only
-for a change it keeps. Each set compiles its two term lists once, on first
-use, into a :class:`TermIndex`; a set made by :func:`set_strength` compiles
-its own.
+Loaded sets are immutable; :func:`set_strengths` returns a new set with
+the strengths of a ``{(Kind, pattern): strength}`` table. The optimizer
+climbs on such a table and builds its result once, at the end. Each set
+compiles its two term lists once, on first use, into a :class:`TermIndex`;
+a set made by :func:`set_strengths` compiles its own.
 """
 
 from __future__ import annotations
@@ -169,14 +169,8 @@ class LexiconSet:
     @cached_property
     def recognised_words(self) -> frozenset[str]:
         """Dictionary plus every non-wildcard term pattern."""
-        words = set(self.dictionary)
-        for e in self.stress_terms:
-            if not e.is_wildcard:
-                words.add(e.pattern)
-        for e in self.relax_terms:
-            if not e.is_wildcard:
-                words.add(e.pattern)
-        return frozenset(words)
+        return frozenset(self.dictionary).union(
+            e.pattern for e in self.stress_terms + self.relax_terms if not e.is_wildcard)
 
     def terms(self, kind: Kind) -> tuple[LexiconEntry, ...]:
         if kind is Kind.STRESS:
@@ -314,39 +308,50 @@ def lookup(token: str, entries) -> tuple[LexiconEntry, int] | None:
     return entry, entry.strength
 
 
+def set_strengths(lex: LexiconSet, table) -> LexiconSet:
+    """Return a copy of the lexicon with the strengths of a ``{(Kind, pattern):
+    strength}`` table; a term the table does not name keeps its own."""
+    terms = {(kind, e.pattern): e for kind in (Kind.STRESS, Kind.RELAXATION) for e in lex.terms(kind)}
+    for (kind, pattern), strength in table.items():
+        if (kind, pattern) not in terms:
+            raise UnknownTerm(f"no {kind.value} term with pattern {pattern!r}")
+        terms[kind, pattern] = replace(terms[kind, pattern], strength=strength)
+    return replace(lex, stress_terms=tuple(e for (k, _), e in terms.items() if k is Kind.STRESS),
+                   relax_terms=tuple(e for (k, _), e in terms.items() if k is Kind.RELAXATION))
+
+
 def set_strength(lex: LexiconSet, kind: Kind, pattern: str, strength: int) -> LexiconSet:
     """Return a copy of the lexicon with one term's strength changed."""
-    _check_strength(strength)
-    entries = lex.terms(kind)
-    index = next((i for i, e in enumerate(entries) if e.pattern == pattern), None)
-    if index is None:
-        raise UnknownTerm(f"no {kind.value} term with pattern {pattern!r}")
-    updated = entries[:index] + (replace(entries[index], strength=strength),) + entries[index + 1:]
-    if kind is Kind.STRESS:
-        return replace(lex, stress_terms=updated)
-    return replace(lex, relax_terms=updated)
+    return set_strengths(lex, {(kind, pattern): strength})
 
 
 def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
-    """Write the seven-file directory; entries sorted for deterministic diffs
-    (a set holds its term lists, boosters and emoticons sorted already)."""
+    """Write the seven-file directory, entries sorted for deterministic diffs.
+    An entry that :func:`load_lexicon_set` would skip or read back otherwise (a
+    line break, a leading ``#``, upper case, outer whitespace) raises
+    :class:`WriteError` naming the file and the entry, before any file opens."""
+    files = {  # name -> (entry key, line), the key being what a load must read back
+        "stress_terms.tsv": [(e.pattern, f"{e.pattern}\t{e.strength}") for e in lex.stress_terms],
+        "relax_terms.tsv": [(e.pattern, f"{e.pattern}\t{e.strength}") for e in lex.relax_terms],
+        "boosters.tsv": [(b.word, f"{b.word}\t{b.delta}") for b in lex.boosters],
+        "negators.txt": [(w, w) for w in sorted(lex.negators)],
+        "idioms.tsv": [(i.tokens, f"{' '.join(i.tokens)}\t{i.kind.value}\t{i.strength}")
+                       for i in sorted(lex.idioms, key=lambda i: i.tokens)],
+        "emoticons.tsv": [(e.glyph, f"{e.glyph}\t{e.kind.value}\t{e.strength}") for e in lex.emoticons],
+        "dictionary.txt": [(w, w) for w in sorted(lex.dictionary)],
+    }
+    for name, rows in files.items():
+        for key, line in rows:
+            first = line.split("\t")[0] if name.endswith(".tsv") else line
+            read = (first if name == "emoticons.tsv" else tuple(first.lower().split())
+                    if name == "idioms.tsv" else first.strip().lower())
+            if (not line.strip() or line.lstrip().startswith("#") or "\n" in line or "\r" in line
+                    or read != key):
+                raise WriteError(f"{os.path.join(directory_path, name)}: {key!r} would not read back")
     try:
         os.makedirs(directory_path, exist_ok=True)
-        _write(directory_path, "stress_terms.tsv", [f"{e.pattern}\t{e.strength}" for e in lex.stress_terms])
-        _write(directory_path, "relax_terms.tsv", [f"{e.pattern}\t{e.strength}" for e in lex.relax_terms])
-        _write(directory_path, "boosters.tsv", [f"{b.word}\t{b.delta}" for b in lex.boosters])
-        _write(directory_path, "negators.txt", sorted(lex.negators))
-        _write(directory_path, "idioms.tsv",
-               [f"{' '.join(i.tokens)}\t{i.kind.value}\t{i.strength}"
-                for i in sorted(lex.idioms, key=lambda i: i.tokens)])
-        _write(directory_path, "emoticons.tsv",
-               [f"{e.glyph}\t{e.kind.value}\t{e.strength}" for e in lex.emoticons])
-        _write(directory_path, "dictionary.txt", sorted(lex.dictionary))
+        for name, rows in files.items():
+            with open(os.path.join(directory_path, name), "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for _, line in rows)
     except OSError as exc:
         raise WriteError(f"failed to write lexicon to {directory_path}: {exc}") from exc
-
-
-def _write(directory, name, lines):
-    with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")

@@ -7,10 +7,10 @@ at least ``min_improvement``; otherwise it tries strength -1 the same
 way; otherwise the term is left alone. The climb stops after a pass with
 no kept changes, or at the safety cap.
 
-The climb edits a table of term strengths, not a lexicon: each text is
-scored once per climb, a candidate re-scores from the traces of the texts
-that match the edited term, and only a kept change is written through
-:func:`lexicon.set_strength` into the set the climb returns.
+The climb edits a ``{(Kind, pattern): strength}`` table, not a lexicon:
+each text is scored once (:func:`tokenize_corpus`), a candidate re-scores
+from the traces of the texts that match the edited term (:func:`rescore`),
+and :func:`hill_climb` builds its lexicon once, from the final table.
 
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
 Twister); the reproducibility contract is determinism for a given seed,
@@ -23,9 +23,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import lexicon as lx
-from .errors import EmptyCorpus
-from .scorer import Source, score_tokenized, sentence_magnitudes, term_strength
-from .textproc import TokenizedText, process
+from .errors import EmptyCorpus, TooSmall
+from .scorer import DualScore, ScoreTrace, Source, score_text, sentence_magnitudes, term_strength
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.min_improvement < 1:
-            raise ValueError("min_improvement must be >= 1")
+            raise TooSmall("min_improvement must be >= 1")
         if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
+            raise TooSmall("max_passes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,19 +70,19 @@ class OptimizationReport:
 
 def total_absolute_error(lex: lx.LexiconSet, corpus) -> int:
     """Summed |prediction - gold| over both scales, over the whole corpus."""
-    if not corpus:
-        raise EmptyCorpus("cannot evaluate an empty corpus")
     return _ErrorTracker(lex, tokenize_corpus(lex, corpus)).total
 
 
-def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[TokenizedText, int, int]]:
-    """``(doc, gold_stress, gold_relax)`` for each example, in corpus order.
+def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[ScoreTrace, int, int]]:
+    """``(trace, gold_stress, gold_relax)`` for each example, in corpus order.
 
-    Tokens depend only on the lexicon's patterns and dictionary, never on
-    strengths, so the result stays valid for every strength edit of ``lex``.
+    Each text is scored once, at ``lex``'s strengths; its trace holds its
+    tokens and matches. Matching never depends on strengths, so :func:`rescore`
+    gives the text's score under any strength table for ``lex``'s terms.
     """
     recognised = lex.recognised_words
-    return [(process(ex.text, recognised), ex.gold_stress, ex.gold_relax) for ex in corpus]
+    return [(score_text(ex.text, lex, recognised)[1], ex.gold_stress, ex.gold_relax)
+            for ex in corpus]
 
 
 # The trace sources of a lexicon term match, by the kind of term matched.
@@ -91,21 +90,40 @@ _TERM_SOURCES = {Source.STRESS_TERM: lx.Kind.STRESS, Source.NEGATED_STRESS: lx.K
                  Source.RELAX_TERM: lx.Kind.RELAXATION, Source.NEGATED_RELAX: lx.Kind.RELAXATION}
 
 
+def rescore(trace: ScoreTrace, strengths) -> DualScore:
+    """The score of ``trace``'s text with its term matches at ``strengths``, a
+    ``{(Kind, pattern): strength}`` table; idioms and emoticons keep theirs.
+
+    Only rules 3-9 are redone, by the scorer's own :func:`term_strength` and
+    :func:`sentence_magnitudes`; masking and matching stand as traced.
+    """
+    stress = relax = 1  # text magnitudes: the extreme sentence on each scale
+    for sentence in trace.sentences:
+        s_mag, r_mag, _, _ = sentence_magnitudes(
+            ((c.scale, term_strength(c.source, strengths[_TERM_SOURCES[c.source], c.label],
+                                     c.booster_delta, c.repeat_boost)
+              if c.source in _TERM_SOURCES else c.final_strength)
+             for c in sentence.contributions),
+            sentence.exclamation_present)
+        stress, relax = max(stress, s_mag), max(relax, r_mag)
+    return DualScore(-stress, relax)
+
+
 class _ErrorTracker:
     """Incremental corpus error over a ``{(Kind, pattern): strength}`` table.
 
-    Each example is scored once, at the set's strengths, and its trace kept.
-    Masking and term matching depend only on patterns, never on strengths,
-    so an edit changes only the final strengths of the edited term's matches:
-    just the examples whose trace names it are re-scored, from that trace, by
-    the scorer's own rules (:func:`term_strength`, :func:`sentence_magnitudes`).
+    Reads the traces of :func:`tokenize_corpus` output and never calls the
+    scorer. An edit changes only the final strengths of the edited term's
+    matches, so just the examples whose trace names it are re-scored.
     """
 
     def __init__(self, lex, examples):
+        if not examples:
+            raise EmptyCorpus("no annotated examples to score against")
         self.strengths = {(kind, e.pattern): e.strength
                           for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION) for e in lex.terms(kind)}
+        self.traces = [trace for trace, _, _ in examples]
         self.golds = [(gs, gr) for _, gs, gr in examples]
-        self.traces = [score_tokenized(doc, lex)[1] for doc, _, _ in examples]
         self.affected: dict[tuple[lx.Kind, str], list[int]] = {}
         for i, trace in enumerate(self.traces):
             hit = {(_TERM_SOURCES[c.source], c.label)
@@ -118,18 +136,9 @@ class _ErrorTracker:
 
     def _error(self, i) -> int:
         """Example ``i``'s |stress - gold| + |relaxation - gold| under the table."""
-        strengths = self.strengths
-        stress = relax = 1  # text magnitudes: the extreme sentence on each scale
-        for sentence in self.traces[i].sentences:
-            s_mag, r_mag, _, _ = sentence_magnitudes(
-                ((c.scale, term_strength(c.source, strengths[_TERM_SOURCES[c.source], c.label],
-                                         c.booster_delta, c.repeat_boost)
-                  if c.source in _TERM_SOURCES else c.final_strength)
-                 for c in sentence.contributions),
-                sentence.exclamation_present)
-            stress, relax = max(stress, s_mag), max(relax, r_mag)
+        score = rescore(self.traces[i], self.strengths)
         gold_stress, gold_relax = self.golds[i]
-        return abs(-stress - gold_stress) + abs(relax - gold_relax)
+        return abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax)
 
     def total_with(self, key, strength) -> tuple[int, list[int]]:
         """Total error with term ``key`` at ``strength``, and its examples' new errors."""
@@ -148,22 +157,21 @@ class _ErrorTracker:
 
 def hill_climb(lex: lx.LexiconSet, corpus, cfg: OptimizerConfig = OptimizerConfig()):
     """Refine term strengths against the corpus; returns (lexicon, report)."""
-    return hill_climb_tokenized(lex, tokenize_corpus(lex, corpus), cfg)
+    strengths, report = hill_climb_tokenized(lex, tokenize_corpus(lex, corpus), cfg)
+    return lx.set_strengths(lex, strengths), report
 
 
 def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = OptimizerConfig()):
-    """:func:`hill_climb` over :func:`tokenize_corpus` output for ``lex``.
+    """:func:`hill_climb` over :func:`tokenize_corpus` output for ``lex``;
+    returns (strength table, report), the table as :func:`rescore` takes it.
 
     Lets a caller that climbs many times from one lexicon, such as the
-    cross-validation driver, tokenize each text once.
+    cross-validation driver, score each text once and build no lexicon.
     """
-    if not examples:
-        raise EmptyCorpus("cannot optimize against an empty corpus")
     rng = random.Random(cfg.seed)
     tracker = _ErrorTracker(lex, examples)
     report = OptimizationReport(initial_error=tracker.total)
 
-    current = lex
     for _ in range(cfg.max_passes):
         report.passes_run += 1
         order = list(tracker.strengths)  # stress then relaxation terms, as the set holds them
@@ -179,11 +187,10 @@ def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = Op
                     report.changes.append(Change(*key, old, new, tracker.total, total))
                     report.changes_made += 1
                     tracker.accept(key, new, total, updates)
-                    current = lx.set_strength(current, *key, new)
                     changed = True
                     break
         if not changed:
             break
 
     report.final_error = tracker.total
-    return current, report
+    return tracker.strengths, report

@@ -190,11 +190,8 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
 
 
 def score_tokenized(doc: TokenizedText, lex: LexiconSet) -> tuple[DualScore, ScoreTrace]:
-    """Score an already-tokenized text (the optimizer's fast path)."""
-    traces = []
-    for sentence in doc.sentences:
-        _, trace = score_sentence(sentence, lex)
-        traces.append(trace)
+    """Score an already-tokenized text."""
+    traces = [score_sentence(sentence, lex)[1] for sentence in doc.sentences]
     if traces:
         stress = min(t.score.stress for t in traces)
         relax = max(t.score.relaxation for t in traces)

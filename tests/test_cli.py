@@ -116,6 +116,17 @@ def test_optimize_recovers_perturbation(capsys, ref_setup, tmp_path):
     assert os.path.exists(os.path.join(out_dir, "optimization_log.tsv"))
 
 
+@pytest.mark.parametrize("flag, message", [("--min-improvement", "min_improvement must be >= 1"),
+                                           ("--max-passes", "max_passes must be >= 1")])
+def test_optimize_bad_config_exit_2(capsys, ref_setup, tmp_path, flag, message):
+    _, lex_dir, corpus_path, _ = ref_setup
+    out_dir = tmp_path / "opt"
+    code, out, err = run(capsys, "optimize", "--lexicon-dir", lex_dir, corpus_path,
+                         "--out-dir", str(out_dir), "--seed", "7", flag, "0")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_optimize_same_seed_identical_output(capsys, ref_setup, tmp_path):
     lex, _, corpus_path, _ = ref_setup
     perturbed = set_strength(lex, Kind.RELAXATION, "soothword1", 5)
@@ -206,6 +217,13 @@ def test_evaluate_supervised_requires_seed(capsys, ref_setup):
     code, _, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
                        "--supervised")
     assert code == 2 and "--seed" in err
+
+
+def test_evaluate_supervised_rejects_unrounded(capsys, ref_setup):
+    _, lex_dir, corpus_path, _ = ref_setup
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
+                         "--supervised", "--seed", "1", "--unrounded")
+    assert code == 2 and out == "" and "--unrounded" in err
 
 
 def test_evaluate_supervised_runs(capsys, ref_setup, tmp_path):

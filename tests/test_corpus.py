@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from tensilex import corpus as cp, lexicon, optimizer, scorer
 from tensilex.corpus import (
     crossval_supervised,
     evaluate_lexicon,
@@ -11,6 +14,7 @@ from tensilex.corpus import (
     slice_corpus,
 )
 from tensilex.errors import ParseError, TooSmall, WriteError
+from tensilex.lexicon import Kind, set_strength
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -190,18 +194,52 @@ def test_crossval_log_shape():
     assert lines[0].startswith("rep\tfold\tscale")
 
 
-def test_crossval_never_trains_on_heldout():
+def _recording(log, name, fn):
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        log.append((name, args, result))
+        return result
+    return wrapper
+
+
+def test_crossval_never_trains_on_heldout(monkeypatch):
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=30, seed=14)
     base_seed, k, reps = 5, 5, 2
+    log = []
+    for name in ("tokenize_corpus", "hill_climb_tokenized"):
+        monkeypatch.setattr(cp, name, _recording(log, name, getattr(cp, name)))
     crossval_supervised(lex, corpus, k=k, reps=reps, base_seed=base_seed)
-    # the driver derives fold plans exactly this way; verify the partition
+    # The run scores its texts once and every fold climbs on those shared
+    # examples: map each back to its text.
+    (_, _, scored), *climbs = log
+    text_of = {id(example): ex.id for ex, example in zip(corpus, scored)}
+    assert len(climbs) == reps * k
     for rep in range(reps):
         plan = make_folds(corpus, k, base_seed * 1_000_003 + rep)
-        all_ids = {ex.id for ex in corpus}
         seen = set()
         for fold in range(k):
-            ids = plan.fold_ids(fold)
-            assert not ids & seen
-            seen |= ids
-        assert seen == all_ids
+            name, (_, examples, cfg), _ = climbs[rep * k + fold]
+            held = plan.fold_ids(fold)
+            assert name == "hill_climb_tokenized"
+            assert [text_of[id(example)] for example in examples] == \
+                [ex.id for ex in corpus if ex.id not in held]
+            assert cfg.seed == (base_seed * 1_000_003 + rep) * 101 + fold
+            assert not held & seen
+            seen |= held
+        assert seen == {ex.id for ex in corpus}
+
+
+def test_crossval_scores_each_text_once(monkeypatch):
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=100, seed=15)
+    perturbed = set_strength(lex, Kind.STRESS, "strainword1", 1)
+    calls, climbs = [], []
+    for module, name in ((optimizer, "score_text"), (scorer, "score_tokenized"),
+                         (lexicon, "set_strength"), (lexicon, "set_strengths")):
+        monkeypatch.setattr(module, name, _recording(calls, name, getattr(module, name)))
+    monkeypatch.setattr(cp, "hill_climb_tokenized", _recording(climbs, "climb", cp.hill_climb_tokenized))
+    crossval_supervised(perturbed, corpus, k=5, reps=2, base_seed=3)
+    assert len(climbs) == 10 and any(report.changes_made for _, _, (_, report) in climbs)
+    assert Counter(name for name, _, _ in calls) == {"score_text": len(corpus),
+                                                     "score_tokenized": len(corpus)}

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from tensilex.lexicon import (
     lookup,
     save_lexicon_set,
     set_strength,
+    set_strengths,
 )
 from tensilex.scorer import score_text
 
@@ -203,6 +205,49 @@ def test_roundtrip_property(tmp_path_factory, terms):
     target = str(tmp_path_factory.mktemp("rt"))
     save_lexicon_set(lex, target)
     assert load_lexicon_set(target) == lex
+
+
+def _with(**fields):
+    return replace(EMPTY_LEXICON, **fields)
+
+
+@pytest.mark.parametrize("name, lex", [
+    ("stress_terms.tsv", _with(stress_terms=(LexiconEntry("#stressed", Kind.STRESS, 4),))),
+    ("relax_terms.tsv", _with(relax_terms=(LexiconEntry("Calm", Kind.RELAXATION, 3),))),
+    ("stress_terms.tsv", _with(stress_terms=(LexiconEntry("late\nr", Kind.STRESS, 2),))),
+    ("boosters.tsv", _with(boosters=(BoosterEntry("Very", 1),))),
+    ("negators.txt", _with(negators=frozenset({"#not"}))),
+    ("negators.txt", _with(negators=frozenset({"Never"}))),
+    ("idioms.tsv", _with(idioms=(IdiomEntry(("#fed", "up"), Kind.STRESS, 3),))),
+    ("idioms.tsv", _with(idioms=(IdiomEntry(("chill", "Out"), Kind.RELAXATION, 3),))),
+    ("emoticons.tsv", _with(emoticons=(EmoticonEntry("#)", Kind.STRESS, 2),))),
+    ("emoticons.tsv", _with(emoticons=(EmoticonEntry(":\r", Kind.STRESS, 2),))),
+    ("dictionary.txt", _with(dictionary=frozenset({"#tag"}))),
+    ("dictionary.txt", _with(dictionary=frozenset({"Home"}))),
+    ("dictionary.txt", _with(dictionary=frozenset({""}))),
+])
+def test_save_rejects_entries_that_read_back_differently(tmp_path, name, lex):
+    target = tmp_path / "out"
+    with pytest.raises(errors.WriteError, match=name):
+        save_lexicon_set(lex, str(target))
+    assert not target.exists()  # nothing written
+
+
+def test_save_keeps_entries_that_read_back(tmp_path):
+    lex = _with(stress_terms=(LexiconEntry("a#b", Kind.STRESS, 2),), negators=frozenset({"don't"}),
+                emoticons=(EmoticonEntry(":D", Kind.RELAXATION, 3), EmoticonEntry(":#", Kind.STRESS, 1)))
+    save_lexicon_set(lex, str(tmp_path / "out"))
+    assert load_lexicon_set(str(tmp_path / "out")) == lex
+
+
+def test_set_strengths_applies_a_table(paper_lexicon):
+    table = {(Kind.STRESS, "delayed"): 5, (Kind.RELAXATION, "calm"): 1}
+    updated = set_strengths(paper_lexicon, table)
+    assert updated == set_strength(set_strength(paper_lexicon, Kind.STRESS, "delayed", 5),
+                                   Kind.RELAXATION, "calm", 1)
+    assert set_strengths(paper_lexicon, {}) == paper_lexicon
+    with pytest.raises(errors.UnknownTerm):
+        set_strengths(paper_lexicon, {**table, (Kind.RELAXATION, "delayed"): 2})
 
 
 def test_recognised_words_includes_patterns(paper_lexicon):

@@ -22,7 +22,7 @@ from tensilex.optimizer import (
     tokenize_corpus,
     total_absolute_error,
 )
-from tensilex.scorer import replay_trace, score_text, score_tokenized
+from tensilex.scorer import replay_trace, score_text
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -229,10 +229,10 @@ def test_tracker_rescore_matches_scorer(case):
         tracker.accept((kind, pattern), strength, total, updates)
         edited = set_strength(edited, kind, pattern, strength)
     expected = []
-    for doc, gold_stress, gold_relax in tokenize_corpus(edited, corpus):
-        score, trace = score_tokenized(doc, edited)
+    for ex in corpus:
+        score, trace = score_text(ex.text, edited)
         assert replay_trace(trace) == score
-        expected.append(abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax))
+        expected.append(abs(score.stress - ex.gold_stress) + abs(score.relaxation - ex.gold_relax))
     assert tracker.errors == expected
     assert tracker.total == sum(expected)
 
@@ -250,10 +250,11 @@ def test_climb_compiles_no_lexicon_per_candidate(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(lexicon, "set_strength", counted("set_strength", lexicon.set_strength))
-    monkeypatch.setattr(optimizer, "score_tokenized", counted("score", optimizer.score_tokenized))
+    # Each text is scored once, and the result is built once, from the table.
+    for name in ("set_strength", "set_strengths"):
+        monkeypatch.setattr(lexicon, name, counted(name, getattr(lexicon, name)))
+    monkeypatch.setattr(optimizer, "score_text", counted("score", optimizer.score_text))
     optimized, report = hill_climb(perturbed, corpus, OptimizerConfig(seed=5))
     assert report.changes_made >= 2
-    assert calls["set_strength"] == report.changes_made
-    assert calls["score"] == len(corpus)
+    assert calls == {"score": len(corpus), "set_strengths": 1}
     assert optimized == lex
