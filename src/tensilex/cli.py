@@ -86,7 +86,8 @@ def cmd_evaluate(args) -> int:
             print("scale\t" + report_type.TSV_HEADER)
             return 0
     if args.supervised:
-        result = cp.crossval_supervised(lex, corpus, k=args.k, reps=args.reps,
+        result = cp.crossval_supervised(lex, corpus, k=10 if args.k is None else args.k,
+                                        reps=30 if args.reps is None else args.reps,
                                         base_seed=args.seed)
         reports = result.averaged
     else:
@@ -187,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="MAD/correlation against unrounded coder means")
     p.add_argument("--supervised", action="store_true",
                    help="repeated k-fold cross validation with the optimizer")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--log", help="write the detailed per-(rep,fold,scale) TSV log here")
+    p.add_argument("--k", type=int, help="folds, with --supervised (default 10)")
+    p.add_argument("--reps", type=int, help="repetitions, with --supervised (default 30)")
+    p.add_argument("--seed", type=int, help="seed, required by --supervised")
+    p.add_argument("--log", help="with --supervised, write the per-(rep,fold,scale) TSV log here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("agreement", help="inter-coder agreement statistics")
@@ -211,11 +212,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _evaluate_mode_problem(args):
+    """Why ``evaluate``'s flags do not fit its mode, or None when they do."""
+    if not args.supervised:
+        for flag in ("log", "k", "reps", "seed"):
+            if getattr(args, flag) is not None:
+                return f"--{flag} requires --supervised"
+        return None
+    if args.seed is None:
+        return "--supervised requires --seed"
+    if args.unrounded:
+        return "--supervised does not take --unrounded"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "supervised", False) and (args.seed is None or args.unrounded):
-        problem = "requires --seed" if args.seed is None else "does not take --unrounded"
-        sys.stderr.write(f"error: --supervised {problem}\n")
+    problem = _evaluate_mode_problem(args) if args.command == "evaluate" else None
+    if problem:
+        sys.stderr.write(f"error: {problem}\n")
         return 2
     try:
         return args.func(args)

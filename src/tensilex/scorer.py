@@ -107,67 +107,66 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     """Score one tokenized sentence; see the module pipeline description."""
     tokens = tuple(tokens)
     n = len(tokens)
+    forms = [t.normalized for t in tokens]
+    # Punctuation runs read as None here, so no idiom or term matches one.
+    words = tuple([None if t.is_punct_run else t.normalized for t in tokens])
     masked = [False] * n
     contributions: list[TermContribution] = []
     boosters = lex.booster_deltas
     indexes = ((Kind.STRESS, lex.term_index(Kind.STRESS)),
                (Kind.RELAXATION, lex.term_index(Kind.RELAXATION)))
 
+    def override(i, width, source, entry, label):
+        # An idiom or emoticon masks its tokens and, unless neutral, scores its own strength.
+        masked[i:i + width] = [True] * width
+        if entry.kind is not Kind.NEUTRAL:
+            scale = Scale.STRESS if entry.kind is Kind.STRESS else Scale.RELAXATION
+            contributions.append(TermContribution(
+                i, source, entry.strength, 0, 0, entry.strength, scale, label))
+
     # 1. Idioms override their constituent words: longest first, leftmost.
     for idiom in lex.idioms:
         width = len(idiom.tokens)
         i = 0
         while i + width <= n:
-            window = tokens[i:i + width]
-            if (not any(masked[i:i + width])
-                    and all(t.normalized == w and not t.is_punct_run for t, w in zip(window, idiom.tokens))):
-                for j in range(i, i + width):
-                    masked[j] = True
-                if idiom.kind is not Kind.NEUTRAL:
-                    scale = Scale.STRESS if idiom.kind is Kind.STRESS else Scale.RELAXATION
-                    contributions.append(TermContribution(
-                        i, Source.IDIOM, idiom.strength, 0, 0, idiom.strength, scale,
-                        " ".join(idiom.tokens)))
+            if words[i:i + width] == idiom.tokens and not any(masked[i:i + width]):
+                override(i, width, Source.IDIOM, idiom, " ".join(idiom.tokens))
                 i += width
             else:
                 i += 1
 
-    # 2. Emoticons match punctuation runs verbatim and case-sensitively.
+    # 2. Emoticons match punctuation runs verbatim and case-sensitively; a run
+    # holding "!" also sets the sentence's exclamation flag for rule 9.
+    exclaim = False
     for i, token in enumerate(tokens):
-        if masked[i] or not token.is_punct_run:
-            continue
-        for emo in lex.emoticons:
-            if token.raw == emo.glyph:
-                if emo.kind is not Kind.NEUTRAL:
-                    scale = Scale.STRESS if emo.kind is Kind.STRESS else Scale.RELAXATION
-                    contributions.append(TermContribution(
-                        i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, scale, emo.glyph))
-                masked[i] = True
-                break
+        if words[i] is None:
+            exclaim = exclaim or "!" in token.raw
+            for emo in lex.emoticons:
+                if token.raw == emo.glyph:
+                    override(i, 1, Source.EMOTICON, emo, emo.glyph)
+                    break
 
     # 3-6. Term matches with booster, repeated-letter emphasis and negation.
-    for i, token in enumerate(tokens):
-        if masked[i] or token.is_punct_run or token.normalized == URL_TOKEN:
+    for i, word in enumerate(words):
+        if masked[i] or word is None or word == URL_TOKEN:
             continue
         for kind, index in indexes:
-            entry = index.lookup(token.normalized)
+            entry = index.lookup(word)
             if entry is None:
                 continue
             base = entry.strength
 
             j = i - 1  # booster immediately before, allowing one negator between
-            if j >= 0 and tokens[j].normalized in lex.negators:
+            if j >= 0 and forms[j] in lex.negators:
                 j -= 1
-            delta = 0
-            if j >= 0 and not masked[j] and tokens[j].normalized in boosters:
-                delta = boosters[tokens[j].normalized]
+            delta = boosters.get(forms[j], 0) if j >= 0 and not masked[j] else 0
 
-            repeat = 1 if token.letters_removed >= 2 else 0
+            repeat = 1 if tokens[i].letters_removed >= 2 else 0
 
             j = i - 1  # negator immediately before, allowing one booster between
-            if j >= 0 and tokens[j].normalized in boosters:
+            if j >= 0 and forms[j] in boosters:
                 j -= 1
-            negated = j >= 0 and not masked[j] and tokens[j].normalized in lex.negators
+            negated = j >= 0 and not masked[j] and forms[j] in lex.negators
 
             if kind is Kind.RELAXATION:
                 # A negated relaxing word becomes a stress word of the same (boosted) strength.
@@ -181,7 +180,6 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                 entry.pattern))
 
     # 7-9. Per-scale maxima, exclamation boost, clamp.
-    exclaim = any(t.is_punct_run and "!" in t.raw for t in tokens)
     stress_mag, relax_mag, stress_boosted, relax_boosted = sentence_magnitudes(
         ((c.scale, c.final_strength) for c in contributions), exclaim)
     score = DualScore(-stress_mag, relax_mag)
@@ -190,14 +188,10 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
 
 
 def score_tokenized(doc: TokenizedText, lex: LexiconSet) -> tuple[DualScore, ScoreTrace]:
-    """Score an already-tokenized text."""
+    """Score an already-tokenized text; with no sentences, the baselines."""
     traces = [score_sentence(sentence, lex)[1] for sentence in doc.sentences]
-    if traces:
-        stress = min(t.score.stress for t in traces)
-        relax = max(t.score.relaxation for t in traces)
-    else:
-        stress, relax = STRESS_BASELINE, RELAX_BASELINE
-    score = DualScore(stress, relax)
+    score = DualScore(min([t.score.stress for t in traces], default=STRESS_BASELINE),
+                      max([t.score.relaxation for t in traces], default=RELAX_BASELINE))
     return score, ScoreTrace(tuple(traces), score)
 
 

@@ -8,18 +8,21 @@ trigger the scorer's +1 emphasis rule).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import re
 from dataclasses import dataclass
 
 _SENTENCE_RE = re.compile(r"[^.!?]*[.!?]+|[^.!?]+")
 # Word tokens may start with # or @ (hashtags/mentions stay whole) and keep
-# internal apostrophes; everything else groups into maximal punctuation runs.
-_TOKEN_RE = re.compile(r"[#@]?\w[\w']*|[^\w\s]+")
+# internal apostrophes (group 1); everything else groups into maximal
+# punctuation runs (group 2).
+_TOKEN_RE = re.compile(r"([#@]?\w[\w']*)|([^\w\s]+)")
 # A whitespace chunk that starts like a URL is one URL, whatever follows.
 _URL_RE = re.compile(r"(?<!\S)(?:https?://|www\.)\S*", re.IGNORECASE)
 _BLANK_TERMINATORS = str.maketrans(".!?", "___")
 _RUN_RE = re.compile(r"(.)\1+")
+# In a two-capped form, exactly its length-two runs (a newline is never in a run).
+_PAIR_RE = re.compile(r"(.)\1")
 
 URL_TOKEN = "<url>"
 
@@ -81,45 +84,60 @@ def tokenize(sentence: str) -> list[Token]:
             if tail:
                 tokens.append(Token(tail, tail, is_punct_run=True))
             continue
-        for match in _TOKEN_RE.finditer(chunk):
-            piece = match.group()
-            if _is_punct_run(piece):
-                tokens.append(Token(piece, piece, is_punct_run=True))
+        for word, punct in _TOKEN_RE.findall(chunk):
+            if word:
+                tokens.append(Token(word, word.lower()))
             else:
-                tokens.append(Token(piece, piece.lower()))
+                tokens.append(Token(punct, punct, is_punct_run=True))
     return tokens
-
-
-def _is_punct_run(piece: str) -> bool:
-    return not any(ch.isalnum() or ch == "_" for ch in piece)
 
 
 def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     """Collapse repeated letters until a recognised word appears.
 
     Runs longer than two always shrink to two. If that form is still not
-    recognised, length-two runs are collapsed to one, trying collapse
-    combinations smallest-first and left-to-right and keeping the first
-    recognised result. Falls back to the two-capped form.
+    recognised, length-two runs are collapsed to one: the recognised result
+    with the fewest collapsed runs wins, then the one whose collapsed runs
+    come first left to right. Falls back to the two-capped form.
     """
     lowered = raw.lower()
     capped = _RUN_RE.sub(lambda m: m.group(1) * 2, lowered)
     if capped in recognised:
         return capped, len(lowered) - len(capped)
+    skeleton, doubles = _runs(capped)
+    if not doubles:
+        return capped, len(lowered) - len(capped)
 
-    # Positions of the remaining length-2 runs in the capped form.
-    runs = [m.start() for m in re.finditer(r"(.)\1", capped)]
-    for count in range(1, len(runs) + 1):
-        for combo in itertools.combinations(range(len(runs)), count):
-            collapsed = _collapse(capped, [runs[i] for i in combo])
-            if collapsed in recognised:
-                return collapsed, len(lowered) - len(collapsed)
-    return capped, len(lowered) - len(capped)
+    # A recognised word is reachable when it has the same skeleton and its
+    # length-two runs are some of the capped form's; it collapses the others.
+    best = None
+    for word in _skeleton_index(frozenset(recognised)).get(skeleton, ()):
+        kept = _runs(word)[1]
+        if set(kept).issubset(doubles):
+            collapsed = [run for run in doubles if run not in kept]
+            if best is None or (len(collapsed), collapsed) < best[0]:
+                best = (len(collapsed), collapsed), word
+    corrected = capped if best is None else best[1]
+    return corrected, len(lowered) - len(corrected)
 
 
-def _collapse(capped: str, positions) -> str:
-    drop = set(p + 1 for p in positions)
-    return "".join(ch for i, ch in enumerate(capped) if i not in drop)
+def _runs(word: str) -> tuple[str, list[int]]:
+    """A word with each length-two run kept once, and those runs' positions in it.
+
+    A longer run keeps a pair, so a word holding one shares no skeleton
+    with any two-capped form.
+    """
+    skeleton = _PAIR_RE.sub(lambda m: m.group(1), word)
+    return skeleton, [m.start() - k for k, m in enumerate(_PAIR_RE.finditer(word))]
+
+
+@functools.lru_cache(maxsize=4)
+def _skeleton_index(recognised: frozenset) -> dict[str, tuple[str, ...]]:
+    """The recognised words grouped by skeleton, built once per word set."""
+    index: dict[str, list[str]] = {}
+    for word in recognised:
+        index.setdefault(_runs(word)[0], []).append(word)
+    return {skeleton: tuple(words) for skeleton, words in index.items()}
 
 
 def process(text: str, recognised) -> TokenizedText:
@@ -128,13 +146,11 @@ def process(text: str, recognised) -> TokenizedText:
     for sentence in segment_sentences(text):
         tokens = []
         for token in tokenize(sentence):
-            if token.is_punct_run or token.normalized == URL_TOKEN:
-                tokens.append(token)
-            elif token.normalized.startswith(("#", "@")):
-                # Hashtags and mentions are kept verbatim (lowercased only).
-                tokens.append(token)
-            else:
+            # Punctuation runs, URLs, hashtags and mentions are kept as tokenized.
+            if not (token.is_punct_run or token.normalized == URL_TOKEN
+                    or token.normalized.startswith(("#", "@"))):
                 normalized, removed = correct_spelling(token.raw, recognised)
-                tokens.append(Token(token.raw, normalized, removed))
+                token = Token(token.raw, normalized, removed)
+            tokens.append(token)
         sentences.append(tuple(tokens))
     return TokenizedText(tuple(sentences))

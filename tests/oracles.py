@@ -4,7 +4,9 @@ These deliberately avoid the library's code paths: plain Python loops,
 no shared helpers, so a bug cannot hide on both sides of a comparison.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 
@@ -14,6 +16,8 @@ from tensilex.baseline import (
     LOGISTIC_STEP_SIZE,
     LOGISTIC_TOLERANCE,
 )
+from tensilex.lexicon import Kind
+from tensilex.scorer import DualScore, Scale, SentenceTrace, Source, TermContribution
 
 
 def kripp_alpha_bruteforce(rows, metric="linear"):
@@ -135,3 +139,107 @@ def design_matrix_plain(vectors, subset):
              "<n_trigrams>": lambda v: v.n_trigrams}
     return [[float(dense[f](vec)) if f in dense else float(vec.counts.get(f, 0)) for f in subset]
             for vec in vectors]
+
+
+def score_sentence_scan(tokens, lex):
+    """Score one sentence the way the library did before it matched on word
+    lists: every idiom tried at every position over the tokens themselves,
+    every emoticon on every punctuation run, terms found by a linear scan and
+    the rule arithmetic written out. Returns (DualScore, SentenceTrace)."""
+    tokens = tuple(tokens)
+    n = len(tokens)
+    masked = [False] * n
+    contributions = []
+    boosters = {b.word: b.delta for b in lex.boosters}
+    scales = {Kind.STRESS: Scale.STRESS, Kind.RELAXATION: Scale.RELAXATION}
+
+    for idiom in lex.idioms:
+        width = len(idiom.tokens)
+        i = 0
+        while i + width <= n:
+            window = tokens[i:i + width]
+            if (not any(masked[i:i + width])
+                    and all(t.normalized == w and not t.is_punct_run for t, w in zip(window, idiom.tokens))):
+                for j in range(i, i + width):
+                    masked[j] = True
+                if idiom.kind is not Kind.NEUTRAL:
+                    contributions.append(TermContribution(
+                        i, Source.IDIOM, idiom.strength, 0, 0, idiom.strength, scales[idiom.kind],
+                        " ".join(idiom.tokens)))
+                i += width
+            else:
+                i += 1
+
+    for i, token in enumerate(tokens):
+        if masked[i] or not token.is_punct_run:
+            continue
+        for emo in lex.emoticons:
+            if token.raw == emo.glyph:
+                if emo.kind is not Kind.NEUTRAL:
+                    contributions.append(TermContribution(
+                        i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, scales[emo.kind], emo.glyph))
+                masked[i] = True
+                break
+
+    for i, token in enumerate(tokens):
+        if masked[i] or token.is_punct_run or token.normalized == "<url>":
+            continue
+        for kind, entries in ((Kind.STRESS, lex.stress_terms), (Kind.RELAXATION, lex.relax_terms)):
+            found = lookup_linear_scan(token.normalized, entries)
+            if found is None:
+                continue
+            entry, base = found
+
+            j = i - 1
+            if j >= 0 and tokens[j].normalized in lex.negators:
+                j -= 1
+            delta = 0
+            if j >= 0 and not masked[j] and tokens[j].normalized in boosters:
+                delta = boosters[tokens[j].normalized]
+
+            repeat = 1 if token.letters_removed >= 2 else 0
+
+            j = i - 1
+            if j >= 0 and tokens[j].normalized in boosters:
+                j -= 1
+            negated = j >= 0 and not masked[j] and tokens[j].normalized in lex.negators
+
+            if kind is Kind.RELAXATION:
+                source = Source.NEGATED_RELAX if negated else Source.RELAX_TERM
+                scale = Scale.STRESS if negated else Scale.RELAXATION
+            else:
+                source = Source.NEGATED_STRESS if negated else Source.STRESS_TERM
+                scale = Scale.STRESS
+            final = 1 if source is Source.NEGATED_STRESS else max(1, min(5, base + delta + repeat))
+            contributions.append(TermContribution(
+                i, source, base, delta, repeat, final, scale, entry.pattern))
+
+    exclaim = any(t.is_punct_run and "!" in t.raw for t in tokens)
+    stress_mag = max([c.final_strength for c in contributions if c.scale is Scale.STRESS], default=1)
+    relax_mag = max([c.final_strength for c in contributions if c.scale is Scale.RELAXATION], default=1)
+    stress_boosted = exclaim and stress_mag >= 2
+    relax_boosted = exclaim and relax_mag >= 2
+    if stress_boosted:
+        stress_mag = min(5, stress_mag + 1)
+    if relax_boosted:
+        relax_mag = min(5, relax_mag + 1)
+    score = DualScore(-stress_mag, relax_mag)
+    return score, SentenceTrace(tokens, tuple(contributions), exclaim, stress_boosted, relax_boosted, score)
+
+
+def correct_spelling_bruteforce(raw, recognised):
+    """Spelling correction by trying every subset of length-two runs, fewest
+    first and then in itertools.combinations order, as the library did before
+    it indexed recognised words by skeleton. Exponential in the run count."""
+    lowered = raw.lower()
+    capped = re.sub(r"(.)\1+", lambda m: m.group(1) * 2, lowered)
+    if capped in recognised:
+        return capped, len(lowered) - len(capped)
+    runs = [m.start() for m in re.finditer(r"(.)\1", capped)]
+    for count in range(1, len(runs) + 1):
+        for combo in itertools.combinations(range(len(runs)), count):
+            drop = {runs[k] + 1 for k in combo}
+            collapsed = "".join(ch for i, ch in enumerate(capped) if i not in drop)
+            if collapsed in recognised:
+                return collapsed, len(lowered) - len(collapsed)
+    return capped, len(lowered) - len(capped)

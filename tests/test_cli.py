@@ -226,6 +226,16 @@ def test_evaluate_supervised_rejects_unrounded(capsys, ref_setup):
     assert code == 2 and out == "" and "--unrounded" in err
 
 
+@pytest.mark.parametrize("flags", [("--log", "cv.tsv"), ("--k", "0"), ("--reps", "0"), ("--seed", "1")])
+def test_evaluate_supervised_only_flag_exit_2(capsys, ref_setup, monkeypatch, tmp_path, flags):
+    _, lex_dir, corpus_path, _ = ref_setup
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {flags[0]} requires --supervised\n"
+    assert not os.path.exists("cv.tsv")
+
+
 def test_evaluate_supervised_runs(capsys, ref_setup, tmp_path):
     _, lex_dir, corpus_path, _ = ref_setup
     log = str(tmp_path / "cv.tsv")

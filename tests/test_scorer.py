@@ -22,7 +22,9 @@ from tensilex.scorer import (
     score_sentence,
     score_text,
 )
-from tensilex.textproc import process
+from tensilex.textproc import Token, process
+
+from .oracles import score_sentence_scan
 
 
 def rich_lexicon():
@@ -250,3 +252,56 @@ def test_contribution_scales_consistent():
     for c in trace.sentences[0].contributions:
         assert c.scale in (Scale.STRESS, Scale.RELAXATION)
         assert 1 <= c.final_strength <= 5
+
+
+# Words shared by lexicons and sentences, so idioms, terms, boosters and
+# negators overlap; glyphs double as punctuation-run boosters and negators.
+_WORDS = ("over", "the", "moon", "calm", "calmer", "worried", "very", "not")
+_IDIOM_WORDS = ("over", "the", "moon", "calm", "<url>")
+_GLYPHS = ("!", "!!", ":)", ":(", "?", ":|")
+_STRENGTH = st.integers(1, 5)
+
+
+@st.composite
+def _sentence_cases(draw):
+    """A random lexicon and a random token sequence to score under it."""
+    patterns = st.lists(st.sampled_from(("calm", "calm*", "calme*", "worried", "wor*", "moon", "<url>")),
+                        unique=True, min_size=1, max_size=4)
+    lex = LexiconSet(
+        tuple(LexiconEntry(p, Kind.STRESS, draw(_STRENGTH)) for p in draw(patterns)),
+        tuple(LexiconEntry(p, Kind.RELAXATION, draw(_STRENGTH)) for p in draw(patterns)),
+        tuple(BoosterEntry(w, draw(st.sampled_from((-2, -1, 1, 2))))
+              for w in draw(st.lists(st.sampled_from(("very", "not", "!!", ":(")), min_size=1, unique=True))),
+        frozenset(draw(st.lists(st.sampled_from(("not", "very", "!", ":(")), min_size=1))),
+        tuple(IdiomEntry(tuple(draw(st.lists(st.sampled_from(_IDIOM_WORDS), min_size=2, max_size=3))),
+                         draw(st.sampled_from(tuple(Kind))), draw(_STRENGTH))
+              for _ in range(draw(st.integers(0, 5)))),
+        tuple(EmoticonEntry(draw(st.sampled_from(_GLYPHS)), draw(st.sampled_from(tuple(Kind))), draw(_STRENGTH))
+              for _ in range(draw(st.integers(0, 4)))),
+        frozenset())
+    tokens = []
+    for _ in range(draw(st.integers(0, 8))):
+        removed = draw(st.integers(0, 3))
+        form = draw(st.sampled_from(("word", "word", "word", "idiom", "punct", "punct", "url", "hashtag")))
+        if form == "idiom" and lex.idioms:  # an idiom's words, to be matched or overlapped
+            tokens.extend(Token(word, word, removed) for word in draw(st.sampled_from(lex.idioms)).tokens)
+        elif form in ("word", "idiom"):  # a word, at times after a negator or booster or both
+            for word in draw(st.lists(st.sampled_from(("not", "very", "!!", ":(")), max_size=2)):
+                tokens.append(Token(word, word, is_punct_run=not word.isalpha()))
+            word = draw(st.sampled_from(_WORDS))
+            tokens.append(Token(word.upper(), word, removed))
+        elif form == "punct":
+            tokens.append(Token(draw(st.sampled_from(_GLYPHS)), draw(st.sampled_from(_GLYPHS)), removed,
+                                is_punct_run=True))
+        elif form == "url":
+            tokens.append(Token("http://t.co/x", "<url>", removed))
+        else:
+            tokens.append(Token("#Calm", "#calm", removed))
+    return lex, tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sentence_cases())
+def test_score_sentence_matches_token_scan(case):
+    lex, tokens = case
+    assert score_sentence(tokens, lex) == score_sentence_scan(tokens, lex)

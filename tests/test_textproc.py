@@ -1,4 +1,6 @@
-from hypothesis import given, strategies as st
+import time
+
+from hypothesis import given, settings, strategies as st
 
 from tensilex.textproc import (
     URL_TOKEN,
@@ -7,6 +9,8 @@ from tensilex.textproc import (
     segment_sentences,
     tokenize,
 )
+
+from .oracles import correct_spelling_bruteforce
 
 
 def test_segment_two_sentences():
@@ -118,6 +122,54 @@ def test_process_hashtags_not_spell_corrected():
     doc = process("#worrried", {"worried"})
     token = doc.sentences[0][0]
     assert token.normalized == "#worrried" and token.letters_removed == 0
+
+
+def test_correct_spelling_fewest_collapses_before_leftmost():
+    # one collapse at the right beats two at the left
+    assert correct_spelling("aabbcc", {"abcc", "aabbc"}) == ("aabbc", 1)
+
+
+def test_correct_spelling_newline_is_no_run():
+    # the run pattern does not see newlines, so they are neither capped nor collapsed
+    assert correct_spelling("a\n\n\nbb", {"a\n\n\nb"}) == ("a\n\n\nb", 1)
+
+
+@st.composite
+def _run_tokens(draw):
+    """A token of up to 10 runs, with recognised words that shorten its runs
+    (reachable from it) or redraw them at up to three letters (mostly not)."""
+    runs = []
+    for ch, n in draw(st.lists(st.tuples(st.sampled_from("abcB\n"), st.integers(1, 4)), min_size=1, max_size=10)):
+        if not runs or runs[-1][0] != ch.lower():  # adjacent runs of one letter would merge
+            runs.append((ch.lower(), n))
+    raw = "".join(ch.upper() if draw(st.booleans()) else ch for ch, n in runs for _ in range(n))
+    # A newline run is never capped or collapsed, so a reachable word keeps it whole.
+    cut = [[ch * (n if ch == "\n" else draw(st.integers(1, min(n, 2)))) for ch, n in runs]
+           for _ in range(draw(st.integers(1, 4)))]
+    grown = [[ch * draw(st.sampled_from((1, 2, 2, 3))) for ch, _ in runs] for _ in range(draw(st.integers(0, 3)))]
+    recognised = {"".join(word) for word in cut + grown}
+    recognised.update(draw(st.lists(st.text("abc", min_size=1, max_size=6), max_size=3)))
+    return raw, recognised
+
+
+@settings(max_examples=500, deadline=None)
+@given(_run_tokens())
+def test_correct_spelling_matches_subset_search(case):
+    raw, recognised = case
+    assert correct_spelling(raw, recognised) == correct_spelling_bruteforce(raw, recognised)
+
+
+def test_correct_spelling_many_runs_is_fast():
+    # 140 runs: the subset search would try up to 2**140 collapse sets
+    runs = "ab" * 70
+    raw = "".join(ch * 3 for ch in runs)
+    last_cut = "".join(ch * 2 for ch in runs[:-1]) + runs[-1]
+    recognised = frozenset({runs, last_cut, "ab"})
+    start = time.perf_counter()
+    result = correct_spelling(raw, recognised)
+    elapsed = time.perf_counter() - start
+    assert result == (last_cut, 141)
+    assert elapsed < 0.1
 
 
 WORDS = st.text(alphabet="abcdefgh", min_size=1, max_size=8)
