@@ -23,6 +23,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,19 @@ class TrainedModel:
     # nb: log prior per class, log likelihood per class x feature
     # logistic: weight matrix per class x (features + bias)
     params: dict[str, np.ndarray]
+
+    # Built on first use and kept in the instance __dict__, outside the
+    # dataclass fields, so equality and the saved form do not see them.
+    @cached_property
+    def columns(self) -> tuple[dict[str, int], list[tuple[int, int]]]:
+        """:func:`_columns` of the subset."""
+        return _columns(self.subset)
+
+    @cached_property
+    def tie_order(self) -> list[int]:
+        """Class positions nearest neutral first, then lower code: argmax ties go to the first."""
+        return sorted(range(len(self.classes)),
+                      key=lambda i: (abs(self.classes[i] - self.neutral), self.classes[i]))
 
 
 def extract_features(text: str) -> FeatureVector:
@@ -139,15 +153,22 @@ def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
     return table.vocabulary[:n] + DENSE_FEATURES
 
 
-def _design_matrix(vectors, subset) -> np.ndarray:
-    """One row per vector, one column per ``subset`` feature.
+def _columns(subset) -> tuple[dict[str, int], list[tuple[int, int]]]:
+    """``subset``'s ``{feature: column}`` map (a repeated feature's last column),
+    and ``(column, dense index)`` for each dense count in it."""
+    column = {feature: j for j, feature in enumerate(subset)}
+    return column, [(column[f], i) for i, f in enumerate(DENSE_FEATURES) if f in column]
+
+
+def _design_matrix(vectors, subset, columns=None) -> np.ndarray:
+    """One row per vector, one column per ``subset`` feature; ``columns`` is
+    the subset's :func:`_columns`, built here when not given.
 
     Walks each vector's sparse counts, so the cost is the number of
     nonzeros, not rows x features. A dense count takes precedence over a
     sparse feature of the same name.
     """
-    column = {feature: j for j, feature in enumerate(subset)}
-    dense = [(column[f], i) for i, f in enumerate(DENSE_FEATURES) if f in column]
+    column, dense = columns or _columns(subset)
     x = np.zeros((len(vectors), len(subset)))
     for row, vec in zip(x, vectors):
         for feature, count in vec.counts.items():
@@ -225,7 +246,7 @@ def _train_logistic(x, y, classes) -> np.ndarray:
 
 
 def _scores(model: TrainedModel, vec: FeatureVector) -> np.ndarray:
-    x = _design_matrix([vec], model.subset)[0]
+    x = _design_matrix([vec], model.subset, model.columns)[0]
     if model.kind == "nb":
         return model.params["log_prior"] + model.params["log_like"] @ x
     xb = np.append(x, 1.0)
@@ -244,8 +265,7 @@ def posterior(model: TrainedModel, vec: FeatureVector) -> dict[int, float]:
 def predict(model: TrainedModel, vec: FeatureVector) -> int:
     """Argmax class; ties break toward the code nearer neutral, then lower."""
     scores = _scores(model, vec)
-    order = sorted(range(len(model.classes)),
-                   key=lambda i: (abs(model.classes[i] - model.neutral), model.classes[i]))
+    order = model.tie_order
     best = order[0]
     for i in order[1:]:
         if scores[i] > scores[best]:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
 from .metrics import MetricsReport, PairedSeries, mad, pearson, report
-from .optimizer import OptimizerConfig, hill_climb_tokenized, rescore, tokenize_corpus
+from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
+                        tokenize_corpus)
 
 
 @dataclass(frozen=True)
@@ -260,21 +261,28 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
                         supervised: bool = True) -> CrossValResult:
     """Repeated k-fold cross validation of the lexicon on both scales.
 
-    Each text is scored once. Each training fold hill-climbs from ``lex``
-    with ``cfg`` and the fold's seed, and its held-out texts are predicted
-    from their traces under the fold's strength table. With
-    ``supervised=False`` the climb is skipped and the held-out texts keep
-    their scores under ``lex`` (the unsupervised protocol).
+    Each text is scored once, and under ``supervised`` its trace is compiled
+    once into a plan. Each training fold hill-climbs from ``lex`` with
+    ``cfg`` and the fold's seed, and its held-out texts are predicted from
+    their plans under the fold's strength table. With ``supervised=False``
+    the climb is skipped and the held-out texts keep their scores under
+    ``lex`` (the unsupervised protocol).
     """
     cfg = cfg or OptimizerConfig()
-    scored = {ex.id: t for ex, t in zip(corpus, tokenize_corpus(lex, corpus))}
+    examples = tokenize_corpus(lex, corpus)
+    scored = {ex.id: example for ex, example in zip(corpus, examples)}
+    if supervised:
+        plans = {ex.id: plan for ex, plan in
+                 zip(corpus, compile_plans(lex, [trace for trace, _, _ in examples]))}
 
     def fit_predict(train, test, fold_seed):
-        scores = [scored[ex.id][0].score for ex in test]
-        if supervised:
+        if not supervised:
+            scores = [scored[ex.id][0].score for ex in test]
+        else:
             table, _ = hill_climb_tokenized(lex, [scored[ex.id] for ex in train],
-                                            replace(cfg, seed=fold_seed))
-            scores = [rescore(scored[ex.id][0], table) for ex in test]
+                                            replace(cfg, seed=fold_seed),
+                                            plans=[plans[ex.id] for ex in train])
+            scores = [rescore(plans[ex.id], table) for ex in test]
         return {"stress": [s.stress for s in scores], "relax": [s.relaxation for s in scores]}
 
     return run_folds(corpus, k, reps, base_seed, fit_predict,

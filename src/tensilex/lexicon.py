@@ -35,6 +35,7 @@ from .errors import (
     UnknownTerm,
     WriteError,
 )
+from .textproc import is_word_token
 
 
 class Kind(enum.Enum):
@@ -110,7 +111,7 @@ class BoosterEntry:
 
 @dataclass(frozen=True)
 class IdiomEntry:
-    tokens: tuple[str, ...]  # >= 2 lowercase tokens
+    tokens: tuple[str, ...]  # >= 2 lowercase word tokens
     kind: Kind
     strength: int
 
@@ -118,6 +119,11 @@ class IdiomEntry:
         _check_strength(self.strength)
         if len(self.tokens) < 2:
             raise ParseError(f"idiom needs >= 2 tokens: {self.tokens!r}")
+        for token in self.tokens:
+            # Idioms match words only, so a punctuation run or a token that
+            # splits in two could never match.
+            if not is_word_token(token):
+                raise ParseError(f"idiom token {token!r} is not one word token")
 
 
 @dataclass(frozen=True)

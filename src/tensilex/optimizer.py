@@ -7,10 +7,20 @@ at least ``min_improvement``; otherwise it tries strength -1 the same
 way; otherwise the term is left alone. The climb stops after a pass with
 no kept changes, or at the safety cap.
 
-The climb edits a ``{(Kind, pattern): strength}`` table, not a lexicon:
-each text is scored once (:func:`tokenize_corpus`), a candidate re-scores
-from the traces of the texts that match the edited term (:func:`rescore`),
-and :func:`hill_climb` builds its lexicon once, from the final table.
+The climb edits a strength table, not a lexicon: a list of strengths
+indexed by term id, a term's position in the set's stress-then-relaxation
+order (:func:`term_keys`). Each text is scored once (:func:`tokenize_corpus`)
+and its trace compiled once into a :class:`Plan` (:func:`compile_plan`).
+Per sentence, a plan holds the magnitudes no table can move (idioms,
+emoticons, negated stress words), the ``!`` boost as a lookup table, and
+each term match as its id and its final strength at each of the five table
+strengths. The finals come from the scorer's :func:`term_strength` and the
+boost table from :func:`sentence_magnitudes`, so rules 3-9 live only in the
+scorer, and :func:`rescore` evaluates a plan by lookups and maxima alone. A
+candidate re-scores only the texts whose plan names the edited term; the
+cross-validation driver compiles each text once per run and predicts its
+held-out texts with :func:`rescore` too. :func:`hill_climb` builds its
+lexicon once, from the final table.
 
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
 Twister); the reproducibility contract is determinism for a given seed,
@@ -19,12 +29,14 @@ not a particular bitstream.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
 from . import lexicon as lx
 from .errors import EmptyCorpus, TooSmall
-from .scorer import DualScore, ScoreTrace, Source, score_text, sentence_magnitudes, term_strength
+from .scorer import (DualScore, Scale, ScoreTrace, Source, score_text, sentence_magnitudes,
+                     term_strength)
 
 
 @dataclass(frozen=True)
@@ -77,120 +89,222 @@ def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[ScoreTrace, int, i
     """``(trace, gold_stress, gold_relax)`` for each example, in corpus order.
 
     Each text is scored once, at ``lex``'s strengths; its trace holds its
-    tokens and matches. Matching never depends on strengths, so :func:`rescore`
-    gives the text's score under any strength table for ``lex``'s terms.
+    tokens and matches. Matching never depends on strengths, so the trace's
+    :func:`compile_plan` gives the text's score under any strength table.
     """
     recognised = lex.recognised_words
     return [(score_text(ex.text, lex, recognised)[1], ex.gold_stress, ex.gold_relax)
             for ex in corpus]
 
 
+def term_keys(lex: lx.LexiconSet) -> tuple[tuple[lx.Kind, str], ...]:
+    """``(Kind, pattern)`` of each stress, then each relaxation term of ``lex``.
+
+    A term's id is its position here, and a strength table is a list of
+    strengths indexed by term id.
+    """
+    return tuple((kind, e.pattern) for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION)
+                 for e in lex.terms(kind))
+
+
 # The trace sources of a lexicon term match, by the kind of term matched.
 _TERM_SOURCES = {Source.STRESS_TERM: lx.Kind.STRESS, Source.NEGATED_STRESS: lx.Kind.STRESS,
                  Source.RELAX_TERM: lx.Kind.RELAXATION, Source.NEGATED_RELAX: lx.Kind.RELAXATION}
 
+# Rule 9 as a lookup: a sentence with "!" takes _BOOST[m] for magnitude m on
+# each scale (the rule is the same on both), one without keeps m.
+_NO_BOOST = tuple(range(6))
+_BOOST = (0,) + tuple(sentence_magnitudes(((Scale.STRESS, m),), True)[0] for m in range(1, 6))
 
-def rescore(trace: ScoreTrace, strengths) -> DualScore:
-    """The score of ``trace``'s text with its term matches at ``strengths``, a
-    ``{(Kind, pattern): strength}`` table; idioms and emoticons keep theirs.
 
-    Only rules 3-9 are redone, by the scorer's own :func:`term_strength` and
-    :func:`sentence_magnitudes`; masking and matching stand as traced.
+@functools.cache
+def _finals(source: Source, delta: int, repeat: int) -> tuple[int, ...]:
+    """A match's final strength at each table strength 1..5 (index 0 unused)."""
+    return (0,) + tuple(term_strength(source, s, delta, repeat) for s in range(1, 6))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A text's score as a function of a strength table; see :func:`compile_plan`."""
+    stress: int  # magnitudes of the sentences that no table moves
+    relax: int
+    # Each other sentence: (fixed stress, fixed relaxation, boost, stress matches,
+    # relaxation matches); a match (term id, finals) scores finals[table[term id]].
+    sentences: tuple[tuple[int, int, tuple[int, ...], tuple, tuple], ...]
+    terms: frozenset[int]  # ids of every term the text matches, negated stress words too
+
+
+def compile_plan(trace: ScoreTrace, ids) -> Plan:
+    """``trace``'s text as a :class:`Plan`; ``ids`` maps ``(Kind, pattern)`` to term id.
+
+    Idioms, emoticons and matches whose final strength is the same at every
+    table strength (a negated stress word) give a sentence's fixed
+    magnitudes, by the scorer's :func:`sentence_magnitudes`. Every other
+    match keeps its :func:`term_strength` at each table strength, and the
+    sentence its ``!`` boost table, so :func:`rescore` only takes maxima and
+    looks values up.
     """
-    stress = relax = 1  # text magnitudes: the extreme sentence on each scale
+    stress = relax = 1
+    sentences, terms = [], set()
     for sentence in trace.sentences:
-        s_mag, r_mag, _, _ = sentence_magnitudes(
-            ((c.scale, term_strength(c.source, strengths[_TERM_SOURCES[c.source], c.label],
-                                     c.booster_delta, c.repeat_boost)
-              if c.source in _TERM_SOURCES else c.final_strength)
-             for c in sentence.contributions),
-            sentence.exclamation_present)
-        stress, relax = max(stress, s_mag), max(relax, r_mag)
+        fixed, stress_matches, relax_matches = [], [], []
+        for c in sentence.contributions:
+            kind = _TERM_SOURCES.get(c.source)
+            if kind is None:  # an idiom or an emoticon
+                fixed.append((c.scale, c.final_strength))
+                continue
+            term = ids[kind, c.label]
+            terms.add(term)
+            finals = _finals(c.source, c.booster_delta, c.repeat_boost)
+            if len(set(finals[1:])) == 1:
+                fixed.append((c.scale, finals[1]))
+            elif c.scale is Scale.STRESS:
+                stress_matches.append((term, finals))
+            else:
+                relax_matches.append((term, finals))
+        if stress_matches or relax_matches:
+            s, r, _, _ = sentence_magnitudes(fixed, False)
+            sentences.append((s, r, _BOOST if sentence.exclamation_present else _NO_BOOST,
+                              tuple(stress_matches), tuple(relax_matches)))
+        else:
+            s, r, _, _ = sentence_magnitudes(fixed, sentence.exclamation_present)
+            stress, relax = max(stress, s), max(relax, r)
+    return Plan(stress, relax, tuple(sentences), frozenset(terms))
+
+
+def compile_plans(lex: lx.LexiconSet, traces) -> list[Plan]:
+    """:func:`compile_plan` of each of ``traces``, scored with ``lex``, under its term ids."""
+    ids = {key: term for term, key in enumerate(term_keys(lex))}
+    return [compile_plan(trace, ids) for trace in traces]
+
+
+def _magnitudes(plan: Plan, table) -> tuple[int, int]:
+    """``plan``'s text magnitudes: each scale's extreme sentence under ``table``."""
+    stress, relax = plan.stress, plan.relax
+    for s, r, boost, stress_matches, relax_matches in plan.sentences:
+        for term, finals in stress_matches:
+            final = finals[table[term]]
+            if final > s:
+                s = final
+        for term, finals in relax_matches:
+            final = finals[table[term]]
+            if final > r:
+                r = final
+        s, r = boost[s], boost[r]
+        if s > stress:
+            stress = s
+        if r > relax:
+            relax = r
+    return stress, relax
+
+
+def rescore(plan: Plan, table) -> DualScore:
+    """The score of ``plan``'s text with its term matches at ``table``, a list of
+    strengths by term id; idioms and emoticons keep theirs."""
+    stress, relax = _magnitudes(plan, table)
     return DualScore(-stress, relax)
 
 
 class _ErrorTracker:
-    """Incremental corpus error over a ``{(Kind, pattern): strength}`` table.
+    """Incremental corpus error over a strength table (a list by term id).
 
-    Reads the traces of :func:`tokenize_corpus` output and never calls the
-    scorer. An edit changes only the final strengths of the edited term's
-    matches, so just the examples whose trace names it are re-scored.
+    Reads the examples' plans and never calls the scorer. An edit changes
+    only the final strengths of the edited term's matches, so just the
+    examples whose plan names it are re-scored. ``plans`` defaults to the
+    :func:`compile_plans` of the examples' traces.
     """
 
-    def __init__(self, lex, examples):
+    def __init__(self, lex, examples, plans=None):
         if not examples:
             raise EmptyCorpus("no annotated examples to score against")
-        self.strengths = {(kind, e.pattern): e.strength
-                          for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION) for e in lex.terms(kind)}
-        self.traces = [trace for trace, _, _ in examples]
+        self.keys = term_keys(lex)
+        self.table = [e.strength for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION)
+                      for e in lex.terms(kind)]
+        if plans is None:
+            plans = compile_plans(lex, [trace for trace, _, _ in examples])
+        self.plans = plans
         self.golds = [(gs, gr) for _, gs, gr in examples]
-        self.affected: dict[tuple[lx.Kind, str], list[int]] = {}
-        for i, trace in enumerate(self.traces):
-            hit = {(_TERM_SOURCES[c.source], c.label)
-                   for sentence in trace.sentences for c in sentence.contributions
-                   if c.source in _TERM_SOURCES}
-            for key in hit:
-                self.affected.setdefault(key, []).append(i)
-        self.errors = [self._error(i) for i in range(len(self.traces))]
+        self.hits: list[list[int]] = [[] for _ in self.keys]  # by term id: examples naming it
+        for i, plan in enumerate(self.plans):
+            for term in plan.terms:
+                self.hits[term].append(i)
+        self.errors = [self._error(i) for i in range(len(self.plans))]
         self.total = sum(self.errors)
+
+    @property
+    def affected(self) -> dict[tuple[lx.Kind, str], list[int]]:
+        """The examples naming each term, keyed by ``(Kind, pattern)``."""
+        return {self.keys[term]: hits for term, hits in enumerate(self.hits) if hits}
 
     def _error(self, i) -> int:
         """Example ``i``'s |stress - gold| + |relaxation - gold| under the table."""
-        score = rescore(self.traces[i], self.strengths)
+        stress, relax = _magnitudes(self.plans[i], self.table)
         gold_stress, gold_relax = self.golds[i]
-        return abs(score.stress - gold_stress) + abs(score.relaxation - gold_relax)
+        return abs(stress + gold_stress) + abs(relax - gold_relax)
 
-    def total_with(self, key, strength) -> tuple[int, list[int]]:
-        """Total error with term ``key`` at ``strength``, and its examples' new errors."""
-        kept, self.strengths[key] = self.strengths[key], strength
-        affected = self.affected.get(key, ())
-        updates = [self._error(i) for i in affected]
-        self.strengths[key] = kept
-        return self.total + sum(new - self.errors[i] for i, new in zip(affected, updates)), updates
+    def total_at(self, term, strength) -> tuple[int, list[int]]:
+        """Total error with term id ``term`` at ``strength``, and its examples' new errors."""
+        table, hits, errors = self.table, self.hits[term], self.errors
+        kept, table[term] = table[term], strength
+        updates = [self._error(i) for i in hits]
+        table[term] = kept
+        return self.total + sum(updates) - sum([errors[i] for i in hits]), updates
 
-    def accept(self, key, strength, total, updates):
-        self.strengths[key] = strength
-        for i, new in zip(self.affected.get(key, ()), updates):
+    def accept_at(self, term, strength, total, updates):
+        self.table[term] = strength
+        for i, new in zip(self.hits[term], updates):
             self.errors[i] = new
         self.total = total
+
+    def total_with(self, key, strength) -> tuple[int, list[int]]:
+        """:meth:`total_at` for the term ``key``, a ``(Kind, pattern)``."""
+        return self.total_at(self.keys.index(key), strength)
+
+    def accept(self, key, strength, total, updates):
+        self.accept_at(self.keys.index(key), strength, total, updates)
 
 
 def hill_climb(lex: lx.LexiconSet, corpus, cfg: OptimizerConfig = OptimizerConfig()):
     """Refine term strengths against the corpus; returns (lexicon, report)."""
-    strengths, report = hill_climb_tokenized(lex, tokenize_corpus(lex, corpus), cfg)
-    return lx.set_strengths(lex, strengths), report
+    table, report = hill_climb_tokenized(lex, tokenize_corpus(lex, corpus), cfg)
+    return lx.set_strengths(lex, dict(zip(term_keys(lex), table))), report
 
 
-def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = OptimizerConfig()):
+def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = OptimizerConfig(),
+                         plans=None):
     """:func:`hill_climb` over :func:`tokenize_corpus` output for ``lex``;
     returns (strength table, report), the table as :func:`rescore` takes it.
 
     Lets a caller that climbs many times from one lexicon, such as the
-    cross-validation driver, score each text once and build no lexicon.
+    cross-validation driver, score each text once, compile its plan once
+    (``plans``, the examples' :func:`compile_plans`) and build no lexicon.
     """
     rng = random.Random(cfg.seed)
-    tracker = _ErrorTracker(lex, examples)
+    tracker = _ErrorTracker(lex, examples, plans)
+    table = tracker.table
     report = OptimizationReport(initial_error=tracker.total)
 
     for _ in range(cfg.max_passes):
         report.passes_run += 1
-        order = list(tracker.strengths)  # stress then relaxation terms, as the set holds them
+        order = list(range(len(table)))  # stress then relaxation terms, as the set holds them
         rng.shuffle(order)
         changed = False
-        for key in order:
-            old = tracker.strengths[key]
+        for term in order:
+            if not tracker.hits[term]:
+                continue  # no text moves with it
+            old = table[term]
             for new in (old + 1, old - 1):
                 if not 1 <= new <= 5:
                     continue
-                total, updates = tracker.total_with(key, new)
+                total, updates = tracker.total_at(term, new)
                 if tracker.total - total >= cfg.min_improvement:
-                    report.changes.append(Change(*key, old, new, tracker.total, total))
+                    report.changes.append(Change(*tracker.keys[term], old, new, tracker.total, total))
                     report.changes_made += 1
-                    tracker.accept(key, new, total, updates)
+                    tracker.accept_at(term, new, total, updates)
                     changed = True
                     break
         if not changed:
             break
 
     report.final_error = tracker.total
-    return tracker.strengths, report
+    return table, report

@@ -92,6 +92,16 @@ def tokenize(sentence: str) -> list[Token]:
     return tokens
 
 
+def is_word_token(text: str) -> bool:
+    """Whether ``text`` is exactly one word token under :func:`tokenize`'s
+    token rule, or the ``<url>`` token: the forms a scorer can match a
+    token's normalized form against."""
+    if text == URL_TOKEN:
+        return True
+    match = _TOKEN_RE.fullmatch(text)
+    return match is not None and match.group(1) is not None
+
+
 def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     """Collapse repeated letters until a recognised word appears.
 

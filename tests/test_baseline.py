@@ -236,6 +236,23 @@ def test_model_roundtrip(tmp_path):
     assert predict(loaded, probe) == predict(model, probe)
 
 
+@pytest.mark.parametrize("kind", ["nb", "logistic"])
+def test_model_keeps_its_columns_out_of_equality_and_saved_form(tmp_path, kind):
+    vectors, labels = corpus_vectors(["good day", "bad day", "so bad", "good good"], [1, 2, 2, 1])
+    subset = ("good", "day", "good", "never seen") + DENSE_FEATURES  # a repeated feature too
+    model = train(kind, vectors, labels, subset)
+    save_model(model, str(tmp_path / "before.json"))
+    probes = [extract_features(t) for t in ("good day", "bad bad day", "")]
+    first = [(predict(model, p), posterior(model, p)) for p in probes]
+    # Later calls read the column map and tie order the first call built.
+    assert [(predict(model, p), posterior(model, p)) for p in probes] == first
+    save_model(model, str(tmp_path / "after.json"))
+    assert (tmp_path / "after.json").read_text() == (tmp_path / "before.json").read_text()
+    loaded = load_model(str(tmp_path / "after.json"))
+    assert [(predict(loaded, p), posterior(loaded, p)) for p in probes] == first
+    assert (loaded.kind, loaded.classes, loaded.subset) == (model.kind, model.classes, model.subset)
+
+
 def injected_token_corpus(n=40, seed=0):
     rng = random.Random(seed)
     fillers = ["alpha", "beta", "gamma", "delta"]

@@ -243,3 +243,24 @@ def test_crossval_scores_each_text_once(monkeypatch):
     assert len(climbs) == 10 and any(report.changes_made for _, _, (_, report) in climbs)
     assert Counter(name for name, _, _ in calls) == {"score_text": len(corpus),
                                                      "score_tokenized": len(corpus)}
+
+
+def test_crossval_compiles_each_plan_once(monkeypatch):
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=40, seed=16)
+    perturbed = set_strength(lex, Kind.STRESS, "strainword1", 1)
+    compiled = Counter()
+
+    def counted(trace, ids):
+        compiled[id(trace)] += 1
+        return compile_plan(trace, ids)
+
+    compile_plan = optimizer.compile_plan
+    monkeypatch.setattr(optimizer, "compile_plan", counted)
+    crossval_supervised(perturbed, corpus, k=5, reps=2, base_seed=3)
+    assert len(compiled) == len(corpus) and set(compiled.values()) == {1}
+    # The unsupervised paths read the first scoring's traces and compile nothing.
+    compiled.clear()
+    evaluate_lexicon(perturbed, corpus)
+    crossval_supervised(perturbed, corpus, k=5, reps=2, base_seed=3, supervised=False)
+    assert not compiled

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -80,6 +81,26 @@ def test_emoticon_row_error_names_line(tmp_path):
         load_lexicon_set(d)
     assert exc.value.line == 2
     assert "empty emoticon glyph" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", ["!!", "so!!", "fed-up", ":)", "two words", ""])
+def test_idiom_rejects_tokens_that_never_match(token):
+    # Idioms match word tokens only; these tokenize as punctuation or as two tokens.
+    with pytest.raises(errors.ParseError, match=re.escape(repr(token))):
+        IdiomEntry(("so", token), Kind.STRESS, 3)
+
+
+@pytest.mark.parametrize("tokens", [("#fed", "up"), ("fed", "don't"), ("<url>", "again")])
+def test_idiom_accepts_word_tokens(tokens):
+    assert IdiomEntry(tokens, Kind.STRESS, 3).tokens == tokens
+
+
+def test_idiom_row_error_names_line(tmp_path):
+    d = write_dir(tmp_path, **{"idioms.tsv": "fed up\tstress\t3\nso !!\tstress\t4\n"})
+    with pytest.raises(errors.ParseError) as exc:
+        load_lexicon_set(d)
+    assert exc.value.line == 2
+    assert "'!!'" in str(exc.value)
 
 
 def test_comments_and_blanks_skipped(tmp_path):

@@ -18,7 +18,10 @@ from tensilex.lexicon import (
 from tensilex.optimizer import (
     OptimizerConfig,
     _ErrorTracker,
+    compile_plans,
     hill_climb,
+    rescore,
+    term_keys,
     tokenize_corpus,
     total_absolute_error,
 )
@@ -235,6 +238,18 @@ def test_tracker_rescore_matches_scorer(case):
         expected.append(abs(score.stress - ex.gold_stress) + abs(score.relaxation - ex.gold_relax))
     assert tracker.errors == expected
     assert tracker.total == sum(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rescore_cases())
+def test_rescore_matches_scorer(case):
+    # The held-out evaluator: each text's plan under the table scores as the
+    # scorer does under a lexicon holding the table's strengths.
+    lex, texts, table = case
+    plans = compile_plans(lex, [score_text(text, lex)[1] for text in texts])
+    by_id = [table[key] for key in term_keys(lex)]
+    edited = lexicon.set_strengths(lex, table)
+    assert [rescore(plan, by_id) for plan in plans] == [score_text(text, edited)[0] for text in texts]
 
 
 def test_climb_compiles_no_lexicon_per_candidate(monkeypatch):
