@@ -53,7 +53,6 @@ class FeatureVector:
 class FeatureTable:
     """Sparse features in rank order: gain descending, ties lexicographic."""
     vocabulary: tuple[str, ...]  # sparse features only, ids dense 0..V-1
-    doc_freq: tuple[int, ...]
     gains: tuple[float, ...]
 
 
@@ -142,8 +141,7 @@ def information_gain(vectors, labels) -> FeatureTable:
             gain = gain_of[key] = max(0.0, h_y - h_cond)
         gains[feature] = gain
     vocabulary = sorted(gains, key=lambda f: (-gains[f], f))
-    return FeatureTable(tuple(vocabulary), tuple(sum(present[f]) for f in vocabulary),
-                        tuple(gains[f] for f in vocabulary))
+    return FeatureTable(tuple(vocabulary), tuple(gains[f] for f in vocabulary))
 
 
 def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:

@@ -2,7 +2,8 @@
 repeated k-fold cross-validation driver shared by supervised runs and the
 n-gram baseline.
 
-Corpus TSV format (UTF-8, ``#`` comments allowed)::
+Corpus TSV format (UTF-8, ``#`` comments allowed): a five-column header
+line, then rows of ::
 
     id<TAB>subcorpus<TAB>text<TAB>stress_codes<TAB>relax_codes
 
@@ -44,8 +45,6 @@ class AnnotatedExample:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
-    seed: int
     assignment: dict[str, int]  # example id -> fold index
 
     def fold_ids(self, fold: int) -> set[str]:
@@ -72,6 +71,15 @@ def _parse_codes(text, row, low, high):
     return tuple(codes)
 
 
+def _is_code_list(text) -> bool:
+    """Whether ``text`` reads as comma-separated integers, as a code column does."""
+    try:
+        [int(piece) for piece in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
 def make_example(ex_id, subcorpus, text, stress_codes, relax_codes) -> AnnotatedExample:
     stress_raw = sum(stress_codes) / len(stress_codes)
     relax_raw = sum(relax_codes) / len(relax_codes)
@@ -88,12 +96,14 @@ def load_corpus(path) -> list[AnnotatedExample]:
             text = line.rstrip("\n")
             if not text.strip() or text.lstrip().startswith("#"):
                 continue
-            if not header_seen:
-                header_seen = True  # first data line is the header
-                continue
             cols = text.split("\t")
             if len(cols) != 5:
                 raise ParseError(f"expected 5 columns, got {len(cols)}", line=row)
+            if not header_seen:  # the first data line is the header
+                header_seen = True
+                if _is_code_list(cols[3]) and _is_code_list(cols[4]):
+                    raise ParseError("missing header: the first line is a data row", line=row)
+                continue
             ex_id, subcorpus, body, stress_text, relax_text = cols
             stress_codes = _parse_codes(stress_text, row, -5, -1)
             relax_codes = _parse_codes(relax_text, row, 1, 5)
@@ -132,7 +142,7 @@ def make_folds(corpus, k: int, seed: int) -> FoldPlan:
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
     assignment = {corpus[idx].id: pos % k for pos, idx in enumerate(order)}
-    return FoldPlan(k, seed, assignment)
+    return FoldPlan(assignment)
 
 
 def _mixed_report(preds, golds_rounded, golds_raw, unrounded) -> MetricsReport:
@@ -149,7 +159,7 @@ def evaluate_lexicon(lex, corpus, unrounded: bool = False) -> dict[str, MetricsR
     """Unsupervised evaluation: score every text with the lexicon as-is."""
     if not corpus:
         raise EmptyCorpus("cannot evaluate an empty corpus")
-    scores = [trace.score for trace, _, _ in tokenize_corpus(lex, corpus)]
+    scores = [trace.score for trace in tokenize_corpus(lex, corpus)]
     return {
         "stress": _mixed_report([s.stress for s in scores], [e.gold_stress for e in corpus],
                                 [e.gold_stress_raw for e in corpus], unrounded),
@@ -269,19 +279,16 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
     ``lex`` (the unsupervised protocol).
     """
     cfg = cfg or OptimizerConfig()
-    examples = tokenize_corpus(lex, corpus)
-    scored = {ex.id: example for ex, example in zip(corpus, examples)}
+    traces = dict(zip([ex.id for ex in corpus], tokenize_corpus(lex, corpus)))
     if supervised:
-        plans = {ex.id: plan for ex, plan in
-                 zip(corpus, compile_plans(lex, [trace for trace, _, _ in examples]))}
+        plans = dict(zip(traces, compile_plans(lex, traces.values())))
 
     def fit_predict(train, test, fold_seed):
         if not supervised:
-            scores = [scored[ex.id][0].score for ex in test]
+            scores = [traces[ex.id].score for ex in test]
         else:
-            table, _ = hill_climb_tokenized(lex, [scored[ex.id] for ex in train],
-                                            replace(cfg, seed=fold_seed),
-                                            plans=[plans[ex.id] for ex in train])
+            table, _ = hill_climb_tokenized(lex, [plans[ex.id] for ex in train], train,
+                                            replace(cfg, seed=fold_seed))
             scores = [rescore(plans[ex.id], table) for ex in test]
         return {"stress": [s.stress for s in scores], "relax": [s.relaxation for s in scores]}
 

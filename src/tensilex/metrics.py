@@ -40,11 +40,6 @@ class MetricsReport:
         r = "NA" if self.pearson is None else f"{self.pearson:.3f}"
         return f"{self.n}\t{self.exact_pct:.3f}\t{self.within1_pct:.3f}\t{r}\t{self.mad:.3f}"
 
-    def pretty(self) -> str:
-        r = "undefined" if self.pearson is None else f"{self.pearson:.3f}"
-        return (f"n={self.n}  exact={self.exact_pct:.3f}%  within1={self.within1_pct:.3f}%  "
-                f"pearson={r}  MAD={self.mad:.3f}")
-
 
 def mad(s: PairedSeries) -> float:
     """Mean of |prediction - gold|."""

@@ -17,9 +17,11 @@ each term match as its id and its final strength at each of the five table
 strengths. The finals come from the scorer's :func:`term_strength` and the
 boost table from :func:`sentence_magnitudes`, so rules 3-9 live only in the
 scorer, and :func:`rescore` evaluates a plan by lookups and maxima alone. A
-candidate re-scores only the texts whose plan names the edited term; the
-cross-validation driver compiles each text once per run and predicts its
-held-out texts with :func:`rescore` too. :func:`hill_climb` builds its
+candidate re-scores only the texts whose score can move with the edited
+term: those whose plan holds a match of it that the table moves. A term
+matched only as a negated stress word moves no text, so it is never tried.
+The cross-validation driver compiles each text once per run and predicts
+its held-out texts with :func:`rescore` too. :func:`hill_climb` builds its
 lexicon once, from the final table.
 
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
@@ -82,19 +84,22 @@ class OptimizationReport:
 
 def total_absolute_error(lex: lx.LexiconSet, corpus) -> int:
     """Summed |prediction - gold| over both scales, over the whole corpus."""
-    return _ErrorTracker(lex, tokenize_corpus(lex, corpus)).total
+    if not corpus:
+        raise EmptyCorpus("no annotated examples to score against")
+    return sum(abs(trace.score.stress - ex.gold_stress) + abs(trace.score.relaxation - ex.gold_relax)
+               for trace, ex in zip(tokenize_corpus(lex, corpus), corpus))
 
 
-def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[tuple[ScoreTrace, int, int]]:
-    """``(trace, gold_stress, gold_relax)`` for each example, in corpus order.
+def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[ScoreTrace]:
+    """The trace of each example's text, in corpus order.
 
     Each text is scored once, at ``lex``'s strengths; its trace holds its
-    tokens and matches. Matching never depends on strengths, so the trace's
-    :func:`compile_plan` gives the text's score under any strength table.
+    score, tokens and matches. Matching never depends on strengths, so the
+    trace's :func:`compile_plan` gives the text's score under any strength
+    table.
     """
     recognised = lex.recognised_words
-    return [(score_text(ex.text, lex, recognised)[1], ex.gold_stress, ex.gold_relax)
-            for ex in corpus]
+    return [score_text(ex.text, lex, recognised)[1] for ex in corpus]
 
 
 def term_keys(lex: lx.LexiconSet) -> tuple[tuple[lx.Kind, str], ...]:
@@ -131,7 +136,6 @@ class Plan:
     # Each other sentence: (fixed stress, fixed relaxation, boost, stress matches,
     # relaxation matches); a match (term id, finals) scores finals[table[term id]].
     sentences: tuple[tuple[int, int, tuple[int, ...], tuple, tuple], ...]
-    terms: frozenset[int]  # ids of every term the text matches, negated stress words too
 
 
 def compile_plan(trace: ScoreTrace, ids) -> Plan:
@@ -145,7 +149,7 @@ def compile_plan(trace: ScoreTrace, ids) -> Plan:
     looks values up.
     """
     stress = relax = 1
-    sentences, terms = [], set()
+    sentences = []
     for sentence in trace.sentences:
         fixed, stress_matches, relax_matches = [], [], []
         for c in sentence.contributions:
@@ -154,7 +158,6 @@ def compile_plan(trace: ScoreTrace, ids) -> Plan:
                 fixed.append((c.scale, c.final_strength))
                 continue
             term = ids[kind, c.label]
-            terms.add(term)
             finals = _finals(c.source, c.booster_delta, c.repeat_boost)
             if len(set(finals[1:])) == 1:
                 fixed.append((c.scale, finals[1]))
@@ -169,7 +172,7 @@ def compile_plan(trace: ScoreTrace, ids) -> Plan:
         else:
             s, r, _, _ = sentence_magnitudes(fixed, sentence.exclamation_present)
             stress, relax = max(stress, s), max(relax, r)
-    return Plan(stress, relax, tuple(sentences), frozenset(terms))
+    return Plan(stress, relax, tuple(sentences))
 
 
 def compile_plans(lex: lx.LexiconSet, traces) -> list[Plan]:
@@ -208,33 +211,22 @@ def rescore(plan: Plan, table) -> DualScore:
 class _ErrorTracker:
     """Incremental corpus error over a strength table (a list by term id).
 
-    Reads the examples' plans and never calls the scorer. An edit changes
-    only the final strengths of the edited term's matches, so just the
-    examples whose plan names it are re-scored. ``plans`` defaults to the
-    :func:`compile_plans` of the examples' traces.
+    Reads the examples' plans and golds and never calls the scorer. An edit
+    changes only the final strengths of the edited term's matches, so just
+    the examples whose plan holds a match that moves with it are re-scored.
     """
 
-    def __init__(self, lex, examples, plans=None):
-        if not examples:
+    def __init__(self, table, plans, golds):
+        if not plans:
             raise EmptyCorpus("no annotated examples to score against")
-        self.keys = term_keys(lex)
-        self.table = [e.strength for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION)
-                      for e in lex.terms(kind)]
-        if plans is None:
-            plans = compile_plans(lex, [trace for trace, _, _ in examples])
-        self.plans = plans
-        self.golds = [(gs, gr) for _, gs, gr in examples]
-        self.hits: list[list[int]] = [[] for _ in self.keys]  # by term id: examples naming it
-        for i, plan in enumerate(self.plans):
-            for term in plan.terms:
+        self.table, self.plans, self.golds = table, plans, golds
+        self.hits: list[list[int]] = [[] for _ in table]  # by term id: examples it moves
+        for i, plan in enumerate(plans):
+            for term in {term for *_, stress_matches, relax_matches in plan.sentences
+                         for term, _ in stress_matches + relax_matches}:
                 self.hits[term].append(i)
-        self.errors = [self._error(i) for i in range(len(self.plans))]
+        self.errors = [self._error(i) for i in range(len(plans))]
         self.total = sum(self.errors)
-
-    @property
-    def affected(self) -> dict[tuple[lx.Kind, str], list[int]]:
-        """The examples naming each term, keyed by ``(Kind, pattern)``."""
-        return {self.keys[term]: hits for term, hits in enumerate(self.hits) if hits}
 
     def _error(self, i) -> int:
         """Example ``i``'s |stress - gold| + |relaxation - gold| under the table."""
@@ -256,32 +248,28 @@ class _ErrorTracker:
             self.errors[i] = new
         self.total = total
 
-    def total_with(self, key, strength) -> tuple[int, list[int]]:
-        """:meth:`total_at` for the term ``key``, a ``(Kind, pattern)``."""
-        return self.total_at(self.keys.index(key), strength)
-
-    def accept(self, key, strength, total, updates):
-        self.accept_at(self.keys.index(key), strength, total, updates)
-
 
 def hill_climb(lex: lx.LexiconSet, corpus, cfg: OptimizerConfig = OptimizerConfig()):
     """Refine term strengths against the corpus; returns (lexicon, report)."""
-    table, report = hill_climb_tokenized(lex, tokenize_corpus(lex, corpus), cfg)
+    plans = compile_plans(lex, tokenize_corpus(lex, corpus))
+    table, report = hill_climb_tokenized(lex, plans, corpus, cfg)
     return lx.set_strengths(lex, dict(zip(term_keys(lex), table))), report
 
 
-def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = OptimizerConfig(),
-                         plans=None):
-    """:func:`hill_climb` over :func:`tokenize_corpus` output for ``lex``;
+def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
+                         cfg: OptimizerConfig = OptimizerConfig()):
+    """:func:`hill_climb` from ``lex``'s strengths, over ``plans`` (the
+    :func:`compile_plans` of ``examples``) against the examples' golds;
     returns (strength table, report), the table as :func:`rescore` takes it.
 
     Lets a caller that climbs many times from one lexicon, such as the
-    cross-validation driver, score each text once, compile its plan once
-    (``plans``, the examples' :func:`compile_plans`) and build no lexicon.
+    cross-validation driver, score and compile each text once and build no
+    lexicon.
     """
     rng = random.Random(cfg.seed)
-    tracker = _ErrorTracker(lex, examples, plans)
-    table = tracker.table
+    keys = term_keys(lex)
+    table = [e.strength for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION) for e in lex.terms(kind)]
+    tracker = _ErrorTracker(table, plans, [(ex.gold_stress, ex.gold_relax) for ex in examples])
     report = OptimizationReport(initial_error=tracker.total)
 
     for _ in range(cfg.max_passes):
@@ -298,7 +286,7 @@ def hill_climb_tokenized(lex: lx.LexiconSet, examples, cfg: OptimizerConfig = Op
                     continue
                 total, updates = tracker.total_at(term, new)
                 if tracker.total - total >= cfg.min_improvement:
-                    report.changes.append(Change(*tracker.keys[term], old, new, tracker.total, total))
+                    report.changes.append(Change(*keys[term], old, new, tracker.total, total))
                     report.changes_made += 1
                     tracker.accept_at(term, new, total, updates)
                     changed = True

@@ -63,6 +63,17 @@ def test_load_rejects_bad_rows(tmp_path):
         load_corpus(write_corpus(tmp_path, ["a\ts\ttext\t-1,x\t1,1"]))
 
 
+def test_load_rejects_missing_or_short_header(tmp_path):
+    # Without a header the first data row would be dropped as one.
+    rows = ["a\ts\tlate\t-2\t1", "b\ts\tchill\t-1\t3"]
+    with pytest.raises(ParseError) as exc:
+        load_corpus(write_corpus(tmp_path, rows[1:], header=rows[0]))
+    assert exc.value.line == 1
+    with pytest.raises(ParseError) as exc:
+        load_corpus(write_corpus(tmp_path, rows, header="# comment\nid\ttext\tcodes"))
+    assert exc.value.line == 2
+
+
 def test_corpus_roundtrip(tmp_path):
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=12, seed=1)
@@ -207,22 +218,22 @@ def test_crossval_never_trains_on_heldout(monkeypatch):
     corpus = make_synthetic_corpus(lex, n_texts=30, seed=14)
     base_seed, k, reps = 5, 5, 2
     log = []
-    for name in ("tokenize_corpus", "hill_climb_tokenized"):
+    for name in ("compile_plans", "hill_climb_tokenized"):
         monkeypatch.setattr(cp, name, _recording(log, name, getattr(cp, name)))
     crossval_supervised(lex, corpus, k=k, reps=reps, base_seed=base_seed)
-    # The run scores its texts once and every fold climbs on those shared
-    # examples: map each back to its text.
-    (_, _, scored), *climbs = log
-    text_of = {id(example): ex.id for ex, example in zip(corpus, scored)}
+    # The run compiles its texts' plans once and every fold climbs on those
+    # shared plans: map each back to its text.
+    (_, _, compiled), *climbs = log
+    text_of = {id(plan): ex.id for ex, plan in zip(corpus, compiled)}
     assert len(climbs) == reps * k
     for rep in range(reps):
         plan = make_folds(corpus, k, base_seed * 1_000_003 + rep)
         seen = set()
         for fold in range(k):
-            name, (_, examples, cfg), _ = climbs[rep * k + fold]
+            name, (_, plans, examples, cfg), _ = climbs[rep * k + fold]
             held = plan.fold_ids(fold)
             assert name == "hill_climb_tokenized"
-            assert [text_of[id(example)] for example in examples] == \
+            assert [text_of[id(p)] for p in plans] == [ex.id for ex in examples] == \
                 [ex.id for ex in corpus if ex.id not in held]
             assert cfg.seed == (base_seed * 1_000_003 + rep) * 101 + fold
             assert not held & seen

@@ -83,7 +83,6 @@ def test_empty_series_rejected():
 def test_report_tsv():
     rpt = report(PAPER_SERIES)
     assert rpt.tsv_row() == "4\t75.000\t75.000\t0.577\t1.000"
-    assert "MAD=1.000" in rpt.pretty()
 
 
 def test_alpha_perfect_agreement():

@@ -141,6 +141,13 @@ def test_min_improvement_validation():
         OptimizerConfig(max_passes=0)
 
 
+def _tracker(lex, corpus):
+    """An error tracker at ``lex``'s strengths over ``corpus``."""
+    table = [e.strength for kind in (Kind.STRESS, Kind.RELAXATION) for e in lex.terms(kind)]
+    return _ErrorTracker(table, compile_plans(lex, tokenize_corpus(lex, corpus)),
+                         [(ex.gold_stress, ex.gold_relax) for ex in corpus])
+
+
 def test_tracker_indexes_only_terms_that_score():
     lex = LexiconSet(
         stress_terms=(LexiconEntry("late", Kind.STRESS, 3),),
@@ -150,9 +157,38 @@ def test_tracker_indexes_only_terms_that_score():
         dictionary=frozenset("late chill out not so".split()))
     corpus = [make_example("a", "s", "chill out so late", (-3,), (4,)),
               make_example("b", "s", "not late. chill", (-1,), (2,))]
-    tracker = _ErrorTracker(lex, tokenize_corpus(lex, corpus))
-    # "chill" inside the idiom is masked, so only text b can move with it.
-    assert tracker.affected == {(Kind.STRESS, "late"): [0, 1], (Kind.RELAXATION, "chill"): [1]}
+    tracker = _tracker(lex, corpus)
+    # "chill" inside the idiom is masked, so only text b can move with it, and
+    # "not late" scores 1 at every strength of "late", so text b cannot.
+    assert term_keys(lex) == ((Kind.STRESS, "late"), (Kind.RELAXATION, "chill"))
+    assert tracker.hits == [[0], [1]]
+
+
+def test_climb_never_tries_a_term_matched_only_under_negation(monkeypatch):
+    lex = LexiconSet(
+        stress_terms=(LexiconEntry("late", Kind.STRESS, 3), LexiconEntry("rush", Kind.STRESS, 2)),
+        relax_terms=(LexiconEntry("chill", Kind.RELAXATION, 2),),
+        boosters=(), negators=frozenset({"not"}), idioms=(), emoticons=(),
+        dictionary=frozenset("late rush chill not again today".split()))
+    corpus = [make_example("a", "s", "late again", (-4,), (1,)),
+              make_example("b", "s", "not rush. late", (-4,), (1,)),
+              make_example("c", "s", "chill", (-1,), (3,)),
+              make_example("d", "s", "not rush today", (-1,), (1,))]
+    tried = []
+    total_at = _ErrorTracker.total_at
+
+    def recorded(self, term, strength):
+        tried.append(term)
+        return total_at(self, term, strength)
+
+    monkeypatch.setattr(_ErrorTracker, "total_at", recorded)
+    optimized, report = hill_climb(lex, corpus, OptimizerConfig(seed=1))
+    keys = term_keys(lex)
+    assert {keys[term] for term in tried} == {(Kind.STRESS, "late"), (Kind.RELAXATION, "chill")}
+    # The report is the same as when "rush" is tried: no edit of it is kept.
+    assert list(report.log_lines()) == ["initial_error\t3", "change\tstress\tlate\t3->4\t3->1",
+                                        "passes_run\t2", "changes_made\t1", "final_error\t1"]
+    assert optimized == set_strength(lex, Kind.STRESS, "late", 4)
 
 
 # Words whose wildcard stems overlap ("cal*" and "calm*", "ten*" and "tens*"),
@@ -225,11 +261,12 @@ def test_tracker_rescore_matches_scorer(case):
     # magnitudes s and r, so equal errors on both mean equal scores.
     corpus = [make_example(f"t{i}r{gold}", "s", text, (-1,), (gold,))
               for i, text in enumerate(texts) for gold in (1, 5)]
-    tracker = _ErrorTracker(lex, tokenize_corpus(lex, corpus))
+    tracker = _tracker(lex, corpus)
+    ids = {key: term for term, key in enumerate(term_keys(lex))}
     edited = lex
     for (kind, pattern), strength in table.items():
-        total, updates = tracker.total_with((kind, pattern), strength)
-        tracker.accept((kind, pattern), strength, total, updates)
+        total, updates = tracker.total_at(ids[kind, pattern], strength)
+        tracker.accept_at(ids[kind, pattern], strength, total, updates)
         edited = set_strength(edited, kind, pattern, strength)
     expected = []
     for ex in corpus:
