@@ -182,10 +182,6 @@ def _design_matrix(vectors, subset, columns=None) -> np.ndarray:
     return x
 
 
-def _neutral_code(classes) -> int:
-    return min(classes, key=abs)
-
-
 def train(kind: str, vectors, labels, subset) -> TrainedModel:
     if not vectors:
         raise EmptyCorpus("empty training set")
@@ -207,7 +203,7 @@ def train(kind: str, vectors, labels, subset) -> TrainedModel:
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
 
-    return TrainedModel(kind, classes, tuple(subset), _neutral_code(classes), params)
+    return TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
 
 
 def _train_logistic(x, y, classes) -> np.ndarray:
@@ -263,12 +259,7 @@ def posterior(model: TrainedModel, vec: FeatureVector) -> dict[int, float]:
 def predict(model: TrainedModel, vec: FeatureVector) -> int:
     """Argmax class; ties break toward the code nearer neutral, then lower."""
     scores = _scores(model, vec)
-    order = model.tie_order
-    best = order[0]
-    for i in order[1:]:
-        if scores[i] > scores[best]:
-            best = i
-    return model.classes[best]
+    return model.classes[max(model.tie_order, key=scores.__getitem__)]
 
 
 SWEEP_GRID = tuple(range(100, 1001, 100))

@@ -2,8 +2,8 @@
 repeated k-fold cross-validation driver shared by supervised runs and the
 n-gram baseline.
 
-Corpus TSV format (UTF-8, ``#`` comments allowed): a five-column header
-line, then rows of ::
+Corpus TSV format (UTF-8, ``#`` comments allowed, a leading byte-order mark
+skipped): a five-column header line, then rows of ::
 
     id<TAB>subcorpus<TAB>text<TAB>stress_codes<TAB>relax_codes
 
@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
+from .lexicon import _data_lines
 from .metrics import MetricsReport, PairedSeries, mad, pearson, report
 from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
                         tokenize_corpus)
@@ -90,26 +91,22 @@ def make_example(ex_id, subcorpus, text, stress_codes, relax_codes) -> Annotated
 
 def load_corpus(path) -> list[AnnotatedExample]:
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for row, line in enumerate(fh, start=1):
-            text = line.rstrip("\n")
-            if not text.strip() or text.lstrip().startswith("#"):
-                continue
-            cols = text.split("\t")
-            if len(cols) != 5:
-                raise ParseError(f"expected 5 columns, got {len(cols)}", line=row)
-            if not header_seen:  # the first data line is the header
-                header_seen = True
-                if _is_code_list(cols[3]) and _is_code_list(cols[4]):
-                    raise ParseError("missing header: the first line is a data row", line=row)
-                continue
-            ex_id, subcorpus, body, stress_text, relax_text = cols
-            stress_codes = _parse_codes(stress_text, row, -5, -1)
-            relax_codes = _parse_codes(relax_text, row, 1, 5)
-            if len(stress_codes) != len(relax_codes):
-                raise ParseError("coder count differs between scales", line=row)
-            examples.append(make_example(ex_id, subcorpus, body, stress_codes, relax_codes))
+    header_seen = False
+    for row, text in _data_lines(path):
+        cols = text.split("\t")
+        if len(cols) != 5:
+            raise ParseError(f"expected 5 columns, got {len(cols)}", line=row)
+        if not header_seen:  # the first data line is the header
+            header_seen = True
+            if _is_code_list(cols[3]) and _is_code_list(cols[4]):
+                raise ParseError("missing header: the first line is a data row", line=row)
+            continue
+        ex_id, subcorpus, body, stress_text, relax_text = cols
+        stress_codes = _parse_codes(stress_text, row, -5, -1)
+        relax_codes = _parse_codes(relax_text, row, 1, 5)
+        if len(stress_codes) != len(relax_codes):
+            raise ParseError("coder count differs between scales", line=row)
+        examples.append(make_example(ex_id, subcorpus, body, stress_codes, relax_codes))
     return examples
 
 
@@ -170,8 +167,6 @@ def evaluate_lexicon(lex, corpus, unrounded: bool = False) -> dict[str, MetricsR
 
 @dataclass
 class CrossValResult:
-    k: int
-    reps: int
     base_seed: int
     averaged: dict[object, "AveragedReport"]  # keyed like run_folds' golds
     rep_reports: list[dict[object, MetricsReport]]  # per repetition, pooled
@@ -263,7 +258,7 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
                             for key, (preds, gold) in pooled.items()})
 
     averaged = {key: _average([r[key] for r in rep_reports], len(corpus)) for key in golds}
-    return CrossValResult(k, reps, base_seed, averaged, rep_reports, log_rows)
+    return CrossValResult(base_seed, averaged, rep_reports, log_rows)
 
 
 def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int = 0,

@@ -30,7 +30,7 @@ class UnknownTerm(TensilexError):
     """A pattern was referenced that is not present in the lexicon."""
 
 
-class StrengthRangeError(TensilexError):
+class StrengthRangeError(ParseError):
     """A strength value lies outside the 1..5 magnitude range."""
 
 

@@ -10,8 +10,9 @@ A lexicon lives on disk as a directory of seven UTF-8 files:
     emoticons.tsv      glyph<TAB>kind<TAB>strength
     dictionary.txt     one word per line
 
-Lines starting with ``#`` are comments. A term pattern may end in a single
-``*`` wildcard meaning "any suffix". Strengths are integers 1..5.
+Lines starting with ``#`` are comments, and a leading UTF-8 byte-order mark
+is skipped. A term pattern may end in a single ``*`` wildcard meaning "any
+suffix". Strengths are integers 1..5.
 
 Loaded sets are immutable; :func:`set_strengths` returns a new set with
 the strengths of a ``{(Kind, pattern): strength}`` table. The optimizer
@@ -52,8 +53,6 @@ class LexiconEntry:
 
     def __post_init__(self):
         _check_strength(self.strength)
-        if not self.pattern or " " in self.pattern or "\t" in self.pattern:
-            raise ParseError(f"bad pattern {self.pattern!r}")
         if "*" in self.pattern[:-1] or self.pattern == "*":
             raise ParseError(f"wildcard must be a single trailing '*': {self.pattern!r}")
 
@@ -138,6 +137,22 @@ class EmoticonEntry:
             raise ParseError("empty emoticon glyph")
 
 
+def _check_tokens(fields, lowercase):
+    """Raise ParseError naming the first text in ``fields`` (a list per field
+    name) that is empty, holds whitespace (U+FEFF, the zero-width no-break
+    space, included) or, if ``lowercase``, upper case. One bulk pass; texts
+    are checked one by one only to name a failure."""
+    def valid(texts):
+        joined = " ".join(texts)
+        return (joined.split() == texts and "\ufeff" not in joined
+                and (not lowercase or joined.lower() == joined))
+
+    if not valid([t for ts in fields.values() for t in ts]):
+        what, text = next((what, t) for what, ts in fields.items() for t in ts if not valid([t]))
+        case = ", lowercase" if lowercase else ""
+        raise ParseError(f"{what} {text!r} must be nonempty{case} and free of whitespace")
+
+
 @dataclass(frozen=True)
 class LexiconSet:
     stress_terms: tuple[LexiconEntry, ...]
@@ -149,6 +164,16 @@ class LexiconSet:
     dictionary: frozenset[str]
 
     def __post_init__(self):
+        # Words match lowercased tokens; glyphs match verbatim.
+        _check_tokens({
+            "stress pattern": [e.pattern for e in self.stress_terms],
+            "relax pattern": [e.pattern for e in self.relax_terms],
+            "booster": [b.word for b in self.boosters],
+            "negator": list(self.negators),
+            "idiom token": [t for i in self.idioms for t in i.tokens],
+            "dictionary word": list(self.dictionary),
+        }, lowercase=True)
+        _check_tokens({"emoticon glyph": [e.glyph for e in self.emoticons]}, lowercase=False)
         for entries, name in ((self.stress_terms, "stress"), (self.relax_terms, "relax")):
             seen = set()
             for e in entries:
@@ -192,10 +217,8 @@ class LexiconSet:
 
     def term_index(self, kind: Kind) -> TermIndex:
         """``terms(kind)`` compiled once per set; see :class:`TermIndex`."""
-        index = self._term_indexes.get(kind)
-        if index is None:
-            raise ValueError(f"no term list for kind {kind}")
-        return index
+        self.terms(kind)  # raises ValueError for a kind without a term list
+        return self._term_indexes[kind]
 
 
 EMPTY_LEXICON = LexiconSet((), (), (), frozenset(), (), (), frozenset())
@@ -210,7 +233,7 @@ _FILES = (
     "dictionary.txt",
 )
 
-_KIND_NAMES = {"stress": Kind.STRESS, "relax": Kind.RELAXATION, "neutral": Kind.NEUTRAL}
+_KIND_NAMES = {kind.value: kind for kind in Kind}
 
 
 def _check_strength(strength):
@@ -219,8 +242,9 @@ def _check_strength(strength):
 
 
 def _data_lines(path):
-    """Yield (line_number, stripped_text) skipping blanks and # comments."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield (line_number, stripped_text) skipping blanks, # comments and a
+    leading byte-order mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
             text = line.rstrip("\n")
             if not text.strip() or text.lstrip().startswith("#"):
@@ -233,13 +257,6 @@ def _parse_int(text, what):
         return int(text)
     except ValueError:
         raise ParseError(f"{what} is not an integer: {text!r}") from None
-
-
-def _parse_strength(text):
-    value = _parse_int(text, "strength")
-    if not 1 <= value <= 5:
-        raise ParseError(f"strength out of range 1..5: {value}")
-    return value
 
 
 def _parse_kind(text):
@@ -272,7 +289,7 @@ def _load_terms(path, kind):
         if pattern in seen:
             raise DuplicateTerm(f"duplicate pattern {pattern!r}")
         seen.add(pattern)
-        return LexiconEntry(pattern, kind, _parse_strength(strength))
+        return LexiconEntry(pattern, kind, _parse_int(strength, "strength"))
 
     return _read_rows(path, 2, build)
 
@@ -293,9 +310,9 @@ def load_lexicon_set(directory_path) -> LexiconSet:
             word.strip().lower(), _parse_int(delta, "booster delta"))),
         frozenset(text.strip().lower() for _, text in _data_lines(paths["negators.txt"])),
         _read_rows(paths["idioms.tsv"], 3, lambda phrase, kind, strength: IdiomEntry(
-            tuple(phrase.strip().lower().split()), _parse_kind(kind), _parse_strength(strength))),
+            tuple(phrase.strip().lower().split()), _parse_kind(kind), _parse_int(strength, "strength"))),
         _read_rows(paths["emoticons.tsv"], 3, lambda glyph, kind, strength: EmoticonEntry(
-            glyph, _parse_kind(kind), _parse_strength(strength))),
+            glyph, _parse_kind(kind), _parse_int(strength, "strength"))),
         frozenset(text.strip().lower() for _, text in _data_lines(paths["dictionary.txt"])),
     )
 
@@ -333,31 +350,28 @@ def set_strength(lex: LexiconSet, kind: Kind, pattern: str, strength: int) -> Le
 
 def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
     """Write the seven-file directory, entries sorted for deterministic diffs.
-    An entry that :func:`load_lexicon_set` would skip or read back otherwise (a
-    line break, a leading ``#``, upper case, outer whitespace) raises
-    :class:`WriteError` naming the file and the entry, before any file opens."""
-    files = {  # name -> (entry key, line), the key being what a load must read back
-        "stress_terms.tsv": [(e.pattern, f"{e.pattern}\t{e.strength}") for e in lex.stress_terms],
-        "relax_terms.tsv": [(e.pattern, f"{e.pattern}\t{e.strength}") for e in lex.relax_terms],
-        "boosters.tsv": [(b.word, f"{b.word}\t{b.delta}") for b in lex.boosters],
-        "negators.txt": [(w, w) for w in sorted(lex.negators)],
-        "idioms.tsv": [(i.tokens, f"{' '.join(i.tokens)}\t{i.kind.value}\t{i.strength}")
+    Each entry of a set reads back except on a line starting with ``#``, which
+    reads as a comment: such a line raises :class:`WriteError` naming the file
+    and the line, before any file opens."""
+    files = {
+        "stress_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.stress_terms],
+        "relax_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.relax_terms],
+        "boosters.tsv": [f"{b.word}\t{b.delta}" for b in lex.boosters],
+        "negators.txt": sorted(lex.negators),
+        "idioms.tsv": [f"{' '.join(i.tokens)}\t{i.kind.value}\t{i.strength}"
                        for i in sorted(lex.idioms, key=lambda i: i.tokens)],
-        "emoticons.tsv": [(e.glyph, f"{e.glyph}\t{e.kind.value}\t{e.strength}") for e in lex.emoticons],
-        "dictionary.txt": [(w, w) for w in sorted(lex.dictionary)],
+        "emoticons.tsv": [f"{e.glyph}\t{e.kind.value}\t{e.strength}" for e in lex.emoticons],
+        "dictionary.txt": sorted(lex.dictionary),
     }
-    for name, rows in files.items():
-        for key, line in rows:
-            first = line.split("\t")[0] if name.endswith(".tsv") else line
-            read = (first if name == "emoticons.tsv" else tuple(first.lower().split())
-                    if name == "idioms.tsv" else first.strip().lower())
-            if (not line.strip() or line.lstrip().startswith("#") or "\n" in line or "\r" in line
-                    or read != key):
-                raise WriteError(f"{os.path.join(directory_path, name)}: {key!r} would not read back")
+    for name, lines in files.items():
+        for lineno, line in enumerate(lines, start=1):
+            if line.startswith("#"):
+                raise WriteError(f"{os.path.join(directory_path, name)}: line {lineno} {line!r} "
+                                 "would read back as a comment")
     try:
         os.makedirs(directory_path, exist_ok=True)
-        for name, rows in files.items():
+        for name, lines in files.items():
             with open(os.path.join(directory_path, name), "w", encoding="utf-8") as fh:
-                fh.writelines(line + "\n" for _, line in rows)
+                fh.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise WriteError(f"failed to write lexicon to {directory_path}: {exc}") from exc

@@ -127,13 +127,9 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     # 1. Idioms override their constituent words: longest first, leftmost.
     for idiom in lex.idioms:
         width = len(idiom.tokens)
-        i = 0
-        while i + width <= n:
+        for i in range(n - width + 1):
             if words[i:i + width] == idiom.tokens and not any(masked[i:i + width]):
                 override(i, width, Source.IDIOM, idiom, " ".join(idiom.tokens))
-                i += width
-            else:
-                i += 1
 
     # 2. Emoticons match punctuation runs verbatim and case-sensitively; a run
     # holding "!" also sets the sentence's exclamation flag for rule 9.

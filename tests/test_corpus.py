@@ -74,6 +74,13 @@ def test_load_rejects_missing_or_short_header(tmp_path):
     assert exc.value.line == 2
 
 
+def test_load_skips_byte_order_mark(tmp_path):
+    # A leading BOM would otherwise turn the comment into a one-column data line.
+    path = write_corpus(tmp_path, ["a\ts\tlate\t-2\t1"], header="\ufeff# exported\nid\ts\ttext\tstress\trelax")
+    ex, = load_corpus(path)
+    assert (ex.id, ex.gold_stress) == ("a", -2)
+
+
 def test_corpus_roundtrip(tmp_path):
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=12, seed=1)

@@ -63,9 +63,10 @@ def test_duplicate_pattern_names_line(tmp_path):
 
 
 def test_strength_out_of_range(tmp_path):
-    d = write_dir(tmp_path, **{"relax_terms.tsv": "calm\t6\n"})
-    with pytest.raises(errors.ParseError):
+    d = write_dir(tmp_path, **{"relax_terms.tsv": "calm\t3\nchill\t6\n"})
+    with pytest.raises(errors.ParseError) as exc:
         load_lexicon_set(d)
+    assert exc.value.line == 2
 
 
 def test_wrong_column_count(tmp_path):
@@ -232,26 +233,53 @@ def _with(**fields):
     return replace(EMPTY_LEXICON, **fields)
 
 
+# A line starting with "#" reads back as a comment. Explicit ids keep these
+# cases' test names stable.
 @pytest.mark.parametrize("name, lex", [
     ("stress_terms.tsv", _with(stress_terms=(LexiconEntry("#stressed", Kind.STRESS, 4),))),
-    ("relax_terms.tsv", _with(relax_terms=(LexiconEntry("Calm", Kind.RELAXATION, 3),))),
-    ("stress_terms.tsv", _with(stress_terms=(LexiconEntry("late\nr", Kind.STRESS, 2),))),
-    ("boosters.tsv", _with(boosters=(BoosterEntry("Very", 1),))),
     ("negators.txt", _with(negators=frozenset({"#not"}))),
-    ("negators.txt", _with(negators=frozenset({"Never"}))),
     ("idioms.tsv", _with(idioms=(IdiomEntry(("#fed", "up"), Kind.STRESS, 3),))),
-    ("idioms.tsv", _with(idioms=(IdiomEntry(("chill", "Out"), Kind.RELAXATION, 3),))),
     ("emoticons.tsv", _with(emoticons=(EmoticonEntry("#)", Kind.STRESS, 2),))),
-    ("emoticons.tsv", _with(emoticons=(EmoticonEntry(":\r", Kind.STRESS, 2),))),
     ("dictionary.txt", _with(dictionary=frozenset({"#tag"}))),
-    ("dictionary.txt", _with(dictionary=frozenset({"Home"}))),
-    ("dictionary.txt", _with(dictionary=frozenset({""}))),
-])
+], ids=["stress_terms.tsv-lex0", "negators.txt-lex4", "idioms.tsv-lex6", "emoticons.tsv-lex8",
+        "dictionary.txt-lex10"])
 def test_save_rejects_entries_that_read_back_differently(tmp_path, name, lex):
     target = tmp_path / "out"
     with pytest.raises(errors.WriteError, match=name):
         save_lexicon_set(lex, str(target))
     assert not target.exists()  # nothing written
+
+
+@pytest.mark.parametrize("word, fields", [
+    ("Calm", dict(relax_terms=(LexiconEntry("Calm", Kind.RELAXATION, 3),))),
+    ("late\nr", dict(stress_terms=(LexiconEntry("late\nr", Kind.STRESS, 2),))),
+    ("Very", dict(boosters=(BoosterEntry("Very", 1),))),
+    ("Never", dict(negators=frozenset({"Never"}))),
+    ("Out", dict(idioms=(IdiomEntry(("chill", "Out"), Kind.RELAXATION, 3),))),
+    (":\r", dict(emoticons=(EmoticonEntry(":\r", Kind.STRESS, 2),))),
+    ("Home", dict(dictionary=frozenset({"Home"}))),
+    ("", dict(dictionary=frozenset({""}))),
+    ("\ufeffhome", dict(dictionary=frozenset({"\ufeffhome"}))),
+], ids=["relax-Calm", "stress-late-nr", "booster-Very", "negator-Never", "idiom-Out",
+        "emoticon-colon-cr", "dictionary-Home", "dictionary-empty", "dictionary-zwnbsp"])
+def test_set_rejects_words_that_never_match(word, fields):
+    # Words match lowercased, whitespace-free tokens; glyphs match verbatim.
+    with pytest.raises(errors.ParseError, match=re.escape(repr(word))):
+        _with(**fields)
+
+
+def test_hashtag_term_builds_and_scores():
+    lex = _with(stress_terms=(LexiconEntry("#stressed", Kind.STRESS, 4),))
+    assert score_text("so #Stressed today", lex)[0].stress == -4
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    d = write_dir(tmp_path, **{"stress_terms.tsv": "\ufeffdelayed\t3\n",
+                               "negators.txt": "\ufeff# negators\nnot\n"})
+    lex = load_lexicon_set(d)
+    assert [e.pattern for e in lex.stress_terms] == ["delayed"]
+    assert lex.negators == {"not"}
+    assert score_text("the train is delayed", lex)[0].stress == -3
 
 
 def test_save_keeps_entries_that_read_back(tmp_path):
