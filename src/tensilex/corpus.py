@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
 from .lexicon import _data_lines
-from .metrics import MetricsReport, PairedSeries, mad, pearson, report
+from .metrics import MetricsReport, PairedSeries, exact_within1, mad, pearson, report
 from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
                         tokenize_corpus)
 
@@ -145,11 +145,9 @@ def make_folds(corpus, k: int, seed: int) -> FoldPlan:
 def _mixed_report(preds, golds_rounded, golds_raw, unrounded) -> MetricsReport:
     # Exact/within-1 always compare against rounded codes; with unrounded
     # golds, MAD and the correlation use the raw coder means.
-    rpt = report(PairedSeries(tuple(preds), tuple(golds_rounded)))
-    if unrounded:
-        raw = PairedSeries(tuple(preds), tuple(golds_raw))
-        rpt = replace(rpt, pearson=pearson(raw), mad=mad(raw))
-    return rpt
+    rounded = PairedSeries(tuple(preds), tuple(golds_rounded))
+    graded = PairedSeries(tuple(preds), tuple(golds_raw)) if unrounded else rounded
+    return MetricsReport(len(preds), *exact_within1(rounded), pearson(graded), mad(graded))
 
 
 def evaluate_lexicon(lex, corpus, unrounded: bool = False) -> dict[str, MetricsReport]:
@@ -232,8 +230,6 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
         raise TooSmall(f"cross validation needs at least 2 folds, got k={k}")
     if reps < 1:
         raise TooSmall(f"cross validation needs at least 1 repetition, got reps={reps}")
-    if len(corpus) < k:
-        raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
     if len({ex.id for ex in corpus}) != len(corpus):
         raise ParseError("duplicate example ids in corpus")
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     DuplicateTerm,
@@ -39,7 +39,7 @@ from .errors import (
 from .textproc import is_word_token
 
 
-class Kind(enum.Enum):
+class Kind(enum.Enum):  # an entry's list, and the scale its score counts on
     STRESS = "stress"
     RELAXATION = "relax"
     NEUTRAL = "neutral"
@@ -104,8 +104,8 @@ class BoosterEntry:
     delta: int  # in {-2,-1,+1,+2}
 
     def __post_init__(self):
-        if self.delta == 0 or abs(self.delta) > 2:
-            raise ParseError(f"booster delta must be in -2..2 and nonzero: {self.delta}")
+        if not _is_int(self.delta) or self.delta == 0 or abs(self.delta) > 2:
+            raise ParseError(f"booster delta must be an integer in -2..2, not 0: {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,13 @@ class LexiconSet:
             "dictionary word": list(self.dictionary),
         }, lowercase=True)
         _check_tokens({"emoticon glyph": [e.glyph for e in self.emoticons]}, lowercase=False)
-        for entries, name in ((self.stress_terms, "stress"), (self.relax_terms, "relax")):
+        for entries, kind in ((self.stress_terms, Kind.STRESS), (self.relax_terms, Kind.RELAXATION)):
             seen = set()
             for e in entries:
+                if e.kind is not kind:
+                    raise ParseError(f"{kind.value} pattern {e.pattern!r} has kind {e.kind.value}")
                 if e.pattern in seen:
-                    raise DuplicateTerm(f"duplicate {name} pattern {e.pattern!r}")
+                    raise DuplicateTerm(f"duplicate {kind.value} pattern {e.pattern!r}")
                 seen.add(e.pattern)
         # Canonical ordering so equality and the save/load round trip are
         # insensitive to insertion order. Idioms come longest first, the
@@ -199,9 +201,10 @@ class LexiconSet:
 
     @cached_property
     def recognised_words(self) -> frozenset[str]:
-        """Dictionary plus every non-wildcard term pattern."""
-        return frozenset(self.dictionary).union(
-            e.pattern for e in self.stress_terms + self.relax_terms if not e.is_wildcard)
+        """Dictionary plus every non-wildcard term pattern. Sets with the same
+        words share one object, so caches keyed by it hit by identity."""
+        return _interned(frozenset(self.dictionary).union(
+            e.pattern for e in self.stress_terms + self.relax_terms if not e.is_wildcard))
 
     def terms(self, kind: Kind) -> tuple[LexiconEntry, ...]:
         if kind is Kind.STRESS:
@@ -212,8 +215,7 @@ class LexiconSet:
 
     @cached_property
     def _term_indexes(self) -> dict[Kind, TermIndex]:
-        return {Kind.STRESS: TermIndex(self.stress_terms),
-                Kind.RELAXATION: TermIndex(self.relax_terms)}
+        return {kind: TermIndex(self.terms(kind)) for kind in (Kind.STRESS, Kind.RELAXATION)}
 
     def term_index(self, kind: Kind) -> TermIndex:
         """``terms(kind)`` compiled once per set; see :class:`TermIndex`."""
@@ -233,11 +235,20 @@ _FILES = (
     "dictionary.txt",
 )
 
-_KIND_NAMES = {kind.value: kind for kind in Kind}
+
+@lru_cache(maxsize=4)
+def _interned(words: frozenset) -> frozenset:
+    """The first of the recently seen sets equal to ``words``."""
+    return words
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True would save as "True" and not read back.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_strength(strength):
-    if not isinstance(strength, int) or not 1 <= strength <= 5:
+    if not _is_int(strength) or not 1 <= strength <= 5:
         raise StrengthRangeError(f"strength must be an integer in 1..5, got {strength!r}")
 
 
@@ -260,10 +271,10 @@ def _parse_int(text, what):
 
 
 def _parse_kind(text):
-    kind = _KIND_NAMES.get(text.strip().lower())
-    if kind is None:
-        raise ParseError(f"unknown kind {text!r}")
-    return kind
+    try:
+        return Kind(text.strip().lower())
+    except ValueError:
+        raise ParseError(f"unknown kind {text!r}") from None
 
 
 def _read_rows(path, n_cols, build):
@@ -334,7 +345,7 @@ def lookup(token: str, entries) -> tuple[LexiconEntry, int] | None:
 def set_strengths(lex: LexiconSet, table) -> LexiconSet:
     """Return a copy of the lexicon with the strengths of a ``{(Kind, pattern):
     strength}`` table; a term the table does not name keeps its own."""
-    terms = {(kind, e.pattern): e for kind in (Kind.STRESS, Kind.RELAXATION) for e in lex.terms(kind)}
+    terms = {(e.kind, e.pattern): e for e in lex.stress_terms + lex.relax_terms}
     for (kind, pattern), strength in table.items():
         if (kind, pattern) not in terms:
             raise UnknownTerm(f"no {kind.value} term with pattern {pattern!r}")

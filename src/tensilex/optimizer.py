@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 
 from . import lexicon as lx
 from .errors import EmptyCorpus, TooSmall
-from .scorer import (DualScore, Scale, ScoreTrace, Source, score_text, sentence_magnitudes,
-                     term_strength)
+from .scorer import DualScore, ScoreTrace, Source, score_text, sentence_magnitudes, term_strength
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ def term_keys(lex: lx.LexiconSet) -> tuple[tuple[lx.Kind, str], ...]:
     A term's id is its position here, and a strength table is a list of
     strengths indexed by term id.
     """
-    return tuple((kind, e.pattern) for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION)
-                 for e in lex.terms(kind))
+    return tuple((e.kind, e.pattern) for e in lex.stress_terms + lex.relax_terms)
 
 
 # The trace sources of a lexicon term match, by the kind of term matched.
@@ -119,7 +117,7 @@ _TERM_SOURCES = {Source.STRESS_TERM: lx.Kind.STRESS, Source.NEGATED_STRESS: lx.K
 # Rule 9 as a lookup: a sentence with "!" takes _BOOST[m] for magnitude m on
 # each scale (the rule is the same on both), one without keeps m.
 _NO_BOOST = tuple(range(6))
-_BOOST = (0,) + tuple(sentence_magnitudes(((Scale.STRESS, m),), True)[0] for m in range(1, 6))
+_BOOST = (0,) + tuple(sentence_magnitudes(((lx.Kind.STRESS, m),), True)[0] for m in range(1, 6))
 
 
 @functools.cache
@@ -161,7 +159,7 @@ def compile_plan(trace: ScoreTrace, ids) -> Plan:
             finals = _finals(c.source, c.booster_delta, c.repeat_boost)
             if len(set(finals[1:])) == 1:
                 fixed.append((c.scale, finals[1]))
-            elif c.scale is Scale.STRESS:
+            elif c.scale is lx.Kind.STRESS:
                 stress_matches.append((term, finals))
             else:
                 relax_matches.append((term, finals))
@@ -268,7 +266,7 @@ def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
     """
     rng = random.Random(cfg.seed)
     keys = term_keys(lex)
-    table = [e.strength for kind in (lx.Kind.STRESS, lx.Kind.RELAXATION) for e in lex.terms(kind)]
+    table = [e.strength for e in lex.stress_terms + lex.relax_terms]
     tracker = _ErrorTracker(table, plans, [(ex.gold_stress, ex.gold_relax) for ex in examples])
     report = OptimizationReport(initial_error=tracker.total)
 

@@ -29,9 +29,7 @@ class Source(enum.Enum):
     NEGATED_STRESS = "negated-stress"
 
 
-class Scale(enum.Enum):
-    STRESS = "stress"
-    RELAXATION = "relax"
+Scale = Kind  # the older name of a contribution's scale type
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ class TermContribution:
     booster_delta: int
     repeat_boost: int
     final_strength: int
-    scale: Scale
+    scale: Kind  # STRESS or RELAXATION
     label: str  # matched pattern / idiom phrase / glyph
 
 
@@ -92,7 +90,7 @@ def sentence_magnitudes(finals, exclaim: bool) -> tuple[int, int, bool, bool]:
     strongest (1 if none); a ``!`` adds 1, clamped, to a scale already at 2+."""
     stress_mag = relax_mag = 1
     for scale, final in finals:
-        if scale is Scale.STRESS:
+        if scale is Kind.STRESS:
             stress_mag = max(stress_mag, final)
         else:
             relax_mag = max(relax_mag, final)
@@ -113,16 +111,14 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     masked = [False] * n
     contributions: list[TermContribution] = []
     boosters = lex.booster_deltas
-    indexes = ((Kind.STRESS, lex.term_index(Kind.STRESS)),
-               (Kind.RELAXATION, lex.term_index(Kind.RELAXATION)))
+    indexes = (lex.term_index(Kind.STRESS), lex.term_index(Kind.RELAXATION))
 
     def override(i, width, source, entry, label):
         # An idiom or emoticon masks its tokens and, unless neutral, scores its own strength.
         masked[i:i + width] = [True] * width
         if entry.kind is not Kind.NEUTRAL:
-            scale = Scale.STRESS if entry.kind is Kind.STRESS else Scale.RELAXATION
             contributions.append(TermContribution(
-                i, source, entry.strength, 0, 0, entry.strength, scale, label))
+                i, source, entry.strength, 0, 0, entry.strength, entry.kind, label))
 
     # 1. Idioms override their constituent words: longest first, leftmost.
     for idiom in lex.idioms:
@@ -146,7 +142,7 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     for i, word in enumerate(words):
         if masked[i] or word is None or word == URL_TOKEN:
             continue
-        for kind, index in indexes:
+        for index in indexes:
             entry = index.lookup(word)
             if entry is None:
                 continue
@@ -164,16 +160,14 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                 j -= 1
             negated = j >= 0 and not masked[j] and forms[j] in lex.negators
 
-            if kind is Kind.RELAXATION:
+            if entry.kind is Kind.RELAXATION:
                 # A negated relaxing word becomes a stress word of the same (boosted) strength.
                 source = Source.NEGATED_RELAX if negated else Source.RELAX_TERM
-                scale = Scale.STRESS if negated else Scale.RELAXATION
             else:
                 source = Source.NEGATED_STRESS if negated else Source.STRESS_TERM
-                scale = Scale.STRESS
             contributions.append(TermContribution(
-                i, source, base, delta, repeat, term_strength(source, base, delta, repeat), scale,
-                entry.pattern))
+                i, source, base, delta, repeat, term_strength(source, base, delta, repeat),
+                Kind.STRESS if negated else entry.kind, entry.pattern))
 
     # 7-9. Per-scale maxima, exclamation boost, clamp.
     stress_mag, relax_mag, stress_boosted, relax_boosted = sentence_magnitudes(
@@ -215,7 +209,7 @@ def replay_trace(trace: ScoreTrace) -> DualScore:
                 expected = _clamp(c.base_strength + c.booster_delta + c.repeat_boost)
             if expected != c.final_strength:
                 raise AssertionError(f"inconsistent contribution arithmetic: {c}")
-            if c.scale is Scale.STRESS:
+            if c.scale is Kind.STRESS:
                 s_mag = max(s_mag, c.final_strength)
             else:
                 r_mag = max(r_mag, c.final_strength)

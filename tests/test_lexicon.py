@@ -319,3 +319,35 @@ def test_invalid_entries_rejected():
     with pytest.raises(errors.DuplicateTerm):
         LexiconSet((LexiconEntry("a", Kind.STRESS, 1), LexiconEntry("a", Kind.STRESS, 2)),
                    (), (), frozenset(), (), (), frozenset())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LexiconEntry("late", Kind.STRESS, True),
+    lambda: IdiomEntry(("fed", "up"), Kind.STRESS, True),
+    lambda: EmoticonEntry(":(", Kind.STRESS, True),
+], ids=["term", "idiom", "emoticon"])
+def test_bool_strength_rejected(build):
+    # True is an int, but it would save as "True" and fail to load.
+    with pytest.raises(errors.StrengthRangeError):
+        build()
+
+
+@pytest.mark.parametrize("delta", [True, 1.5], ids=["bool", "float"])
+def test_booster_delta_must_be_an_integer(delta):
+    with pytest.raises(errors.ParseError, match="integer"):
+        BoosterEntry("very", delta)
+
+
+@pytest.mark.parametrize("fields, pattern", [
+    (dict(stress_terms=(LexiconEntry("calm", Kind.RELAXATION, 3),)), "calm"),
+    (dict(relax_terms=(LexiconEntry("meh", Kind.NEUTRAL, 1),)), "meh"),
+], ids=["relax-in-stress", "neutral-in-relax"])
+def test_set_rejects_a_term_of_another_kind(fields, pattern):
+    # A term's kind is its list's, so (kind, pattern) names a term.
+    with pytest.raises(errors.ParseError, match=re.escape(repr(pattern))):
+        _with(**fields)
+
+
+def test_equal_sets_share_recognised_words(tmp_path):
+    d = write_dir(tmp_path, **{"stress_terms.tsv": "delayed\t3\n", "dictionary.txt": "home\n"})
+    assert load_lexicon_set(d).recognised_words is load_lexicon_set(d).recognised_words

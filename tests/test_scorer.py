@@ -189,6 +189,20 @@ def test_trace_names_rules():
     assert "negated-relax" in rendered and "stress-term" in rendered
 
 
+def test_explain_text_is_pinned():
+    text = "I was never calm and very worried over the moon :( !!"
+    assert explain(text, rich_lexicon()).split("\n") == [
+        "text score: stress -5, relaxation 5",
+        f"  sentence 1: {text!r} -> stress -5, relaxation 5",
+        "    idiom 'over the moon' at token 7: base 4, -> 4 on relax",
+        "    emoticon ':(' at token 10: base 2, -> 2 on stress",
+        "    negated-relax 'calm' at token 3: base 3, -> 3 on stress",
+        "    stress-term 'worried' at token 6: base 3, booster +1, -> 4 on stress",
+        "    exclamation boost +1 on stress",
+        "    exclamation boost +1 on relaxation",
+    ]
+
+
 def test_explain_exclamation_and_neutral():
     lex = rich_lexicon()
     assert "exclamation boost" in explain("so worried!!!", lex)
