@@ -133,7 +133,13 @@ def slice_corpus(corpus, subcorpus_label) -> list[AnnotatedExample]:
 
 
 def make_folds(corpus, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle then round-robin assignment; fold sizes differ by <= 1."""
+    """Seeded shuffle then round-robin assignment; fold sizes differ by <= 1.
+
+    Raises :class:`TooSmall` when ``k < 2`` or the corpus has fewer than
+    ``k`` examples.
+    """
+    if k < 2:
+        raise TooSmall(f"cross validation needs at least 2 folds, got k={k}")
     if len(corpus) < k:
         raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
     order = list(range(len(corpus)))

@@ -17,8 +17,9 @@ suffix". Strengths are integers 1..5.
 Loaded sets are immutable; :func:`set_strengths` returns a new set with
 the strengths of a ``{(Kind, pattern): strength}`` table. The optimizer
 climbs on such a table and builds its result once, at the end. Each set
-compiles its two term lists once, on first use, into a :class:`TermIndex`;
-a set made by :func:`set_strengths` compiles its own.
+compiles its two term lists once, on first use, into a :class:`TermIndex`,
+and its idioms and emoticons into lookup tables; a set made by
+:func:`set_strengths` compiles its own.
 """
 
 from __future__ import annotations
@@ -221,6 +222,22 @@ class LexiconSet:
         """``terms(kind)`` compiled once per set; see :class:`TermIndex`."""
         self.terms(kind)  # raises ValueError for a kind without a term list
         return self._term_indexes[kind]
+
+    @cached_property
+    def idioms_by_first(self) -> dict[str, list[tuple[int, IdiomEntry]]]:
+        """Each idiom with its position in ``idioms``, keyed by its first token."""
+        table: dict[str, list[tuple[int, IdiomEntry]]] = {}
+        for rank, idiom in enumerate(self.idioms):
+            table.setdefault(idiom.tokens[0], []).append((rank, idiom))
+        return table
+
+    @cached_property
+    def emoticons_by_glyph(self) -> dict[str, EmoticonEntry]:
+        """Each glyph's first entry in ``emoticons``."""
+        table: dict[str, EmoticonEntry] = {}
+        for emo in self.emoticons:
+            table.setdefault(emo.glyph, emo)
+        return table
 
 
 EMPTY_LEXICON = LexiconSet((), (), (), frozenset(), (), (), frozenset())

@@ -121,22 +121,30 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                 i, source, entry.strength, 0, 0, entry.strength, entry.kind, label))
 
     # 1. Idioms override their constituent words: longest first, leftmost.
-    for idiom in lex.idioms:
+    # Only idioms whose first token is a word here can match, and only where
+    # that word is; sorting by their (unique) ranks tries them in their order
+    # in lex.idioms.
+    by_first = lex.idioms_by_first
+    starts: dict[str, list[int]] = {}
+    for i, word in enumerate(words):
+        if word in by_first:
+            starts.setdefault(word, []).append(i)
+    for _, idiom in sorted(found for word in starts for found in by_first[word]):
         width = len(idiom.tokens)
-        for i in range(n - width + 1):
+        for i in starts[idiom.tokens[0]]:
             if words[i:i + width] == idiom.tokens and not any(masked[i:i + width]):
                 override(i, width, Source.IDIOM, idiom, " ".join(idiom.tokens))
 
     # 2. Emoticons match punctuation runs verbatim and case-sensitively; a run
     # holding "!" also sets the sentence's exclamation flag for rule 9.
     exclaim = False
+    by_glyph = lex.emoticons_by_glyph
     for i, token in enumerate(tokens):
         if words[i] is None:
             exclaim = exclaim or "!" in token.raw
-            for emo in lex.emoticons:
-                if token.raw == emo.glyph:
-                    override(i, 1, Source.EMOTICON, emo, emo.glyph)
-                    break
+            emo = by_glyph.get(token.raw)
+            if emo is not None:
+                override(i, 1, Source.EMOTICON, emo, emo.glyph)
 
     # 3-6. Term matches with booster, repeated-letter emphasis and negation.
     for i, word in enumerate(words):

@@ -76,6 +76,12 @@ def tokenize(sentence: str) -> list[Token]:
     neutral ``<url>`` token; a ``.!?`` run ending a URL chunk is a
     punctuation run after it.
     """
+    return _tokens(sentence, None)
+
+
+def _tokens(sentence: str, recognised) -> list[Token]:
+    """:func:`tokenize`'s tokens; given a ``recognised`` word set, each word
+    token but a hashtag or mention is spell-corrected as it is built."""
     tokens = []
     for chunk in sentence.split():
         if _URL_RE.match(chunk):
@@ -85,10 +91,12 @@ def tokenize(sentence: str) -> list[Token]:
                 tokens.append(Token(tail, tail, is_punct_run=True))
             continue
         for word, punct in _TOKEN_RE.findall(chunk):
-            if word:
+            if not word:
+                tokens.append(Token(punct, punct, is_punct_run=True))
+            elif recognised is None or word[0] in "#@":
                 tokens.append(Token(word, word.lower()))
             else:
-                tokens.append(Token(punct, punct, is_punct_run=True))
+                tokens.append(Token(word, *correct_spelling(word, recognised)))
     return tokens
 
 
@@ -108,9 +116,12 @@ def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     Runs longer than two always shrink to two. If that form is still not
     recognised, length-two runs are collapsed to one: the recognised result
     with the fewest collapsed runs wins, then the one whose collapsed runs
-    come first left to right. Falls back to the two-capped form.
+    come first left to right. Falls back to the two-capped form. A word with
+    no repeated character is only lowercased.
     """
     lowered = raw.lower()
+    if not _RUN_RE.search(lowered):
+        return lowered, 0
     capped = _RUN_RE.sub(lambda m: m.group(1) * 2, lowered)
     if capped in recognised:
         return capped, len(lowered) - len(capped)
@@ -151,16 +162,9 @@ def _skeleton_index(recognised: frozenset) -> dict[str, tuple[str, ...]]:
 
 
 def process(text: str, recognised) -> TokenizedText:
-    """Segment, tokenize and spell-correct a whole text."""
-    sentences = []
-    for sentence in segment_sentences(text):
-        tokens = []
-        for token in tokenize(sentence):
-            # Punctuation runs, URLs, hashtags and mentions are kept as tokenized.
-            if not (token.is_punct_run or token.normalized == URL_TOKEN
-                    or token.normalized.startswith(("#", "@"))):
-                normalized, removed = correct_spelling(token.raw, recognised)
-                token = Token(token.raw, normalized, removed)
-            tokens.append(token)
-        sentences.append(tuple(tokens))
-    return TokenizedText(tuple(sentences))
+    """Segment, tokenize and spell-correct a whole text. Punctuation runs,
+    URLs, hashtags and mentions are kept as tokenized."""
+    # Frozen once here, not once per corrected token.
+    recognised = frozenset(recognised)
+    return TokenizedText(tuple(tuple(_tokens(sentence, recognised))
+                               for sentence in segment_sentences(text)))

@@ -18,6 +18,7 @@ from tensilex.baseline import (
 )
 from tensilex.lexicon import Kind
 from tensilex.scorer import DualScore, Scale, SentenceTrace, Source, TermContribution
+from tensilex.textproc import Token, TokenizedText, correct_spelling, segment_sentences
 
 
 def kripp_alpha_bruteforce(rows, metric="linear"):
@@ -243,3 +244,41 @@ def correct_spelling_bruteforce(raw, recognised):
             if collapsed in recognised:
                 return collapsed, len(lowered) - len(collapsed)
     return capped, len(lowered) - len(capped)
+
+
+def tokenize_two_pass(sentence):
+    """Word and punctuation-run tokens as the library built them before it
+    spell-corrected inside its chunk loop: each URL chunk is one ``<url>``
+    token plus its trailing ``.!?`` run, and any other chunk splits into
+    words (``#``/``@`` prefix, inner apostrophes) and punctuation runs."""
+    tokens = []
+    for chunk in sentence.split():
+        if re.match(r"(?:https?://|www\.)", chunk, re.IGNORECASE):
+            url = chunk.rstrip(".!?")
+            tokens.append(Token(url, "<url>"))
+            if url != chunk:
+                tokens.append(Token(chunk[len(url):], chunk[len(url):], is_punct_run=True))
+            continue
+        for word, punct in re.findall(r"([#@]?\w[\w']*)|([^\w\s]+)", chunk):
+            if word:
+                tokens.append(Token(word, word.lower()))
+            else:
+                tokens.append(Token(punct, punct, is_punct_run=True))
+    return tokens
+
+
+def process_composed(text, recognised):
+    """``process`` as the composition it replaced: tokenize each sentence,
+    then spell-correct each word token but a URL, hashtag or mention and
+    build that token again."""
+    sentences = []
+    for sentence in segment_sentences(text):
+        tokens = []
+        for token in tokenize_two_pass(sentence):
+            if not (token.is_punct_run or token.normalized == "<url>"
+                    or token.normalized.startswith(("#", "@"))):
+                normalized, removed = correct_spelling(token.raw, recognised)
+                token = Token(token.raw, normalized, removed)
+            tokens.append(token)
+        sentences.append(tuple(tokens))
+    return TokenizedText(tuple(sentences))

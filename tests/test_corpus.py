@@ -155,6 +155,15 @@ def test_make_folds_too_small():
         make_folds(corpus, 10, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_make_folds_needs_two_folds(k):
+    # Unchecked, k=0 divides by zero and k=-1 puts every example in fold 0.
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=3, seed=8)
+    with pytest.raises(TooSmall):
+        make_folds(corpus, k, seed=0)
+
+
 def test_evaluate_perfect_lexicon():
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=40, seed=9)

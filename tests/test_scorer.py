@@ -1,4 +1,6 @@
 import os
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,9 +273,27 @@ def test_contribution_scales_consistent():
 # Words shared by lexicons and sentences, so idioms, terms, boosters and
 # negators overlap; glyphs double as punctuation-run boosters and negators.
 _WORDS = ("over", "the", "moon", "calm", "calmer", "worried", "very", "not")
-_IDIOM_WORDS = ("over", "the", "moon", "calm", "<url>")
+_IDIOM_WORDS = ("over", "the", "moon", "calm", "worried", "<url>")
 _GLYPHS = ("!", "!!", ":)", ":(", "?", ":|")
 _STRENGTH = st.integers(1, 5)
+
+
+@st.composite
+def _idiom_phrases(draw):
+    """Random phrases, plus windows of one longer phrase: prefixes that share
+    its first token at different widths, and shifted windows that overlap them."""
+    phrases = draw(st.lists(st.lists(st.sampled_from(_IDIOM_WORDS), min_size=2, max_size=3), max_size=5))
+    long = draw(st.lists(st.sampled_from(_IDIOM_WORDS), min_size=2, max_size=4))
+    windows = [long[i:j] for i in range(len(long)) for j in range(i + 2, len(long) + 1)]
+    phrases += draw(st.lists(st.sampled_from(windows), max_size=4))
+    return [tuple(p) for p in draw(st.permutations(phrases))]
+
+
+@st.composite
+def _glyph_lists(draw):
+    """Random glyphs, some of them listed twice (the two entries may differ)."""
+    glyphs = draw(st.lists(st.sampled_from(_GLYPHS), max_size=4))
+    return glyphs + draw(st.lists(st.sampled_from(glyphs), max_size=2)) if glyphs else glyphs
 
 
 @st.composite
@@ -287,11 +307,10 @@ def _sentence_cases(draw):
         tuple(BoosterEntry(w, draw(st.sampled_from((-2, -1, 1, 2))))
               for w in draw(st.lists(st.sampled_from(("very", "not", "!!", ":(")), min_size=1, unique=True))),
         frozenset(draw(st.lists(st.sampled_from(("not", "very", "!", ":(")), min_size=1))),
-        tuple(IdiomEntry(tuple(draw(st.lists(st.sampled_from(_IDIOM_WORDS), min_size=2, max_size=3))),
-                         draw(st.sampled_from(tuple(Kind))), draw(_STRENGTH))
-              for _ in range(draw(st.integers(0, 5)))),
-        tuple(EmoticonEntry(draw(st.sampled_from(_GLYPHS)), draw(st.sampled_from(tuple(Kind))), draw(_STRENGTH))
-              for _ in range(draw(st.integers(0, 4)))),
+        tuple(IdiomEntry(phrase, draw(st.sampled_from(tuple(Kind))), draw(_STRENGTH))
+              for phrase in draw(_idiom_phrases())),
+        tuple(EmoticonEntry(glyph, draw(st.sampled_from(tuple(Kind))), draw(_STRENGTH))
+              for glyph in draw(_glyph_lists())),
         frozenset())
     tokens = []
     for _ in range(draw(st.integers(0, 8))):
@@ -319,3 +338,52 @@ def _sentence_cases(draw):
 def test_score_sentence_matches_token_scan(case):
     lex, tokens = case
     assert score_sentence(tokens, lex) == score_sentence_scan(tokens, lex)
+
+
+def test_scoring_time_flat_in_idiom_and_emoticon_count():
+    # A stream-sized setting: 3,000 terms over a 7,000-word dictionary and 200
+    # texts with emoticons, "!" runs and elongated words, scored under the
+    # default idioms and emoticons and under 3,000 more idioms (random
+    # dictionary-word phrases) and 300 more emoticons (punctuation glyphs).
+    rng = random.Random(14)
+    words = set()
+    while len(words) < 7000:
+        words.add("".join(rng.choice("bcdfghklmnprstvz") + rng.choice("aeiou")
+                          for _ in range(rng.randint(2, 4))))
+    words = sorted(words)
+    default = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
+                                            "data", "default_lexicon"))
+    terms = rng.sample(words, 3000)
+    base = LexiconSet(
+        tuple(LexiconEntry(w + "*" * (i % 5 == 0), Kind.STRESS, 1 + i % 5) for i, w in enumerate(terms[:1500])),
+        tuple(LexiconEntry(w, Kind.RELAXATION, 1 + i % 5) for i, w in enumerate(terms[1500:])),
+        default.boosters, default.negators, default.idioms, default.emoticons,
+        frozenset(words) | default.dictionary)
+    grown = LexiconSet(
+        base.stress_terms, base.relax_terms, base.boosters, base.negators,
+        base.idioms + tuple(IdiomEntry(tuple(rng.sample(words, rng.randint(2, 4))), Kind.STRESS, 3)
+                            for _ in range(3000)),
+        base.emoticons + tuple(EmoticonEntry("".join(rng.choices(":;-()[]/|<>^=*", k=rng.randint(2, 4))),
+                                             Kind.RELAXATION, 2) for _ in range(300)),
+        base.dictionary)
+    glyphs = [e.glyph for e in default.emoticons] + ["!", "!!!", "?"]
+    texts = []
+    for _ in range(200):
+        sentences = []
+        for _ in range(rng.randint(1, 3)):
+            tokens = rng.choices(words, k=rng.randint(5, 12))
+            tokens[0] = tokens[0][0] + tokens[0][0] * rng.randint(0, 3) + tokens[0][1:]
+            sentences.append(" ".join(tokens + rng.choices(glyphs, k=rng.randint(0, 2))))
+        texts.append(". ".join(sentences))
+
+    def seconds(lex):
+        recognised = lex.recognised_words
+        start = time.process_time()
+        for text in texts:
+            score_text(text, lex, recognised)
+        return time.process_time() - start
+
+    seconds(base), seconds(grown)  # compile both sets' tables
+    # Interleaved repeats; the fastest of each side is the least disturbed.
+    pairs = [(seconds(base), seconds(grown)) for _ in range(5)]
+    assert min(g for _, g in pairs) <= 1.5 * min(b for b, _ in pairs)

@@ -10,7 +10,7 @@ from tensilex.textproc import (
     tokenize,
 )
 
-from .oracles import correct_spelling_bruteforce
+from .oracles import correct_spelling_bruteforce, process_composed
 
 
 def test_segment_two_sentences():
@@ -199,3 +199,28 @@ def test_tokens_never_cross_chunks(chunks):
     for token in tokenize(sentence):
         assert " " not in token.raw
         assert any(token.raw in chunk for chunk in chunks)
+
+
+def test_process_same_for_set_and_frozenset():
+    words = {"so", "stressed", "hello", "worried", "aab", "abb"}
+    text = "Sooo stressssed!!! HELLLOOO #wooorried aaabbb. worrried www.x.com!"
+    assert process(text, set(words)) == process(text, frozenset(words))
+
+
+_FRAGMENTS = st.one_of(
+    st.sampled_from(("http://t.co/Ab!", "HTTPS://x.io/a.b.", "www.X.com!!", "www.y.org/?q=1.",
+                     "#Sooo", "#calm", "@Bob", "@Wooorried!", "wooorried", "WORRIED", "Helllooo",
+                     "soo", "sooo", "aabb", "aaabbb", "don't", "!!!", "?!", "...", ":)", ":-(",
+                     "::", "a!", "b?c", "\n")),
+    st.text(alphabet="abAB!?.:#@' ", min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FRAGMENTS, st.sampled_from(("", " ", "  "))), max_size=12),
+       st.frozensets(st.sampled_from(("so", "worried", "hello", "helo", "ab", "aab", "abb", "calm")),
+                     max_size=6))
+def test_process_matches_tokenize_then_correct(fragments, recognised):
+    # Fragments joined with no space merge into one chunk: URLs then run on.
+    text = "".join(fragment + gap for fragment, gap in fragments)
+    assert process(text, recognised) == process_composed(text, recognised)
+    assert process(text, set(recognised)) == process_composed(text, recognised)
