@@ -17,7 +17,7 @@ from . import baseline as bl
 from . import corpus as cp
 from . import lexicon as lx
 from . import metrics as mx
-from .errors import TensilexError
+from .errors import ParseError, TensilexError
 from .optimizer import OptimizerConfig, hill_climb
 from .scorer import format_trace, score_text
 
@@ -49,7 +49,9 @@ def cmd_score(args) -> int:
     out.write("id\tstress\trelaxation\n")
     for i, line in enumerate(_input_lines(args.input), start=1):
         if args.tsv:
-            text_id, _, text = line.partition("\t")
+            text_id, tab, text = line.partition("\t")
+            if not tab:
+                raise ParseError("expected id<TAB>text, found no tab", line=i)
         else:
             text_id, text = str(i), line
         score, trace = score_text(text, lex)
@@ -104,18 +106,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_agreement(args) -> int:
     corpus = cp.load_corpus(args.codes)
-    if not corpus:
-        raise TensilexError("empty coding file")
-    n_coders = len(corpus[0].coder_stress)
-    if n_coders < 2:
-        raise TensilexError("agreement needs at least 2 coders")
-    if any(len(ex.coder_stress) != n_coders for ex in corpus):
-        raise TensilexError("coder count varies between rows")
+    scales = (("stress", lambda ex: ex.coder_stress), ("relax", lambda ex: ex.coder_relax))
+    # Both matrices are built, and checked, before anything is printed.
+    matrices = [mx.CodingMatrix(tuple(codes_of(ex) for ex in corpus)) for _, codes_of in scales]
+    n_coders = len(matrices[0].cells[0])
 
     print("scale\tstatistic\tcoders\tvalue")
-    for scale, codes_of in (("stress", lambda ex: ex.coder_stress),
-                            ("relax", lambda ex: ex.coder_relax)):
-        matrix = mx.CodingMatrix(tuple(codes_of(ex) for ex in corpus))
+    for (scale, codes_of), matrix in zip(scales, matrices):
         alpha = mx.krippendorff_alpha_weighted(matrix)
         print(f"{scale}\talpha\tall\t{alpha:.3f}")
         for a, b in itertools.combinations(range(n_coders), 2):

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
-from .lexicon import _data_lines
+from .lexicon import _read_rows
 from .metrics import MetricsReport, PairedSeries, exact_within1, mad, pearson, report
 from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
                         tokenize_corpus)
@@ -57,18 +57,16 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def _parse_codes(text, row, low, high):
+def _parse_codes(text, low, high):
     codes = []
     for piece in text.split(","):
         try:
             value = int(piece)
         except ValueError:
-            raise ParseError(f"bad code {piece!r}", line=row) from None
+            raise ParseError(f"bad code {piece!r}") from None
         if not low <= value <= high:
-            raise ParseError(f"code {value} outside {low}..{high}", line=row)
+            raise ParseError(f"code {value} outside {low}..{high}")
         codes.append(value)
-    if not codes:
-        raise ParseError("empty code list", line=row)
     return tuple(codes)
 
 
@@ -90,24 +88,22 @@ def make_example(ex_id, subcorpus, text, stress_codes, relax_codes) -> Annotated
 
 
 def load_corpus(path) -> list[AnnotatedExample]:
-    examples = []
     header_seen = False
-    for row, text in _data_lines(path):
-        cols = text.split("\t")
-        if len(cols) != 5:
-            raise ParseError(f"expected 5 columns, got {len(cols)}", line=row)
+
+    def build(ex_id, subcorpus, body, stress_text, relax_text):
+        nonlocal header_seen
         if not header_seen:  # the first data line is the header
             header_seen = True
-            if _is_code_list(cols[3]) and _is_code_list(cols[4]):
-                raise ParseError("missing header: the first line is a data row", line=row)
-            continue
-        ex_id, subcorpus, body, stress_text, relax_text = cols
-        stress_codes = _parse_codes(stress_text, row, -5, -1)
-        relax_codes = _parse_codes(relax_text, row, 1, 5)
+            if _is_code_list(stress_text) and _is_code_list(relax_text):
+                raise ParseError("missing header: the first line is a data row")
+            return None
+        stress_codes = _parse_codes(stress_text, -5, -1)
+        relax_codes = _parse_codes(relax_text, 1, 5)
         if len(stress_codes) != len(relax_codes):
-            raise ParseError("coder count differs between scales", line=row)
-        examples.append(make_example(ex_id, subcorpus, body, stress_codes, relax_codes))
-    return examples
+            raise ParseError("coder count differs between scales")
+        return make_example(ex_id, subcorpus, body, stress_codes, relax_codes)
+
+    return list(_read_rows(path, 5, build)[1:])
 
 
 def save_corpus(examples, path) -> None:
@@ -232,8 +228,6 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
     """
     if not corpus:
         raise EmptyCorpus("cannot cross-validate an empty corpus")
-    if k < 2:
-        raise TooSmall(f"cross validation needs at least 2 folds, got k={k}")
     if reps < 1:
         raise TooSmall(f"cross validation needs at least 1 repetition, got reps={reps}")
     if len({ex.id for ex in corpus}) != len(corpus):
@@ -264,7 +258,7 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
 
 
 def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int = 0,
-                        cfg: OptimizerConfig | None = None,
+                        cfg: OptimizerConfig = OptimizerConfig(),
                         supervised: bool = True) -> CrossValResult:
     """Repeated k-fold cross validation of the lexicon on both scales.
 
@@ -275,7 +269,6 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
     the climb is skipped and the held-out texts keep their scores under
     ``lex`` (the unsupervised protocol).
     """
-    cfg = cfg or OptimizerConfig()
     traces = dict(zip([ex.id for ex in corpus], tokenize_corpus(lex, corpus)))
     if supervised:
         plans = dict(zip(traces, compile_plans(lex, traces.values())))

@@ -35,7 +35,8 @@ class StrengthRangeError(ParseError):
 
 
 class WriteError(TensilexError):
-    """Persisting a lexicon, corpus or report failed, or would not read back."""
+    """A lexicon or corpus was refused before writing: it would not read back.
+    An operating-system failure while writing propagates as ``OSError``."""
 
 
 class EmptyCorpus(TensilexError):

@@ -396,10 +396,7 @@ def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
             if line.startswith("#"):
                 raise WriteError(f"{os.path.join(directory_path, name)}: line {lineno} {line!r} "
                                  "would read back as a comment")
-    try:
-        os.makedirs(directory_path, exist_ok=True)
-        for name, lines in files.items():
-            with open(os.path.join(directory_path, name), "w", encoding="utf-8") as fh:
-                fh.writelines(line + "\n" for line in lines)
-    except OSError as exc:
-        raise WriteError(f"failed to write lexicon to {directory_path}: {exc}") from exc
+    os.makedirs(directory_path, exist_ok=True)
+    for name, lines in files.items():
+        with open(os.path.join(directory_path, name), "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)

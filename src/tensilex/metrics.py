@@ -80,7 +80,9 @@ class CodingMatrix:
     cells: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        if not self.cells or len(self.cells[0]) < 2:
+        if not self.cells:
+            raise InsufficientData("no items to code")
+        if len(self.cells[0]) < 2:
             raise InsufficientData("need at least 2 coders")
         width = len(self.cells[0])
         if any(len(row) != width for row in self.cells):

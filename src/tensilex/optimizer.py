@@ -97,8 +97,7 @@ def tokenize_corpus(lex: lx.LexiconSet, corpus) -> list[ScoreTrace]:
     trace's :func:`compile_plan` gives the text's score under any strength
     table.
     """
-    recognised = lex.recognised_words
-    return [score_text(ex.text, lex, recognised)[1] for ex in corpus]
+    return [score_text(ex.text, lex)[1] for ex in corpus]
 
 
 def term_keys(lex: lx.LexiconSet) -> tuple[tuple[lx.Kind, str], ...]:

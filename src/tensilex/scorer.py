@@ -29,9 +29,6 @@ class Source(enum.Enum):
     NEGATED_STRESS = "negated-stress"
 
 
-Scale = Kind  # the older name of a contribution's scale type
-
-
 @dataclass(frozen=True)
 class DualScore:
     stress: int  # -5..-1

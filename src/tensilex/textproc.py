@@ -126,8 +126,6 @@ def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     if capped in recognised:
         return capped, len(lowered) - len(capped)
     skeleton, doubles = _runs(capped)
-    if not doubles:
-        return capped, len(lowered) - len(capped)
 
     # A recognised word is reachable when it has the same skeleton and its
     # length-two runs are some of the capped form's; it collapses the others.

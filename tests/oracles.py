@@ -17,7 +17,7 @@ from tensilex.baseline import (
     LOGISTIC_TOLERANCE,
 )
 from tensilex.lexicon import Kind
-from tensilex.scorer import DualScore, Scale, SentenceTrace, Source, TermContribution
+from tensilex.scorer import DualScore, SentenceTrace, Source, TermContribution
 from tensilex.textproc import Token, TokenizedText, correct_spelling, segment_sentences
 
 
@@ -152,7 +152,6 @@ def score_sentence_scan(tokens, lex):
     masked = [False] * n
     contributions = []
     boosters = {b.word: b.delta for b in lex.boosters}
-    scales = {Kind.STRESS: Scale.STRESS, Kind.RELAXATION: Scale.RELAXATION}
 
     for idiom in lex.idioms:
         width = len(idiom.tokens)
@@ -165,7 +164,7 @@ def score_sentence_scan(tokens, lex):
                     masked[j] = True
                 if idiom.kind is not Kind.NEUTRAL:
                     contributions.append(TermContribution(
-                        i, Source.IDIOM, idiom.strength, 0, 0, idiom.strength, scales[idiom.kind],
+                        i, Source.IDIOM, idiom.strength, 0, 0, idiom.strength, idiom.kind,
                         " ".join(idiom.tokens)))
                 i += width
             else:
@@ -178,7 +177,7 @@ def score_sentence_scan(tokens, lex):
             if token.raw == emo.glyph:
                 if emo.kind is not Kind.NEUTRAL:
                     contributions.append(TermContribution(
-                        i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, scales[emo.kind], emo.glyph))
+                        i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, emo.kind, emo.glyph))
                 masked[i] = True
                 break
 
@@ -207,17 +206,17 @@ def score_sentence_scan(tokens, lex):
 
             if kind is Kind.RELAXATION:
                 source = Source.NEGATED_RELAX if negated else Source.RELAX_TERM
-                scale = Scale.STRESS if negated else Scale.RELAXATION
+                scale = Kind.STRESS if negated else Kind.RELAXATION
             else:
                 source = Source.NEGATED_STRESS if negated else Source.STRESS_TERM
-                scale = Scale.STRESS
+                scale = Kind.STRESS
             final = 1 if source is Source.NEGATED_STRESS else max(1, min(5, base + delta + repeat))
             contributions.append(TermContribution(
                 i, source, base, delta, repeat, final, scale, entry.pattern))
 
     exclaim = any(t.is_punct_run and "!" in t.raw for t in tokens)
-    stress_mag = max([c.final_strength for c in contributions if c.scale is Scale.STRESS], default=1)
-    relax_mag = max([c.final_strength for c in contributions if c.scale is Scale.RELAXATION], default=1)
+    stress_mag = max([c.final_strength for c in contributions if c.scale is Kind.STRESS], default=1)
+    relax_mag = max([c.final_strength for c in contributions if c.scale is Kind.RELAXATION], default=1)
     stress_boosted = exclaim and stress_mag >= 2
     relax_boosted = exclaim and relax_mag >= 2
     if stress_boosted:

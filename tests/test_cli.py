@@ -62,6 +62,15 @@ def test_score_tsv_and_trace(capsys, lex_dir, tmp_path):
     assert "negated-relax" in err
 
 
+def test_score_tsv_line_without_tab_exit_2(capsys, lex_dir, tmp_path):
+    inp = tmp_path / "texts.tsv"
+    inp.write_text("tw1\tthe train is delayed\nno tab here delayed\ntw3\tdelayed\n")
+    code, out, err = run(capsys, "score", "--lexicon-dir", lex_dir, "--tsv", str(inp))
+    assert code == 2
+    assert out.splitlines() == ["id\tstress\trelaxation", "tw1\t-3\t1"]
+    assert err == "error: line 2: expected id<TAB>text, found no tab\n"
+
+
 def test_score_order_preserved(capsys, lex_dir, tmp_path):
     inp = tmp_path / "many.txt"
     inp.write_text("\n".join(f"text number {i}" for i in range(500)) + "\n")
@@ -114,6 +123,16 @@ def test_optimize_recovers_perturbation(capsys, ref_setup, tmp_path):
     assert "final error: 0" in out
     assert load_lexicon_set(out_dir) == lex
     assert os.path.exists(os.path.join(out_dir, "optimization_log.tsv"))
+
+
+def test_optimize_unwritable_out_dir_exit_1(capsys, ref_setup, tmp_path):
+    _, lex_dir, corpus_path, _ = ref_setup
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "optimize", "--lexicon-dir", lex_dir, corpus_path,
+                         "--out-dir", str(blocker / "opt"), "--seed", "7")
+    assert code == 1
+    assert err.startswith("I/O error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, message", [("--min-improvement", "min_improvement must be >= 1"),
@@ -268,6 +287,16 @@ def test_agreement_single_coder_exit_2(capsys, tmp_path):
     path.write_text("id\tsub\ttext\tstress_codes\trelax_codes\na\ts\tx\t-1\t1\n")
     code, _, err = run(capsys, "agreement", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("rows", [[], ["a\ts\tx\t-1,-2\t1,1", "b\ts\ty\t-1,-2,-2\t1,1,2"]])
+def test_agreement_bad_coding_file_exit_2(capsys, tmp_path, rows):
+    # A header-only file, and rows with different coder counts.
+    path = tmp_path / "codes.tsv"
+    path.write_text("\n".join(["id\tsub\ttext\tstress_codes\trelax_codes"] + rows) + "\n")
+    code, out, err = run(capsys, "agreement", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_baseline_features_fixed_deterministic(capsys, tmp_path):

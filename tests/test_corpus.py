@@ -63,6 +63,13 @@ def test_load_rejects_bad_rows(tmp_path):
         load_corpus(write_corpus(tmp_path, ["a\ts\ttext\t-1,x\t1,1"]))
 
 
+def test_load_rejects_coder_count_mismatch(tmp_path):
+    rows = ["a\ts\tlate\t-2,-3\t1,1", "b\ts\tchill\t-1,-1\t3,3,2"]
+    with pytest.raises(ParseError, match="coder count differs between scales") as exc:
+        load_corpus(write_corpus(tmp_path, rows))
+    assert exc.value.line == 3
+
+
 def test_load_rejects_missing_or_short_header(tmp_path):
     # Without a header the first data row would be dropped as one.
     rows = ["a\ts\tlate\t-2\t1", "b\ts\tchill\t-1\t3"]

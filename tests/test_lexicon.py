@@ -104,6 +104,20 @@ def test_idiom_row_error_names_line(tmp_path):
     assert "'!!'" in str(exc.value)
 
 
+def test_non_integer_strength_names_line(tmp_path):
+    d = write_dir(tmp_path, **{"stress_terms.tsv": "late\t2\ndelayed\tthree\n"})
+    with pytest.raises(errors.ParseError, match="strength is not an integer: 'three'") as exc:
+        load_lexicon_set(d)
+    assert exc.value.line == 2
+
+
+def test_unknown_kind_names_line(tmp_path):
+    d = write_dir(tmp_path, **{"idioms.tsv": "fed up\tstress\t3\n# note\nat ease\tcalm\t2\n"})
+    with pytest.raises(errors.ParseError, match="unknown kind 'calm'") as exc:
+        load_lexicon_set(d)
+    assert exc.value.line == 3
+
+
 def test_comments_and_blanks_skipped(tmp_path):
     d = write_dir(tmp_path, **{"stress_terms.tsv": "# comment\n\ndelayed\t3\n"})
     assert len(load_lexicon_set(d).stress_terms) == 1

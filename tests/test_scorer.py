@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,6 @@ from tensilex.lexicon import (
 )
 from tensilex.scorer import (
     DualScore,
-    Scale,
     Source,
     explain,
     replay_trace,
@@ -205,6 +205,44 @@ def test_explain_text_is_pinned():
     ]
 
 
+def _with_first_sentence(trace, **changes):
+    return replace(trace, sentences=(replace(trace.sentences[0], **changes),) + trace.sentences[1:])
+
+
+def _other_score(score):
+    return DualScore(-2 if score.stress == -1 else -1, score.relaxation)
+
+
+def _tamper_contribution(trace):
+    first, *rest = trace.sentences[0].contributions
+    bad = replace(first, final_strength=first.final_strength % 5 + 1)
+    return _with_first_sentence(trace, contributions=(bad, *rest))
+
+
+# Each tampers with one thing replay_trace checks; the boost flags are set on
+# a sentence read as holding no "!".
+TAMPERS = {
+    "contribution arithmetic": _tamper_contribution,
+    "stress boost flag": lambda trace: _with_first_sentence(
+        trace, exclamation_present=False, stress_boosted=True),
+    "relaxation boost flag": lambda trace: _with_first_sentence(
+        trace, exclamation_present=False, stress_boosted=False, relax_boosted=True),
+    "sentence trace does not replay": lambda trace: _with_first_sentence(
+        trace, score=_other_score(trace.sentences[0].score)),
+    "text trace does not replay": lambda trace: replace(trace, score=_other_score(trace.score)),
+}
+
+
+@pytest.mark.parametrize("text", ["I was never calm and very worried over the moon :( !!",
+                                  "so worried. calm now"])
+@pytest.mark.parametrize("message", list(TAMPERS))
+def test_replay_trace_rejects_a_tampered_trace(text, message):
+    result, trace = score_text(text, rich_lexicon())
+    assert replay_trace(trace) == result
+    with pytest.raises(AssertionError, match=message):
+        replay_trace(TAMPERS[message](trace))
+
+
 def test_explain_exclamation_and_neutral():
     lex = rich_lexicon()
     assert "exclamation boost" in explain("so worried!!!", lex)
@@ -266,7 +304,7 @@ def test_contribution_scales_consistent():
     lex = rich_lexicon()
     _, trace = score_text("not relaxed and very worried :(", lex)
     for c in trace.sentences[0].contributions:
-        assert c.scale in (Scale.STRESS, Scale.RELAXATION)
+        assert c.scale in (Kind.STRESS, Kind.RELAXATION)
         assert 1 <= c.final_strength <= 5
 
 
