@@ -10,12 +10,7 @@ import re
 
 import numpy as np
 
-from tensilex.baseline import (
-    LOGISTIC_L2,
-    LOGISTIC_MAX_EPOCHS,
-    LOGISTIC_STEP_SIZE,
-    LOGISTIC_TOLERANCE,
-)
+from tensilex.baseline import LOGISTIC_L2
 from tensilex.lexicon import Kind
 from tensilex.scorer import DualScore, SentenceTrace, Source, TermContribution
 from tensilex.textproc import Token, TokenizedText, correct_spelling, segment_sentences
@@ -100,38 +95,34 @@ def lookup_linear_scan(token, entries):
     return best, best.strength
 
 
-def logistic_per_class_loop(x, y, classes):
-    """One-vs-rest logistic weights trained one class at a time, as the
-    library did before it trained the classes jointly: full-batch gradient
-    descent per class, stopping when that class's loss falls by less than
-    the tolerance. Returns the (C, F+1) weights and each class's epoch count."""
-    n, f = x.shape
-    xb = np.hstack([x, np.ones((n, 1))])
-    lipschitz = 0.25 * float((xb * xb).sum()) / n + LOGISTIC_L2
-    lr = min(LOGISTIC_STEP_SIZE, 1.0 / lipschitz)
-    weights = np.zeros((len(classes), f + 1))
-    epochs = []
-    for ci, c in enumerate(classes):
-        target = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(f + 1)
-        prev_loss = None
-        for epoch in range(LOGISTIC_MAX_EPOCHS):
-            margin = target * (xb @ w)
-            loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * LOGISTIC_L2 * float(w[:-1] @ w[:-1])
-            if prev_loss is not None:
-                assert loss <= prev_loss + 1e-12, "logistic loss increased"
-                if prev_loss - loss < LOGISTIC_TOLERANCE:
-                    break
-            prev_loss = loss
-            sig = 1.0 / (1.0 + np.exp(np.clip(margin, -500, 500)))
-            grad = -(xb * (target * sig)[:, None]).mean(axis=0)
-            grad[:-1] += LOGISTIC_L2 * w[:-1]
-            w = w - lr * grad
-        else:
-            epoch = LOGISTIC_MAX_EPOCHS
-        weights[ci] = w
-        epochs.append(epoch)
-    return weights, epochs
+def logistic_loss_and_gradient(x, target, w):
+    """One class's objective at weights ``w`` (bias last): mean logistic loss
+    over rows of ``x`` with +1/-1 ``target``, plus LOGISTIC_L2 / 2 times the
+    squared non-bias weights; and its gradient."""
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    margin = target * (xb @ w)
+    loss = float(np.mean(np.logaddexp(0.0, -margin))) + 0.5 * LOGISTIC_L2 * float(w[:-1] @ w[:-1])
+    grad = -(xb * (target / (1.0 + np.exp(margin)))[:, None]).mean(axis=0)
+    grad[:-1] += LOGISTIC_L2 * w[:-1]
+    return loss, grad
+
+
+def logistic_minimum(x, target, tolerance=1e-10):
+    """One class's minimum loss, by accelerated gradient descent (step 1/L,
+    L from the spectral norm of the design; momentum restarts whenever it
+    points uphill) until max |gradient| is below ``tolerance``."""
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    step = 1.0 / (0.25 * np.linalg.norm(xb, 2) ** 2 / len(x) + LOGISTIC_L2)
+    w = prev = np.zeros(xb.shape[1])
+    k = 0
+    for _ in range(1_000_000):
+        v = w + k / (k + 3) * (w - prev)
+        loss, grad = logistic_loss_and_gradient(x, target, v)
+        if np.abs(grad).max() < tolerance:
+            return loss
+        prev, w = w, v - step * grad
+        k = 0 if grad @ (w - prev) > 0 else k + 1
+    raise AssertionError("gradient descent did not reach the tolerance")
 
 
 def design_matrix_plain(vectors, subset):

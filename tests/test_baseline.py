@@ -8,6 +8,7 @@ import pytest
 from tensilex import baseline
 from tensilex.baseline import (
     DENSE_FEATURES,
+    LOGISTIC_TOLERANCE,
     SWEEP_GRID,
     crossval_baseline,
     extract_features,
@@ -23,7 +24,12 @@ from tensilex.baseline import (
 from tensilex.corpus import make_example
 from tensilex.errors import DegenerateLabels, EmptyCorpus, ParseError
 
-from .oracles import design_matrix_plain, information_gain_bruteforce, logistic_per_class_loop
+from .oracles import (
+    design_matrix_plain,
+    information_gain_bruteforce,
+    logistic_loss_and_gradient,
+    logistic_minimum,
+)
 
 
 def test_bigrams_do_not_cross_sentences():
@@ -114,39 +120,72 @@ def test_sweep_grid_matches_protocol():
     assert SWEEP_GRID == tuple(range(100, 1001, 100))
 
 
-def assert_matches_per_class_loop(x, labels):
-    y = np.array(labels)
+def fit_each_class(x, labels):
+    """Train the joint logistic fit; per class, its +1/-1 target and weights."""
     classes = tuple(sorted(set(labels)))
-    joint = baseline._train_logistic(x, y, classes)
-    expected, epochs = logistic_per_class_loop(x, y, classes)
-    assert joint.shape == expected.shape
-    assert np.abs(joint - expected).max() <= 1e-12
-    xb = np.hstack([x, np.ones((len(x), 1))])
-    assert ((xb @ joint.T).argmax(axis=1) == (xb @ expected.T).argmax(axis=1)).all()
-    return epochs
+    weights = baseline._train_logistic(x, np.array(labels), classes)
+    assert weights.shape == (len(classes), x.shape[1] + 1)
+    return [(np.array([1.0 if y == c else -1.0 for y in labels]), w) for c, w in zip(classes, weights)]
 
 
-def test_joint_logistic_matches_per_class_loop_on_random_counts():
+def assert_logistic_converged(x, labels):
+    for target, w in fit_each_class(x, labels):
+        loss, grad = logistic_loss_and_gradient(x, target, w)
+        assert np.abs(grad).max() <= LOGISTIC_TOLERANCE
+        assert abs(loss - logistic_minimum(x, target)) <= 1e-9
+
+
+def test_logistic_converges_on_random_counts():
     rng = np.random.default_rng(5)
     for n, f, n_classes in ((40, 12, 2), (60, 30, 5), (25, 80, 3)):
         x = rng.poisson(0.4, (n, f)).astype(float)
         labels = [int(c) for c in rng.integers(0, n_classes, n)]
-        assert_matches_per_class_loop(x, labels)
+        assert_logistic_converged(x, labels)
 
 
-def test_joint_logistic_matches_per_class_loop_on_separable_feature():
+def test_logistic_converges_on_separable_feature():
     rng = np.random.default_rng(6)
     labels = [1] * 15 + [2] * 15
     x = rng.poisson(0.5, (30, 6)).astype(float)
     x[:, 2] = [3.0 if y == 1 else 0.0 for y in labels]
-    assert_matches_per_class_loop(x, labels)
+    assert_logistic_converged(x, labels)
 
 
-def test_joint_logistic_keeps_each_class_early_stop():
-    # Only the bias moves, so each class settles at its own epoch.
-    epochs = assert_matches_per_class_loop(np.zeros((30, 4)), [1] * 3 + [2] * 20 + [3] * 7)
-    assert epochs == [385, 170, 220]
-    assert assert_matches_per_class_loop(np.zeros((12, 1)), [-1] * 6 + [2] * 6) == [1, 1]
+def test_logistic_halves_a_step_that_overshoots(monkeypatch):
+    # Newton steps 64 times too long: only the step halving lets the fit converge.
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 64.0 * solve(a, b))
+    rng = np.random.default_rng(8)
+    x = rng.poisson(0.5, (30, 5)).astype(float)
+    assert_logistic_converged(x, [int(c) for c in rng.integers(0, 3, 30)])
+
+
+def test_logistic_on_zero_features_is_the_log_odds_bias():
+    for x, labels in ((np.zeros((30, 4)), [1] * 3 + [2] * 20 + [3] * 7),
+                      (np.zeros((12, 1)), [-1] * 6 + [2] * 6)):
+        assert_logistic_converged(x, labels)
+        for target, w in fit_each_class(x, labels):
+            n_c = int((target > 0).sum())
+            p = n_c / len(labels)
+            assert (w[:-1] == 0.0).all()
+            # |gradient| = |sigmoid(bias) - p| <= tolerance bounds the bias error, to first order.
+            assert abs(w[-1] - math.log(n_c / (len(labels) - n_c))) <= LOGISTIC_TOLERANCE / (p * (1 - p))
+
+
+def test_logistic_single_class_and_singular_design_stay_finite():
+    rng = np.random.default_rng(7)
+    x = rng.poisson(0.6, (20, 3)).astype(float)
+    singular = np.hstack([x, x[:, :1], np.zeros((20, 2)), x[:, 1:2]])  # duplicated and zero columns
+    labels = [int(c) for c in rng.integers(1, 4, 20)]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for design, ys in ((x, [2] * 20), (singular, labels)):
+            for target, w in fit_each_class(design, ys):
+                assert np.isfinite(w).all()
+                _, grad = logistic_loss_and_gradient(design, target, w)
+                assert np.abs(grad).max() <= LOGISTIC_TOLERANCE
+    vectors, labels = corpus_vectors(["good day", "bad day", "good night"], [3, 3, 3])
+    model = train("logistic", vectors, labels, ("good", "bad") + DENSE_FEATURES)
+    assert predict(model, extract_features("bad night")) == 3
 
 
 def test_design_matrix_matches_plain_lookup():

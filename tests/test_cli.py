@@ -404,7 +404,7 @@ rep\tfold\tscale\tn\texact\twithin1\tpearson\tmad
 GOLDEN_BASELINE_STDOUT = """\
 classifier\tn_features\tscale\tn\treps\texact\twithin1\tpearson\tpearson_skipped\tmad\tbest_for
 nb\t20\tstress\t40\t2\t12.500\t87.500\t-0.168\t0\t1.062\t
-logistic\t20\tstress\t40\t2\t15.000\t85.000\t-0.164\t0\t1.087\t
+logistic\t20\tstress\t40\t2\t15.000\t82.500\t-0.195\t0\t1.112\t
 """
 
 GOLDEN_BASELINE_SWEEP_STDOUT = """\
@@ -419,16 +419,16 @@ nb\t700\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
 nb\t800\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
 nb\t900\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
 nb\t1000\tstress\t40\t1\t17.500\t85.000\t-0.176\t0\t1.000\t
-logistic\t100\tstress\t40\t1\t22.500\t85.000\t-0.224\t0\t0.975\texact
-logistic\t200\tstress\t40\t1\t17.500\t82.500\t-0.240\t0\t1.050\t
-logistic\t300\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t400\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t500\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t600\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t700\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t800\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t900\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
-logistic\t1000\tstress\t40\t1\t22.500\t82.500\t-0.147\t0\t1.000\t
+logistic\t100\tstress\t40\t1\t17.500\t85.000\t-0.206\t0\t1.025\t
+logistic\t200\tstress\t40\t1\t17.500\t77.500\t-0.303\t0\t1.100\t
+logistic\t300\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\texact
+logistic\t400\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
+logistic\t500\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
+logistic\t600\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
+logistic\t700\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
+logistic\t800\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
+logistic\t900\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
+logistic\t1000\tstress\t40\t1\t25.000\t77.500\t-0.219\t0\t1.025\t
 """
 
 
