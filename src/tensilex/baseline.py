@@ -10,20 +10,28 @@ retained alongside the selected subset. Two classifiers predict the
 and one-vs-rest L2 logistic regression trained by damped Newton's method
 to a max |gradient| of LOGISTIC_TOLERANCE, within LOGISTIC_MAX_ITERATIONS.
 
-Training is shaped by the sweep's many small fits. The design matrix is
-built from each text's sparse counts, not cell by cell. Information gain
-is computed once per distinct per-class presence-count vector, which
-thousands of features share. Each Newton iteration solves every
+Corpus-level work runs on :class:`CompiledFeatures`: the texts' features
+as arrays over one lexicographically sorted vocabulary. A sweep extracts
+and compiles its corpus once and hands each fold a row subset of it;
+``information_gain`` and ``train`` compile a plain :class:`FeatureVector`
+list on entry, so both take the same path. Information gain counts each
+feature's per-class presence with one ``np.bincount`` and computes the
+gain once per distinct count vector, which thousands of features share.
+A design matrix is the texts' entries scattered through a rank array from
+vocabulary id to column. A model scores a fold's held-out texts with one
+stacked product, which gives each row the arithmetic ``predict`` and
+``posterior`` give one text. Each Newton iteration solves every
 unconverged one-vs-rest class's system in one batched solve.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +40,6 @@ from .errors import DegenerateLabels, EmptyCorpus
 from .textproc import segment_sentences, tokenize
 
 DENSE_FEATURES = ("<n_unigrams>", "<n_bigrams>", "<n_trigrams>")
-
-MODEL_FORMAT_VERSION = 1
 
 LOGISTIC_L2 = 1e-2
 LOGISTIC_TOLERANCE = 1e-6  # max |gradient| at which a class's fit has converged
@@ -48,6 +54,48 @@ class FeatureVector:
     n_unigrams: int
     n_bigrams: int
     n_trigrams: int
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledFeatures:
+    """Texts' features as arrays: entry ``e`` gives text ``rows[e]``
+    ``counts[e]`` of vocabulary feature ``ids[e]``, and ``totals`` holds each
+    text's dense counts in DENSE_FEATURES order."""
+    vocabulary: np.ndarray  # sorted sparse features (str objects), ids dense 0..V-1
+    index: dict[str, int]  # feature -> id
+    rows: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray  # texts x 3
+
+    def __len__(self) -> int:
+        return len(self.totals)
+
+    def take(self, positions) -> CompiledFeatures:
+        """The texts at ``positions``, in that order, over the same vocabulary."""
+        row_of = np.full(len(self), -1)
+        row_of[positions] = np.arange(len(positions))
+        rows = row_of[self.rows]
+        kept = rows >= 0
+        return CompiledFeatures(self.vocabulary, self.index, rows[kept], self.ids[kept],
+                                self.counts[kept], self.totals[positions])
+
+
+def compile_features(vectors) -> CompiledFeatures:
+    """``vectors``' features as arrays; compiled features are returned as they are."""
+    if isinstance(vectors, CompiledFeatures):
+        return vectors
+    names = [feature for vec in vectors for feature in vec.counts]
+    vocabulary = sorted(set(names))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    return CompiledFeatures(
+        np.array(vocabulary, dtype=object), index,
+        rows=np.repeat(np.arange(len(vectors)), [len(vec.counts) for vec in vectors]),
+        ids=np.fromiter(map(index.__getitem__, names), np.intp, len(names)),
+        counts=np.fromiter(chain.from_iterable(vec.counts.values() for vec in vectors), float,
+                           len(names)),
+        totals=np.array([(vec.n_unigrams, vec.n_bigrams, vec.n_trigrams) for vec in vectors],
+                        dtype=float).reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -68,17 +116,17 @@ class TrainedModel:
     params: dict[str, np.ndarray]
 
     # Built on first use and kept in the instance __dict__, outside the
-    # dataclass fields, so equality and the saved form do not see them.
+    # dataclass fields, so equality does not see them.
     @cached_property
-    def columns(self) -> tuple[dict[str, int], list[tuple[int, int]]]:
+    def columns(self) -> _Columns:
         """:func:`_columns` of the subset."""
         return _columns(self.subset)
 
     @cached_property
-    def tie_order(self) -> list[int]:
+    def tie_order(self) -> np.ndarray:
         """Class positions nearest neutral first, then lower code: argmax ties go to the first."""
-        return sorted(range(len(self.classes)),
-                      key=lambda i: (abs(self.classes[i] - self.neutral), self.classes[i]))
+        return np.array(sorted(range(len(self.classes)),
+                               key=lambda i: (abs(self.classes[i] - self.neutral), self.classes[i])))
 
 
 def extract_features(text: str) -> FeatureVector:
@@ -89,9 +137,9 @@ def extract_features(text: str) -> FeatureVector:
         uni += len(tokens)
         bi += max(0, len(tokens) - 1)
         tri += max(0, len(tokens) - 2)
-        for size in (1, 2, 3):
-            for i in range(len(tokens) - size + 1):
-                counts[" ".join(tokens[i:i + size])] += 1
+        counts.update(tokens)
+        counts.update(map(" ".join, zip(tokens, tokens[1:])))
+        counts.update(map(" ".join, zip(tokens, tokens[1:], tokens[2:])))
     return FeatureVector(dict(counts), uni, bi, tri)
 
 
@@ -105,44 +153,65 @@ def _entropy(label_counts) -> float:
     return h
 
 
+def _distinct_rows(table: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row of ``table`` (entries in 0..base-1): the position of
+    its first occurrence, and each row's distinct-row number.
+
+    Rows are keyed as mixed-radix int64 numbers, one digit per column. Before
+    a digit could overflow the key, the keys so far are renumbered densely.
+    """
+    key = np.zeros(len(table), dtype=np.int64)
+    limit = np.iinfo(np.int64).max // base
+    for digit in table.T:
+        if key.max(initial=0) >= limit:
+            key = np.unique(key, return_inverse=True)[1].ravel()
+        key = key * base + digit
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
 def information_gain(vectors, labels) -> FeatureTable:
-    """Rank sparse features by reduction in label entropy (presence/absence)."""
+    """Rank sparse features by reduction in label entropy (presence/absence).
+
+    ``vectors`` are :class:`FeatureVector`s or their :class:`CompiledFeatures`.
+    """
     if len(set(labels)) < 2:
         raise DegenerateLabels("information gain needs at least 2 distinct labels")
-    n = len(vectors)
+    features = compile_features(vectors)
+    n = len(features)
     label_values = sorted(set(labels))
     label_index = {y: i for i, y in enumerate(label_values)}
-    total_counts = [0] * len(label_values)
-    for y in labels:
-        total_counts[label_index[y]] += 1
+    y = np.array([label_index[label] for label in labels])
+    n_labels = len(label_values)
+    total_counts = np.bincount(y, minlength=n_labels).tolist()
     h_y = _entropy(total_counts)
 
-    present: dict[str, list[int]] = {}
-    for vec, y in zip(vectors, labels):
-        for feature, count in vec.counts.items():
-            if count > 0:
-                present.setdefault(feature, [0] * len(label_values))[label_index[y]] += 1
+    present = features.counts > 0
+    entry_ids = features.ids[present]
+    with_f = np.bincount(entry_ids * n_labels + y[features.rows[present]],
+                         minlength=len(features.vocabulary) * n_labels).reshape(-1, n_labels)
+    ids = np.flatnonzero(np.bincount(entry_ids, minlength=len(features.vocabulary)))
+    with_f = with_f[ids]  # the features the texts have
 
     # Gain depends only on the per-class presence counts, and thousands of
     # features share a few hundred distinct count vectors.
-    gain_of: dict[tuple[int, ...], float] = {}
-    gains = {}
-    for feature, with_f in present.items():
-        key = tuple(with_f)
-        gain = gain_of.get(key)
-        if gain is None:
-            n_with = sum(with_f)
-            without_f = [t - w for t, w in zip(total_counts, with_f)]
-            n_without = n - n_with
-            h_cond = 0.0
-            if n_with:
-                h_cond += (n_with / n) * _entropy(with_f)
-            if n_without:
-                h_cond += (n_without / n) * _entropy(without_f)
-            gain = gain_of[key] = max(0.0, h_y - h_cond)
-        gains[feature] = gain
-    vocabulary = sorted(gains, key=lambda f: (-gains[f], f))
-    return FeatureTable(tuple(vocabulary), tuple(gains[f] for f in vocabulary))
+    first, inverse = _distinct_rows(with_f, n + 1)
+    distinct_gains = []
+    for counts in with_f[first].tolist():
+        n_with = sum(counts)
+        without_f = [t - w for t, w in zip(total_counts, counts)]
+        n_without = n - n_with
+        h_cond = 0.0
+        if n_with:
+            h_cond += (n_with / n) * _entropy(counts)
+        if n_without:
+            h_cond += (n_without / n) * _entropy(without_f)
+        distinct_gains.append(max(0.0, h_y - h_cond))
+    gains = np.array(distinct_gains)[inverse]
+    # Vocabulary ids follow the sorted names, so they break gain ties lexicographically.
+    order = np.lexsort((ids, -gains))
+    return FeatureTable(tuple(features.vocabulary[ids[order]].tolist()),
+                        tuple(gains[order].tolist()))
 
 
 def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
@@ -152,38 +221,76 @@ def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
     return table.vocabulary[:n] + DENSE_FEATURES
 
 
-def _columns(subset) -> tuple[dict[str, int], list[tuple[int, int]]]:
-    """``subset``'s ``{feature: column}`` map (a repeated feature's last column),
-    and ``(column, dense index)`` for each dense count in it."""
-    column = {feature: j for j, feature in enumerate(subset)}
-    return column, [(column[f], i) for i, f in enumerate(DENSE_FEATURES) if f in column]
+class _Columns(NamedTuple):
+    """Where a subset's features go in a design matrix.
+
+    The matrix is first filled with one work column per distinct feature
+    and a spare last one, then ``source`` picks each subset column's work
+    column, so a repeated feature fills each of its columns.
+    """
+    column: dict[str, int]  # feature -> work column
+    dense_at: np.ndarray  # work columns of the dense counts in the subset
+    dense_of: np.ndarray  # and their indices in DENSE_FEATURES
+    source: np.ndarray  # work column of each subset column
+
+
+def _columns(subset) -> _Columns:
+    column: dict[str, int] = {}
+    for feature in subset:
+        column.setdefault(feature, len(column))
+    dense = [(column[f], i) for i, f in enumerate(DENSE_FEATURES) if f in column]
+    return _Columns(column, np.array([j for j, _ in dense], dtype=np.intp),
+                    np.array([i for _, i in dense], dtype=np.intp),
+                    np.array([column[f] for f in subset], dtype=np.intp))
 
 
 def _design_matrix(vectors, subset, columns=None) -> np.ndarray:
-    """One row per vector, one column per ``subset`` feature; ``columns`` is
+    """One row per text, one column per ``subset`` feature; ``columns`` is
     the subset's :func:`_columns`, built here when not given.
 
-    Walks each vector's sparse counts, so the cost is the number of
-    nonzeros, not rows x features. A dense count takes precedence over a
-    sparse feature of the same name.
+    Maps vocabulary ids to work columns through a rank array, so the cost is
+    the number of entries, not rows x features.
     """
-    column, dense = columns or _columns(subset)
-    x = np.zeros((len(vectors), len(subset)))
-    for row, vec in zip(x, vectors):
-        for feature, count in vec.counts.items():
-            j = column.get(feature)
-            if j is not None:
-                row[j] = count
-        totals = (vec.n_unigrams, vec.n_bigrams, vec.n_trigrams)
-        for j, i in dense:
-            row[j] = totals[i]
-    if len(column) < len(subset):  # a repeated feature fills each of its columns
-        for j, feature in enumerate(subset):
-            x[:, j] = x[:, column[feature]]
-    return x
+    features = compile_features(vectors)
+    columns = columns or _columns(subset)
+    spare = len(columns.column)
+    # The rank array's extra last slot takes the subset features no text has.
+    rank = np.full(len(features.vocabulary) + 1, spare)
+    rank[np.fromiter(map(features.index.get, columns.column, repeat(-1)), np.intp, spare)] = \
+        np.arange(spare)
+    return _scatter(columns, features.rows, rank[features.ids], features.counts, features.totals)
+
+
+def _vector_matrix(model: TrainedModel, vec: FeatureVector) -> np.ndarray:
+    """``vec``'s one-row design matrix for ``model``.
+
+    The vector's features map straight to the model's work columns: a
+    one-text vocabulary would be sorted and indexed only to be mapped back,
+    which costs more than the rest of a prediction.
+    """
+    column = model.columns.column
+    n = len(vec.counts)
+    return _scatter(model.columns, 0,
+                    np.fromiter(map(column.get, vec.counts, repeat(len(column))), np.intp, n),
+                    np.fromiter(vec.counts.values(), float, n),
+                    np.array([[vec.n_unigrams, vec.n_bigrams, vec.n_trigrams]], dtype=float))
+
+
+def _scatter(columns: _Columns, rows, cols, counts, totals) -> np.ndarray:
+    """The design matrix of entries already mapped to work columns; entries
+    of features outside the subset go to the spare work column. A dense count
+    takes precedence over a sparse feature of the same name."""
+    x = np.zeros((len(totals), len(columns.column) + 1))
+    x[rows, cols] = counts
+    x[:, columns.dense_at] = totals[:, columns.dense_of]
+    # take, unlike x[:, source], returns C order; the logistic fit's
+    # products round differently on another layout.
+    return x.take(columns.source, axis=1)
 
 
 def train(kind: str, vectors, labels, subset) -> TrainedModel:
+    """Fit a ``kind`` model on ``vectors`` (:class:`FeatureVector`s or their
+    :class:`CompiledFeatures`) over the feature ``subset``."""
     if not vectors:
         raise EmptyCorpus("empty training set")
     classes = tuple(sorted(set(labels)))
@@ -259,17 +366,29 @@ def _train_logistic(x, y, classes) -> np.ndarray:
     return weights
 
 
-def _scores(model: TrainedModel, vec: FeatureVector) -> np.ndarray:
-    x = _design_matrix([vec], model.subset, model.columns)[0]
+def _scores(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """Each design-matrix row's log score per class.
+
+    One stacked matrix-vector product: each row gets the arithmetic of
+    ``params @ row``, so a text scores the same alone as in a batch.
+    """
     if model.kind == "nb":
-        return model.params["log_prior"] + model.params["log_like"] @ x
-    xb = np.append(x, 1.0)
-    return model.params["weights"] @ xb
+        return model.params["log_prior"] + (model.params["log_like"] @ x[:, :, None])[:, :, 0]
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    return (model.params["weights"] @ xb[:, :, None])[:, :, 0]
+
+
+def _predict(model: TrainedModel, x: np.ndarray) -> list[int]:
+    """Each design-matrix row's argmax class; ties break toward the code
+    nearer neutral, then lower."""
+    order = model.tie_order
+    best = order[_scores(model, x)[:, order].argmax(axis=1)]  # the first maximum
+    return [model.classes[i] for i in best.tolist()]
 
 
 def posterior(model: TrainedModel, vec: FeatureVector) -> dict[int, float]:
     """Class posterior probabilities (softmax over the model's log scores)."""
-    scores = _scores(model, vec)
+    scores = _scores(model, _vector_matrix(model, vec))[0]
     scores = scores - scores.max()
     p = np.exp(scores)
     p /= p.sum()
@@ -278,8 +397,7 @@ def posterior(model: TrainedModel, vec: FeatureVector) -> dict[int, float]:
 
 def predict(model: TrainedModel, vec: FeatureVector) -> int:
     """Argmax class; ties break toward the code nearer neutral, then lower."""
-    scores = _scores(model, vec)
-    return model.classes[max(model.tie_order, key=scores.__getitem__)]
+    return _predict(model, _vector_matrix(model, vec))[0]
 
 
 SWEEP_GRID = tuple(range(100, 1001, 100))
@@ -299,10 +417,11 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
           k: int = 10, reps: int = 30, base_seed: int = 0):
     """Feature-count sweep; returns rows plus the best cell per metric.
 
-    One cross-validation pass serves every (classifier, size) cell: each
-    text's features are extracted once, and each training fold's
-    information gain is computed once and cut to every size in ``grid``.
-    Feature selection thus happens inside each training fold.
+    One cross-validation pass serves every (classifier, size) cell: the
+    corpus's features are extracted and compiled once, each training fold's
+    information gain is computed once and cut to every size in ``grid``,
+    and each cell predicts the fold's held-out texts in one batch. Feature
+    selection thus happens inside each training fold.
     """
     if scale not in ("stress", "relax"):
         raise ValueError(f"unknown scale {scale!r}")
@@ -310,16 +429,19 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         raise ValueError(f"feature counts must be >= 1, got {tuple(grid)}")
     gold = f"gold_{scale}"
     cells = [(kind, n) for kind in kinds for n in grid]
-    vectors = {ex.id: extract_features(ex.text) for ex in corpus}
+    features = compile_features([extract_features(ex.text) for ex in corpus])
+    position = {ex.id: i for i, ex in enumerate(corpus)}
 
     def fit_predict(train_ex, test_ex, _fold_seed):
-        train_vecs = [vectors[ex.id] for ex in train_ex]
+        train_features = features.take([position[ex.id] for ex in train_ex])
+        test_features = features.take([position[ex.id] for ex in test_ex])
         train_labels = [getattr(ex, gold) for ex in train_ex]
-        table = information_gain(train_vecs, train_labels)
+        table = information_gain(train_features, train_labels)
         predictions = {}
         for kind, n in cells:
-            model = train(kind, train_vecs, train_labels, select_top(table, n))
-            predictions[kind, n] = [predict(model, vectors[ex.id]) for ex in test_ex]
+            model = train(kind, train_features, train_labels, select_top(table, n))
+            predictions[kind, n] = _predict(model, _design_matrix(test_features, model.subset,
+                                                                  model.columns))
         return predictions
 
     averaged = run_folds(corpus, k, reps, base_seed, fit_predict, dict.fromkeys(cells, gold)).averaged
@@ -331,26 +453,3 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         "mad": min(rows, key=lambda r: r[3].mad),
     }
     return rows, best
-
-
-def save_model(model: TrainedModel, path) -> None:
-    payload = {
-        "version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "classes": list(model.classes),
-        "subset": list(model.subset),
-        "neutral": model.neutral,
-        "params": {k: v.tolist() for k, v in model.params.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')!r}")
-    return TrainedModel(payload["kind"], tuple(payload["classes"]), tuple(payload["subset"]),
-                        payload["neutral"],
-                        {k: np.array(v) for k, v in payload["params"].items()})

@@ -10,19 +10,20 @@ from tensilex.baseline import (
     DENSE_FEATURES,
     LOGISTIC_TOLERANCE,
     SWEEP_GRID,
+    FeatureVector,
+    TrainedModel,
     crossval_baseline,
     extract_features,
     information_gain,
-    load_model,
     posterior,
     predict,
-    save_model,
     select_top,
     sweep,
     train,
 )
-from tensilex.corpus import make_example
+from tensilex.corpus import make_example, make_folds
 from tensilex.errors import DegenerateLabels, EmptyCorpus, ParseError
+from tensilex.metrics import PairedSeries, report
 
 from .oracles import (
     design_matrix_plain,
@@ -94,6 +95,32 @@ def test_gain_matches_bruteforce_on_random_corpus():
         assert gain == pytest.approx(information_gain_bruteforce(presence, labels), abs=1e-12)
         assert 0.0 <= gain <= math.log2(3) + 1e-12
     assert h_y == pytest.approx(0.0, abs=1e-12)  # ubiquitous split carries no information
+
+
+def test_gain_matches_bruteforce_where_a_naive_radix_key_overflows():
+    # 2**16 - 1 texts: a naive key of five base-2**16 digits wraps int64, and
+    # its first digit vanishes mod 2**64.
+    n = 2 ** 16 - 1
+    labels = [i % 5 + 1 for i in range(n)]
+    present: list[dict[str, int]] = [{} for _ in range(n)]
+    for i in (0, 4):  # presence counts (1, 0, 0, 0, 1)
+        present[i]["collide a"] = 1
+    for i in (0, 5, 4):  # (2, 0, 0, 0, 1): a naive key gives both the same key
+        present[i]["collide b"] = 2
+    rng = random.Random(11)
+    for f in range(16):
+        density = rng.choice((0.0005, 0.01, 0.2, 0.5, 0.9))
+        for i in range(n):
+            if rng.random() < density:
+                present[i][f"f{f:02d}"] = rng.randint(1, 3)
+    vectors = [FeatureVector(counts, 0, 0, 0) for counts in present]
+    table = information_gain(vectors, labels)
+    assert set(table.vocabulary) == {f for counts in present for f in counts}
+    for feature, gain in zip(table.vocabulary, table.gains):
+        presence = [feature in counts for counts in present]
+        assert gain == pytest.approx(information_gain_bruteforce(presence, labels), abs=1e-12)
+    ranked = list(zip(table.gains, table.vocabulary))
+    assert ranked == sorted(ranked, key=lambda gf: (-gf[0], gf[1]))
 
 
 def test_gain_single_label_rejected():
@@ -191,6 +218,8 @@ def test_logistic_single_class_and_singular_design_stay_finite():
 def test_design_matrix_matches_plain_lookup():
     texts = ["so late again", "late late. very late!", "", "again and again and again"]
     vectors = [extract_features(t) for t in texts]
+    # a sparse feature named like a dense count
+    vectors.append(FeatureVector({"<n_unigrams>": 7, "late": 2}, 3, 2, 1))
     vocabulary = sorted({f for vec in vectors for f in vec.counts})
     subsets = [
         tuple(vocabulary),
@@ -199,12 +228,42 @@ def test_design_matrix_matches_plain_lookup():
         ("absent", "also absent"),
         DENSE_FEATURES[::-1],
         ("late", "<n_unigrams>", "late"),  # a repeated feature fills each column
+        ("again", "late", "<n_bigrams>", "never seen", "late", "<n_bigrams>"),  # all at once
         (),
     ]
     for subset in subsets:
+        expected = design_matrix_plain(vectors, subset)
         got = baseline._design_matrix(vectors, subset)
         assert got.shape == (len(vectors), len(subset))
-        assert got.tolist() == design_matrix_plain(vectors, subset)
+        assert got.tolist() == expected
+        model = TrainedModel("nb", (1,), subset, 1, {})
+        assert [baseline._vector_matrix(model, vec).tolist() for vec in vectors] == \
+            [[row] for row in expected]
+
+
+def test_logistic_train_fits_the_plain_design_matrix():
+    # Bit for bit: BLAS rounds the fit's products differently on another memory layout.
+    from .test_cli import golden_corpus
+    vectors = [extract_features(ex.text) for ex in golden_corpus()]
+    labels = [ex.gold_stress for ex in golden_corpus()]
+    model = train("logistic", vectors, labels, select_top(information_gain(vectors, labels), 30))
+    plain = np.array(design_matrix_plain(vectors, model.subset))
+    assert np.array_equal(model.params["weights"],
+                          baseline._train_logistic(plain, np.array(labels), model.classes))
+
+
+@pytest.mark.parametrize("kind", ["nb", "logistic"])
+def test_a_text_scores_the_same_alone_and_in_a_batch(kind):
+    from .test_cli import golden_corpus
+    vectors = [extract_features(ex.text) for ex in golden_corpus()]
+    labels = [ex.gold_stress for ex in golden_corpus()]
+    model = train(kind, vectors, labels, select_top(information_gain(vectors, labels), 30))
+    x = baseline._design_matrix(vectors, model.subset)
+    batch = baseline._scores(model, x)
+    for row, vec in zip(batch, vectors):
+        alone = baseline._scores(model, baseline._vector_matrix(model, vec))
+        assert alone.tolist() == [row.tolist()]  # bit for bit
+    assert baseline._predict(model, x) == [predict(model, vec) for vec in vectors]
 
 
 def test_logistic_separable_reaches_train_accuracy():
@@ -263,33 +322,17 @@ def test_train_empty_rejected():
         train("nb", [], [], ())
 
 
-def test_model_roundtrip(tmp_path):
-    vectors, labels = corpus_vectors(["good day", "bad day"], [1, 2])
-    table = information_gain(vectors, labels)
-    model = train("logistic", vectors, labels, select_top(table, 5))
-    path = str(tmp_path / "model.json")
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.kind == model.kind and loaded.classes == model.classes
-    probe = extract_features("good morning")
-    assert predict(loaded, probe) == predict(model, probe)
-
-
 @pytest.mark.parametrize("kind", ["nb", "logistic"])
-def test_model_keeps_its_columns_out_of_equality_and_saved_form(tmp_path, kind):
+def test_model_keeps_its_columns_out_of_equality_and_saved_form(kind):
     vectors, labels = corpus_vectors(["good day", "bad day", "so bad", "good good"], [1, 2, 2, 1])
     subset = ("good", "day", "good", "never seen") + DENSE_FEATURES  # a repeated feature too
     model = train(kind, vectors, labels, subset)
-    save_model(model, str(tmp_path / "before.json"))
     probes = [extract_features(t) for t in ("good day", "bad bad day", "")]
     first = [(predict(model, p), posterior(model, p)) for p in probes]
     # Later calls read the column map and tie order the first call built.
     assert [(predict(model, p), posterior(model, p)) for p in probes] == first
-    save_model(model, str(tmp_path / "after.json"))
-    assert (tmp_path / "after.json").read_text() == (tmp_path / "before.json").read_text()
-    loaded = load_model(str(tmp_path / "after.json"))
-    assert [(predict(loaded, p), posterior(loaded, p)) for p in probes] == first
-    assert (loaded.kind, loaded.classes, loaded.subset) == (model.kind, model.classes, model.subset)
+    assert {"columns", "tie_order"} <= set(vars(model))
+    assert replace(model) == model  # a copy without them is still equal
 
 
 def injected_token_corpus(n=40, seed=0):
@@ -349,6 +392,31 @@ def test_sweep_rows_equal_single_cell_runs():
     for kind, n, scale, rpt in rows:
         assert scale == "relax"
         assert rpt == crossval_baseline(corpus, "relax", kind, n, k=4, reps=2, base_seed=9)
+
+
+def test_sweep_rows_equal_per_text_runs_on_plain_folds():
+    from .test_cli import golden_corpus
+    corpus = golden_corpus()
+    k, base_seed, grid = 4, 9, (5, 100)
+    rows, _ = sweep(corpus, "stress", ("nb", "logistic"), grid, k=k, reps=1, base_seed=base_seed)
+    assert len({rpt for *_, rpt in rows}) > 1
+    plan = make_folds(corpus, k, base_seed * 1_000_003)  # the README's repetition seed
+    for kind, n, _, rpt in rows:
+        preds, golds = [], []
+        for fold in range(k):
+            held = plan.fold_ids(fold)
+            train_ex = [ex for ex in corpus if ex.id not in held]
+            vectors = [extract_features(ex.text) for ex in train_ex]
+            labels = [ex.gold_stress for ex in train_ex]
+            model = train(kind, vectors, labels, select_top(information_gain(vectors, labels), n))
+            for ex in corpus:
+                if ex.id in held:
+                    preds.append(predict(model, extract_features(ex.text)))
+                    golds.append(ex.gold_stress)
+        expected = report(PairedSeries(tuple(preds), tuple(golds)))
+        assert (rpt.n, rpt.reps, rpt.pearson_skipped) == (len(corpus), 1, expected.pearson is None)
+        assert (rpt.exact_pct, rpt.within1_pct, rpt.pearson, rpt.mad) == (
+            expected.exact_pct, expected.within1_pct, expected.pearson, expected.mad)
 
 
 def test_sweep_is_one_fold_pass(monkeypatch):
