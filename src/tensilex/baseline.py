@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import run_folds
-from .errors import DegenerateLabels, EmptyCorpus
+from .errors import DegenerateLabels, EmptyCorpus, LengthError
 from .textproc import segment_sentences, tokenize
 
 DENSE_FEATURES = ("<n_unigrams>", "<n_bigrams>", "<n_trigrams>")
@@ -170,11 +170,18 @@ def _distinct_rows(table: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray
     return first, inverse.ravel()
 
 
+def _check_labels(vectors, labels) -> None:
+    """Raise :class:`LengthError` unless there is one label per text."""
+    if len(labels) != len(vectors):
+        raise LengthError(f"{len(labels)} labels for {len(vectors)} texts")
+
+
 def information_gain(vectors, labels) -> FeatureTable:
     """Rank sparse features by reduction in label entropy (presence/absence).
 
     ``vectors`` are :class:`FeatureVector`s or their :class:`CompiledFeatures`.
     """
+    _check_labels(vectors, labels)
     if len(set(labels)) < 2:
         raise DegenerateLabels("information gain needs at least 2 distinct labels")
     features = compile_features(vectors)
@@ -201,9 +208,8 @@ def information_gain(vectors, labels) -> FeatureTable:
         n_with = sum(counts)
         without_f = [t - w for t, w in zip(total_counts, counts)]
         n_without = n - n_with
-        h_cond = 0.0
-        if n_with:
-            h_cond += (n_with / n) * _entropy(counts)
+        # Every feature here is present in some text, so n_with >= 1.
+        h_cond = (n_with / n) * _entropy(counts)
         if n_without:
             h_cond += (n_without / n) * _entropy(without_f)
         distinct_gains.append(max(0.0, h_y - h_cond))
@@ -291,6 +297,7 @@ def _scatter(columns: _Columns, rows, cols, counts, totals) -> np.ndarray:
 def train(kind: str, vectors, labels, subset) -> TrainedModel:
     """Fit a ``kind`` model on ``vectors`` (:class:`FeatureVector`s or their
     :class:`CompiledFeatures`) over the feature ``subset``."""
+    _check_labels(vectors, labels)
     if not vectors:
         raise EmptyCorpus("empty training set")
     classes = tuple(sorted(set(labels)))
@@ -427,15 +434,13 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         raise ValueError(f"unknown scale {scale!r}")
     if any(n < 1 for n in grid):
         raise ValueError(f"feature counts must be >= 1, got {tuple(grid)}")
-    gold = f"gold_{scale}"
+    labels = [ex.gold_stress if scale == "stress" else ex.gold_relax for ex in corpus]
     cells = [(kind, n) for kind in kinds for n in grid]
     features = compile_features([extract_features(ex.text) for ex in corpus])
-    position = {ex.id: i for i, ex in enumerate(corpus)}
 
-    def fit_predict(train_ex, test_ex, _fold_seed):
-        train_features = features.take([position[ex.id] for ex in train_ex])
-        test_features = features.take([position[ex.id] for ex in test_ex])
-        train_labels = [getattr(ex, gold) for ex in train_ex]
+    def fit_predict(train_at, test_at, _fold_seed):
+        train_features, test_features = features.take(train_at), features.take(test_at)
+        train_labels = [labels[i] for i in train_at]
         table = information_gain(train_features, train_labels)
         predictions = {}
         for kind, n in cells:
@@ -444,7 +449,7 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
                                                                   model.columns))
         return predictions
 
-    averaged = run_folds(corpus, k, reps, base_seed, fit_predict, dict.fromkeys(cells, gold)).averaged
+    averaged = run_folds(corpus, k, reps, base_seed, fit_predict, dict.fromkeys(cells, labels)).averaged
     rows = [(kind, n, scale, averaged[kind, n]) for kind, n in cells]
     best = {
         "exact": max(rows, key=lambda r: r[3].exact_pct),

@@ -15,7 +15,9 @@ All randomness derives from an explicit base seed: repetition ``r`` uses
 fold seed ``base_seed * 1000003 + r`` and the model fitted on fold ``f``
 of that repetition gets ``(base_seed * 1000003 + r) * 101 + f`` (the
 optimizer's seed; the baseline's classifiers are deterministic and ignore
-it). :func:`run_folds` is the one place that derives them.
+it). :func:`run_folds` is the one place that derives them. It names texts
+by corpus position: each fold's ``fit_predict`` receives the ascending
+corpus positions of its training and held-out texts.
 """
 
 from __future__ import annotations
@@ -215,9 +217,10 @@ def _average(reports: list[MetricsReport], n: int) -> AveragedReport:
 def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> CrossValResult:
     """Repeated k-fold cross validation; repetition-level metrics averaged.
 
-    ``golds`` maps each prediction key to the example attribute holding its
-    gold code, e.g. ``{"stress": "gold_stress"}``. For each repetition and
-    fold, ``fit_predict(train, test, fold_seed)`` fits on ``train`` and
+    ``golds`` maps each prediction key to its gold codes in corpus order, e.g.
+    ``{"stress": [ex.gold_stress for ex in corpus]}``. For each repetition and
+    fold, ``fit_predict(train, test, fold_seed)`` gets the ascending corpus
+    positions of the fold's training and held-out texts, fits on ``train`` and
     returns ``{key: predictions for test}`` for every key in ``golds``. Each
     repetition pools its folds' predictions into one report per key, so one
     pass can evaluate many models on the same folds.
@@ -237,16 +240,16 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
     log_rows = []
     for rep in range(reps):
         rep_seed = base_seed * 1_000_003 + rep
-        plan = make_folds(corpus, k, rep_seed)
+        assignment = make_folds(corpus, k, rep_seed).assignment
+        fold_of = [assignment[ex.id] for ex in corpus]
         pooled = {key: ([], []) for key in golds}
         for fold in range(k):
-            held_ids = plan.fold_ids(fold)
-            train = [ex for ex in corpus if ex.id not in held_ids]
-            test = [ex for ex in corpus if ex.id in held_ids]
+            train = [i for i, f in enumerate(fold_of) if f != fold]
+            test = [i for i, f in enumerate(fold_of) if f == fold]
             predictions = fit_predict(train, test, rep_seed * 101 + fold)
-            for key, attr in golds.items():
+            for key, codes in golds.items():
                 preds = tuple(predictions[key])
-                gold = tuple(getattr(ex, attr) for ex in test)
+                gold = tuple(codes[i] for i in test)
                 log_rows.append((rep, fold, key, report(PairedSeries(preds, gold))))
                 pooled[key][0].extend(preds)
                 pooled[key][1].extend(gold)
@@ -269,18 +272,18 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
     the climb is skipped and the held-out texts keep their scores under
     ``lex`` (the unsupervised protocol).
     """
-    traces = dict(zip([ex.id for ex in corpus], tokenize_corpus(lex, corpus)))
+    traces = tokenize_corpus(lex, corpus)
     if supervised:
-        plans = dict(zip(traces, compile_plans(lex, traces.values())))
+        plans = compile_plans(lex, traces)
 
     def fit_predict(train, test, fold_seed):
         if not supervised:
-            scores = [traces[ex.id].score for ex in test]
+            scores = [traces[i].score for i in test]
         else:
-            table, _ = hill_climb_tokenized(lex, [plans[ex.id] for ex in train], train,
-                                            replace(cfg, seed=fold_seed))
-            scores = [rescore(plans[ex.id], table) for ex in test]
+            table, _ = hill_climb_tokenized(lex, [plans[i] for i in train],
+                                            [corpus[i] for i in train], replace(cfg, seed=fold_seed))
+            scores = [rescore(plans[i], table) for i in test]
         return {"stress": [s.stress for s in scores], "relax": [s.relaxation for s in scores]}
 
-    return run_folds(corpus, k, reps, base_seed, fit_predict,
-                     {"stress": "gold_stress", "relax": "gold_relax"})
+    golds = {"stress": [ex.gold_stress for ex in corpus], "relax": [ex.gold_relax for ex in corpus]}
+    return run_folds(corpus, k, reps, base_seed, fit_predict, golds)

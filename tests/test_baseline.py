@@ -22,7 +22,7 @@ from tensilex.baseline import (
     train,
 )
 from tensilex.corpus import make_example, make_folds
-from tensilex.errors import DegenerateLabels, EmptyCorpus, ParseError
+from tensilex.errors import DegenerateLabels, EmptyCorpus, LengthError, ParseError
 from tensilex.metrics import PairedSeries, report
 
 from .oracles import (
@@ -127,6 +127,33 @@ def test_gain_single_label_rejected():
     vectors, labels = corpus_vectors(["a", "b"], [1, 1])
     with pytest.raises(DegenerateLabels):
         information_gain(vectors, labels)
+
+
+@pytest.mark.parametrize("n_labels", [2, 8])
+def test_label_count_must_match_text_count(monkeypatch, n_labels):
+    vectors, _ = corpus_vectors(["calm one", "calm two", "tense one", "tense two"], [])
+    labels = [1, 2] * (n_labels // 2)
+
+    def no_work(vectors):
+        raise AssertionError("features compiled before the lengths were checked")
+
+    monkeypatch.setattr(baseline, "compile_features", no_work)
+    message = f"{n_labels} labels for 4 texts"
+    with pytest.raises(LengthError, match=message):
+        information_gain(vectors, labels)
+    for kind in ("nb", "logistic"):
+        with pytest.raises(LengthError, match=message):
+            train(kind, vectors, labels, ("calm",))
+
+
+def test_unknown_scale_kind_and_zero_size_rejected():
+    with pytest.raises(ValueError, match="unknown scale"):
+        sweep(injected_token_corpus(), "anger")
+    vectors, labels = corpus_vectors(["aa bb", "cc dd"], [1, 2])
+    with pytest.raises(ValueError, match="unknown classifier kind"):
+        train("svm", vectors, labels, ("aa",))
+    with pytest.raises(ValueError, match=">= 1"):
+        select_top(information_gain(vectors, labels), 0)
 
 
 def test_select_top_caps_at_vocabulary():

@@ -89,6 +89,14 @@ def test_score_env_var_default(capsys, lex_dir, tmp_path, monkeypatch):
     assert code == 0 and "1\t-1\t4" in out
 
 
+def test_score_without_lexicon_dir_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("TENSILEX_LEXICON_DIR", raising=False)
+    inp = tmp_path / "t.txt"
+    inp.write_text("hello\n")
+    code, out, err = run(capsys, "score", str(inp))
+    assert code == 2 and out == "" and "TENSILEX_LEXICON_DIR" in err
+
+
 def test_score_bad_lexicon_exit_2(capsys, tmp_path):
     inp = tmp_path / "t.txt"
     inp.write_text("hello\n")

@@ -13,8 +13,9 @@ from tensilex.corpus import (
     save_corpus,
     slice_corpus,
 )
-from tensilex.errors import ParseError, TooSmall, WriteError
+from tensilex.errors import EmptyCorpus, ParseError, TooSmall, WriteError
 from tensilex.lexicon import Kind, set_strength
+from tensilex.metrics import PairedSeries, report
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -189,6 +190,47 @@ def test_evaluate_unrounded_uses_raw_golds():
     assert rounded.mad == 1.0  # prediction -2 vs rounded gold -3
     assert unrounded.mad == 0.5  # vs raw gold -2.5
     assert unrounded.exact_pct == rounded.exact_pct  # exact always vs rounded
+
+
+def test_empty_corpus_rejected():
+    lex = make_reference_lexicon()
+    with pytest.raises(EmptyCorpus):
+        evaluate_lexicon(lex, [])
+    with pytest.raises(EmptyCorpus):
+        cp.run_folds([], 2, 1, 0, lambda train, test, seed: {}, {})
+
+
+def test_run_folds_hands_out_corpus_positions():
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=23, seed=17)
+    k, reps, base_seed = 5, 2, 4
+    # Golds unrelated to the examples' own: only a lookup by position finds them.
+    golds = {"g": [-1 - i % 5 for i in range(len(corpus))]}
+    calls = []
+
+    def fit_predict(train, test, fold_seed):
+        preds = [-1 - (i * 7 + fold_seed) % 5 for i in test]
+        calls.append((train, test, fold_seed, preds))
+        return {"g": preds}
+
+    result = cp.run_folds(corpus, k, reps, base_seed, fit_predict, golds)
+    assert len(calls) == reps * k
+    positions = range(len(corpus))
+    for rep in range(reps):
+        rep_seed = base_seed * 1_000_003 + rep
+        plan = make_folds(corpus, k, rep_seed)
+        rep_calls = calls[rep * k:(rep + 1) * k]
+        for fold, (train, test, fold_seed, preds) in enumerate(rep_calls):
+            assert test == [i for i in positions if corpus[i].id in plan.fold_ids(fold)]
+            assert train == [i for i in positions if i not in test]
+            assert fold_seed == rep_seed * 101 + fold
+            fold_report = report(PairedSeries(tuple(preds), tuple(golds["g"][i] for i in test)))
+            assert result.log_rows[rep * k + fold] == (rep, fold, "g", fold_report)
+        held = [i for _, test, _, _ in rep_calls for i in test]
+        assert sorted(held) == list(positions)  # disjoint, and together every position
+        pooled = report(PairedSeries(tuple(p for *_, preds in rep_calls for p in preds),
+                                     tuple(golds["g"][i] for i in held)))
+        assert result.rep_reports[rep] == {"g": pooled}
 
 
 def test_crossval_fixed_point_matches_unsupervised():

@@ -90,6 +90,14 @@ def test_alpha_perfect_agreement():
     assert krippendorff_alpha_weighted(matrix) == 1.0
 
 
+@pytest.mark.parametrize("metric", ["linear", "interval"])
+def test_alpha_one_distinct_value_is_perfect(metric):
+    # No expected disagreement at all: alpha is 1.0, not 0/0.
+    rows = [(3, 3, None), (3, 3, 3)]
+    assert krippendorff_alpha_weighted(CodingMatrix(tuple(rows)), metric=metric) == 1.0
+    assert kripp_alpha_bruteforce(rows, metric=metric) == 1.0
+
+
 def test_alpha_two_coders_crossed():
     matrix = CodingMatrix(((1, 5), (5, 1)))
     assert krippendorff_alpha_weighted(matrix) == pytest.approx(
