@@ -432,8 +432,11 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
     """
     if scale not in ("stress", "relax"):
         raise ValueError(f"unknown scale {scale!r}")
+    kinds, grid = tuple(kinds), tuple(grid)  # each is read more than once
+    if not kinds or not grid:
+        raise ValueError(f"a sweep needs classifiers and feature counts, got {kinds}, {grid}")
     if any(n < 1 for n in grid):
-        raise ValueError(f"feature counts must be >= 1, got {tuple(grid)}")
+        raise ValueError(f"feature counts must be >= 1, got {grid}")
     labels = [ex.gold_stress if scale == "stress" else ex.gold_relax for ex in corpus]
     cells = [(kind, n) for kind in kinds for n in grid]
     features = compile_features([extract_features(ex.text) for ex in corpus])

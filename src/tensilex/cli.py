@@ -9,6 +9,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -36,11 +37,11 @@ def _load_lexicon(args):
 
 
 def _input_lines(path):
-    if path == "-":
-        yield from (line.rstrip("\n") for line in sys.stdin)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            yield from (line.rstrip("\n") for line in fh)
+    """Lines of ``path``, or of stdin for ``-``, without their newlines. A
+    leading byte-order mark is skipped, as the corpus and lexicon readers do."""
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            yield (line.removeprefix("\ufeff") if i == 0 else line).rstrip("\n")
 
 
 def cmd_score(args) -> int:
@@ -78,26 +79,33 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.supervised:
+        for flag in ("log", "k", "reps", "seed"):
+            if getattr(args, flag) is not None:
+                raise TensilexError(f"--{flag} requires --supervised")
+    elif args.seed is None:
+        raise TensilexError("--supervised requires --seed")
+    elif args.unrounded:
+        raise TensilexError("--supervised does not take --unrounded")
     lex = _load_lexicon(args)
     corpus = cp.load_corpus(args.corpus)
-    report_type = cp.AveragedReport if args.supervised else mx.MetricsReport
     if args.subcorpus:
         corpus = cp.slice_corpus(corpus, args.subcorpus)
-        if not corpus:
-            sys.stderr.write(f"warning: no examples with subcorpus {args.subcorpus!r}\n")
-            print("scale\t" + report_type.TSV_HEADER)
-            return 0
-    if args.supervised:
+    reports, result = {}, None
+    if args.subcorpus and not corpus:
+        sys.stderr.write(f"warning: no examples with subcorpus {args.subcorpus!r}\n")
+    elif args.supervised:
         result = cp.crossval_supervised(lex, corpus, k=10 if args.k is None else args.k,
                                         reps=30 if args.reps is None else args.reps,
                                         base_seed=args.seed)
         reports = result.averaged
     else:
         reports = cp.evaluate_lexicon(lex, corpus, unrounded=args.unrounded)
+    report_type = cp.AveragedReport if args.supervised else mx.MetricsReport
     print("scale\t" + report_type.TSV_HEADER)
-    for scale in ("stress", "relax"):
-        print(f"{scale}\t{reports[scale].tsv_row()}")
-    if args.supervised and args.log:
+    for scale, rpt in reports.items():
+        print(f"{scale}\t{rpt.tsv_row()}")
+    if result is not None and args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             for line in result.log_tsv():
                 fh.write(line + "\n")
@@ -209,26 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _evaluate_mode_problem(args):
-    """Why ``evaluate``'s flags do not fit its mode, or None when they do."""
-    if not args.supervised:
-        for flag in ("log", "k", "reps", "seed"):
-            if getattr(args, flag) is not None:
-                return f"--{flag} requires --supervised"
-        return None
-    if args.seed is None:
-        return "--supervised requires --seed"
-    if args.unrounded:
-        return "--supervised does not take --unrounded"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _evaluate_mode_problem(args) if args.command == "evaluate" else None
-    if problem:
-        sys.stderr.write(f"error: {problem}\n")
-        return 2
     try:
         return args.func(args)
     except TensilexError as exc:

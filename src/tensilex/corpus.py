@@ -15,9 +15,10 @@ All randomness derives from an explicit base seed: repetition ``r`` uses
 fold seed ``base_seed * 1000003 + r`` and the model fitted on fold ``f``
 of that repetition gets ``(base_seed * 1000003 + r) * 101 + f`` (the
 optimizer's seed; the baseline's classifiers are deterministic and ignore
-it). :func:`run_folds` is the one place that derives them. It names texts
-by corpus position: each fold's ``fit_predict`` receives the ascending
-corpus positions of its training and held-out texts.
+it). :func:`run_folds` is the one place that derives them. Folds are
+corpus positions throughout: :func:`make_folds` returns each position's
+fold, and each fold's ``fit_predict`` receives the ascending corpus
+positions of its training and held-out texts.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ class AnnotatedExample:
     gold_relax: int
     gold_stress_raw: float
     gold_relax_raw: float
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    assignment: dict[str, int]  # example id -> fold index
-
-    def fold_ids(self, fold: int) -> set[str]:
-        return {ex_id for ex_id, f in self.assignment.items() if f == fold}
 
 
 def round_half_away(x: float) -> int:
@@ -130,8 +123,9 @@ def slice_corpus(corpus, subcorpus_label) -> list[AnnotatedExample]:
     return [ex for ex in corpus if ex.subcorpus == subcorpus_label]
 
 
-def make_folds(corpus, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle then round-robin assignment; fold sizes differ by <= 1.
+def make_folds(corpus, k: int, seed: int) -> list[int]:
+    """Each corpus position's fold: the positions are shuffled with ``seed``
+    and dealt round-robin, so fold sizes differ by <= 1.
 
     Raises :class:`TooSmall` when ``k < 2`` or the corpus has fewer than
     ``k`` examples.
@@ -142,8 +136,10 @@ def make_folds(corpus, k: int, seed: int) -> FoldPlan:
         raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
-    assignment = {corpus[idx].id: pos % k for pos, idx in enumerate(order)}
-    return FoldPlan(assignment)
+    fold_of = [0] * len(corpus)
+    for pos, idx in enumerate(order):
+        fold_of[idx] = pos % k
+    return fold_of
 
 
 def _mixed_report(preds, golds_rounded, golds_raw, unrounded) -> MetricsReport:
@@ -240,8 +236,7 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
     log_rows = []
     for rep in range(reps):
         rep_seed = base_seed * 1_000_003 + rep
-        assignment = make_folds(corpus, k, rep_seed).assignment
-        fold_of = [assignment[ex.id] for ex in corpus]
+        fold_of = make_folds(corpus, k, rep_seed)
         pooled = {key: ([], []) for key in golds}
         for fold in range(k):
             train = [i for i, f in enumerate(fold_of) if f != fold]

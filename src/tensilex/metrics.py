@@ -139,6 +139,9 @@ def cross_tab(a, b, value_range) -> np.ndarray:
         raise EmptySeries("empty series")
     values = list(value_range)
     index = {v: i for i, v in enumerate(values)}
+    outside = [v for v in (*a, *b) if v not in index]
+    if outside:
+        raise ValueError(f"value {outside[0]!r} outside the value range {value_range}")
     table = np.zeros((len(values), len(values)))
     for x, y in zip(a, b):
         table[index[x], index[y]] += 1

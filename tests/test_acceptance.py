@@ -140,10 +140,10 @@ def test_criterion_6_crossval_determinism(tmp_path, capsys):
     # plans exactly this way and asserts disjointness internally too)
     from tensilex.corpus import make_folds
     for rep in range(30):
-        plan = make_folds(corpus, 10, 7 * 1_000_003 + rep)
+        fold_of = make_folds(corpus, 10, 7 * 1_000_003 + rep)
         seen = set()
         for fold in range(10):
-            ids = plan.fold_ids(fold)
+            ids = {ex.id for ex, f in zip(corpus, fold_of) if f == fold}
             assert not ids & seen
             seen |= ids
         assert seen == {ex.id for ex in corpus}

@@ -156,6 +156,18 @@ def test_unknown_scale_kind_and_zero_size_rejected():
         select_top(information_gain(vectors, labels), 0)
 
 
+@pytest.mark.parametrize("cells", [dict(kinds=()), dict(grid=()), dict(grid=iter(()))],
+                         ids=["no-kinds", "no-grid", "no-grid-iterator"])
+def test_sweep_without_cells_rejected(monkeypatch, cells):
+    # Unchecked, every fold's information gain is computed before max() of no rows fails.
+    def no_work(vectors):
+        raise AssertionError("features compiled before the cells were checked")
+
+    monkeypatch.setattr(baseline, "compile_features", no_work)
+    with pytest.raises(ValueError, match="a sweep needs classifiers and feature counts"):
+        sweep(injected_token_corpus(), "stress", k=2, reps=1, **cells)
+
+
 def test_select_top_caps_at_vocabulary():
     vectors, labels = corpus_vectors(["aa bb", "cc dd"], [1, 2])
     table = information_gain(vectors, labels)
@@ -427,11 +439,11 @@ def test_sweep_rows_equal_per_text_runs_on_plain_folds():
     k, base_seed, grid = 4, 9, (5, 100)
     rows, _ = sweep(corpus, "stress", ("nb", "logistic"), grid, k=k, reps=1, base_seed=base_seed)
     assert len({rpt for *_, rpt in rows}) > 1
-    plan = make_folds(corpus, k, base_seed * 1_000_003)  # the README's repetition seed
+    fold_of = make_folds(corpus, k, base_seed * 1_000_003)  # the README's repetition seed
     for kind, n, _, rpt in rows:
         preds, golds = [], []
         for fold in range(k):
-            held = plan.fold_ids(fold)
+            held = {ex.id for ex, f in zip(corpus, fold_of) if f == fold}
             train_ex = [ex for ex in corpus if ex.id not in held]
             vectors = [extract_features(ex.text) for ex in train_ex]
             labels = [ex.gold_stress for ex in train_ex]

@@ -1,5 +1,7 @@
+import io
 import os
 import random
+import sys
 
 import pytest
 
@@ -107,6 +109,24 @@ def test_score_bad_lexicon_exit_2(capsys, tmp_path):
 def test_score_missing_input_exit_1(capsys, lex_dir):
     code, _, err = run(capsys, "score", "--lexicon-dir", lex_dir, "/no/such/file.txt")
     assert code == 1
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("flags, line, text_id", [((), ":( awful", "1"),
+                                                  (("--tsv",), "a1\t:( awful", "a1")],
+                         ids=["plain", "tsv"])
+def test_score_skips_byte_order_mark(capsys, tmp_path, monkeypatch, source, flags, line, text_id):
+    # Kept, the mark would start the --tsv id, or join the ":(" punctuation run (stress -1).
+    data = ("\ufeff" + line + "\n").encode()
+    path = tmp_path / "texts.txt"
+    if source == "stdin":  # "score -" reads stdin
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = "-"
+    else:
+        path.write_bytes(data)
+    code, out, _ = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, *flags, str(path))
+    assert code == 0
+    assert out == f"id\tstress\trelaxation\n{text_id}\t-2\t1\n"
 
 
 def test_optimize_already_optimal(capsys, ref_setup, tmp_path):
@@ -220,13 +240,15 @@ def test_evaluate_unknown_subcorpus_warns(capsys, ref_setup):
     assert len(out.splitlines()) == 1  # header only
 
 
-def test_evaluate_unknown_subcorpus_supervised_header(capsys, ref_setup):
+def test_evaluate_unknown_subcorpus_supervised_header(capsys, ref_setup, tmp_path):
     _, lex_dir, corpus_path, _ = ref_setup
+    log = tmp_path / "cv.tsv"
     code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
-                         "--subcorpus", "nosuch", "--supervised", "--seed", "1")
+                         "--subcorpus", "nosuch", "--supervised", "--seed", "1", "--log", str(log))
     assert code == 0
     assert "warning" in err
     assert out == "scale\t" + AveragedReport.TSV_HEADER + "\n"
+    assert not log.exists()  # no cross validation ran, so there is no log to write
 
 
 @pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "1"), ("--reps", "0")])

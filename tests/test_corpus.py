@@ -134,26 +134,26 @@ def test_slice_by_label():
 def test_make_folds_balanced():
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=20, seed=3)
-    plan = make_folds(corpus, 10, seed=4)
-    sizes = [len(plan.fold_ids(f)) for f in range(10)]
+    fold_of = make_folds(corpus, 10, seed=4)
+    sizes = [fold_of.count(f) for f in range(10)]
     assert sizes == [2] * 10
 
 
 def test_make_folds_sizes_differ_at_most_one():
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=23, seed=5)
-    plan = make_folds(corpus, 10, seed=6)
-    sizes = sorted(len(plan.fold_ids(f)) for f in range(10))
+    fold_of = make_folds(corpus, 10, seed=6)
+    sizes = sorted(fold_of.count(f) for f in range(10))
     # 23 = 3 folds of 3 + 7 folds of 2 under round-robin
     assert sizes == [2] * 7 + [3] * 3
-    assert set().union(*(plan.fold_ids(f) for f in range(10))) == {ex.id for ex in corpus}
+    assert len(fold_of) == len(corpus) and set(fold_of) == set(range(10))  # each position has a fold
 
 
 def test_make_folds_deterministic():
     lex = make_reference_lexicon()
     corpus = make_synthetic_corpus(lex, n_texts=20, seed=7)
-    assert make_folds(corpus, 5, 1).assignment == make_folds(corpus, 5, 1).assignment
-    assert make_folds(corpus, 5, 1).assignment != make_folds(corpus, 5, 2).assignment
+    assert make_folds(corpus, 5, 1) == make_folds(corpus, 5, 1)
+    assert make_folds(corpus, 5, 1) != make_folds(corpus, 5, 2)
 
 
 def test_make_folds_too_small():
@@ -218,10 +218,10 @@ def test_run_folds_hands_out_corpus_positions():
     positions = range(len(corpus))
     for rep in range(reps):
         rep_seed = base_seed * 1_000_003 + rep
-        plan = make_folds(corpus, k, rep_seed)
+        fold_of = make_folds(corpus, k, rep_seed)
         rep_calls = calls[rep * k:(rep + 1) * k]
         for fold, (train, test, fold_seed, preds) in enumerate(rep_calls):
-            assert test == [i for i in positions if corpus[i].id in plan.fold_ids(fold)]
+            assert test == [i for i in positions if fold_of[i] == fold]
             assert train == [i for i in positions if i not in test]
             assert fold_seed == rep_seed * 101 + fold
             fold_report = report(PairedSeries(tuple(preds), tuple(golds["g"][i] for i in test)))
@@ -292,11 +292,11 @@ def test_crossval_never_trains_on_heldout(monkeypatch):
     text_of = {id(plan): ex.id for ex, plan in zip(corpus, compiled)}
     assert len(climbs) == reps * k
     for rep in range(reps):
-        plan = make_folds(corpus, k, base_seed * 1_000_003 + rep)
+        fold_of = make_folds(corpus, k, base_seed * 1_000_003 + rep)
         seen = set()
         for fold in range(k):
             name, (_, plans, examples, cfg), _ = climbs[rep * k + fold]
-            held = plan.fold_ids(fold)
+            held = {ex.id for ex, f in zip(corpus, fold_of) if f == fold}
             assert name == "hill_climb_tokenized"
             assert [text_of[id(p)] for p in plans] == [ex.id for ex in examples] == \
                 [ex.id for ex in corpus if ex.id not in held]

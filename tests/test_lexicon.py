@@ -362,6 +362,11 @@ def test_set_rejects_a_term_of_another_kind(fields, pattern):
         _with(**fields)
 
 
+def test_terms_has_no_neutral_list(paper_lexicon):
+    with pytest.raises(ValueError, match="no term list for kind"):
+        paper_lexicon.terms(Kind.NEUTRAL)
+
+
 def test_equal_sets_share_recognised_words(tmp_path):
     d = write_dir(tmp_path, **{"stress_terms.tsv": "delayed\t3\n", "dictionary.txt": "home\n"})
     assert load_lexicon_set(d).recognised_words is load_lexicon_set(d).recognised_words

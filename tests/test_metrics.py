@@ -139,6 +139,11 @@ def test_alpha_items_with_single_code_excluded():
         krippendorff_alpha_weighted(without))
 
 
+def test_alpha_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'ratio'"):
+        krippendorff_alpha_weighted(CodingMatrix(((1, 2), (2, 2))), metric="ratio")
+
+
 def test_alpha_insufficient_data():
     with pytest.raises(InsufficientData):
         krippendorff_alpha_weighted(CodingMatrix(((1, None), (None, 2))))
@@ -171,6 +176,17 @@ def test_cross_tab_agreement_rate_counts():
 def test_cross_tab_length_mismatch():
     with pytest.raises(LengthError):
         cross_tab([1], [1, 2], range(1, 6))
+
+
+def test_cross_tab_empty_series():
+    with pytest.raises(EmptySeries):
+        cross_tab([], [], range(1, 6))
+
+
+@pytest.mark.parametrize("a, b, outside", [([6], [1], 6), ([1, 2], [2, 0], 0)])
+def test_cross_tab_value_outside_range(a, b, outside):
+    with pytest.raises(ValueError, match=f"value {outside} outside the value range"):
+        cross_tab(a, b, range(1, 6))
 
 
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=2, max_size=30))
