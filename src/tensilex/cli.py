@@ -89,10 +89,10 @@ def cmd_evaluate(args) -> int:
         raise TensilexError("--supervised does not take --unrounded")
     lex = _load_lexicon(args)
     corpus = cp.load_corpus(args.corpus)
-    if args.subcorpus:
+    if args.subcorpus is not None:
         corpus = cp.slice_corpus(corpus, args.subcorpus)
     reports, result = {}, None
-    if args.subcorpus and not corpus:
+    if args.subcorpus is not None and not corpus:
         sys.stderr.write(f"warning: no examples with subcorpus {args.subcorpus!r}\n")
     elif args.supervised:
         result = cp.crossval_supervised(lex, corpus, k=10 if args.k is None else args.k,
@@ -105,7 +105,7 @@ def cmd_evaluate(args) -> int:
     print("scale\t" + report_type.TSV_HEADER)
     for scale, rpt in reports.items():
         print(f"{scale}\t{rpt.tsv_row()}")
-    if result is not None and args.log:
+    if result is not None and args.log is not None:
         with open(args.log, "w", encoding="utf-8") as fh:
             for line in result.log_tsv():
                 fh.write(line + "\n")

@@ -2,14 +2,16 @@
 repeated k-fold cross-validation driver shared by supervised runs and the
 n-gram baseline.
 
-Corpus TSV format (UTF-8, ``#`` comments allowed, a leading byte-order mark
-skipped): a five-column header line, then rows of ::
+Corpus TSV format (UTF-8; blank lines, ``#`` comments and a leading byte-order
+mark skipped): a five-column header line, then rows of ::
 
     id<TAB>subcorpus<TAB>text<TAB>stress_codes<TAB>relax_codes
 
 where the code columns hold comma-separated per-coder integers, e.g.
 ``-1,-2,-2`` and ``1,1,2``. Gold scores are the per-coder mean, kept both
-raw and rounded half away from zero.
+raw and rounded half away from zero. A corpus built in code obeys the reader's
+rules (:func:`make_example` raises :class:`ParseError`), and saving refuses a
+row the reader would skip, such as an empty id followed by ``#...``.
 
 All randomness derives from an explicit base seed: repetition ``r`` uses
 fold seed ``base_seed * 1000003 + r`` and the model fitted on fold ``f``
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
-from .lexicon import _read_rows
+from .lexicon import _is_int, _is_skipped, _parse_int, _read_rows
 from .metrics import MetricsReport, PairedSeries, exact_within1, mad, pearson, report
 from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
                         tokenize_corpus)
@@ -49,37 +51,31 @@ class AnnotatedExample:
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer, ties away from zero (-1.5 -> -2)."""
-    return int(math.copysign(math.floor(abs(x) + 0.5), x))
+    return math.floor(x + 0.5) if x >= 0 else -math.floor(0.5 - x)
 
 
-def _parse_codes(text, low, high):
+def _parse_codes(text):
     codes = []
     for piece in text.split(","):
-        try:
-            value = int(piece)
-        except ValueError:
-            raise ParseError(f"bad code {piece!r}") from None
-        if not low <= value <= high:
-            raise ParseError(f"code {value} outside {low}..{high}")
-        codes.append(value)
+        codes.append(_parse_int(piece, "code"))
     return tuple(codes)
 
 
-def _is_code_list(text) -> bool:
-    """Whether ``text`` reads as comma-separated integers, as a code column does."""
-    try:
-        [int(piece) for piece in text.split(",")]
-    except ValueError:
-        return False
-    return True
-
-
 def make_example(ex_id, subcorpus, text, stress_codes, relax_codes) -> AnnotatedExample:
+    """An example whose gold codes are its coders' means. Its codes obey the rules
+    :func:`load_corpus` reads by, or :class:`ParseError` is raised: at least one coder,
+    as many on each scale, each an integer (not a ``bool``) in -5..-1 or 1..5."""
+    for codes, low, high in ((stress_codes, -5, -1), (relax_codes, 1, 5)):
+        for code in codes:  # an exact int skips the call: the reader checks every code
+            if not ((type(code) is int or _is_int(code)) and low <= code <= high):
+                raise ParseError(f"code {code} outside {low}..{high}" if _is_int(code)
+                                 else f"code is not an integer: {code!r}")
+    if not stress_codes or len(stress_codes) != len(relax_codes):
+        raise ParseError("coder count differs between scales" if stress_codes or relax_codes else "no coders")
     stress_raw = sum(stress_codes) / len(stress_codes)
     relax_raw = sum(relax_codes) / len(relax_codes)
     return AnnotatedExample(ex_id, text, tuple(stress_codes), tuple(relax_codes), subcorpus,
-                            round_half_away(stress_raw), round_half_away(relax_raw),
-                            stress_raw, relax_raw)
+                            round_half_away(stress_raw), round_half_away(relax_raw), stress_raw, relax_raw)
 
 
 def load_corpus(path) -> list[AnnotatedExample]:
@@ -89,31 +85,29 @@ def load_corpus(path) -> list[AnnotatedExample]:
         nonlocal header_seen
         if not header_seen:  # the first data line is the header
             header_seen = True
-            if _is_code_list(stress_text) and _is_code_list(relax_text):
-                raise ParseError("missing header: the first line is a data row")
-            return None
-        stress_codes = _parse_codes(stress_text, -5, -1)
-        relax_codes = _parse_codes(relax_text, 1, 5)
-        if len(stress_codes) != len(relax_codes):
-            raise ParseError("coder count differs between scales")
-        return make_example(ex_id, subcorpus, body, stress_codes, relax_codes)
+            try:
+                _parse_codes(stress_text), _parse_codes(relax_text)
+            except ParseError:
+                return None
+            raise ParseError("missing header: the first line is a data row")
+        return make_example(ex_id, subcorpus, body, _parse_codes(stress_text), _parse_codes(relax_text))
 
     return list(_read_rows(path, 5, build)[1:])
 
 
 def save_corpus(examples, path) -> None:
-    """Write the corpus TSV. A field that :func:`load_corpus` would split or
-    skip raises :class:`WriteError` naming the example, before the file opens."""
+    """Write the corpus TSV. A field that :func:`load_corpus` would split, or a row it
+    would skip as a comment, raises :class:`WriteError` naming the example, before the file opens."""
     lines = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes\n"]
     for ex in examples:
         for name in ("id", "subcorpus", "text"):
             if any(ch in getattr(ex, name) for ch in "\t\n\r"):
                 raise WriteError(f"example {ex.id!r}: {name} contains a tab or line break")
-        if ex.id.lstrip().startswith("#"):
-            raise WriteError(f"example {ex.id!r}: an id starting with '#' reads back as a comment")
-        lines.append(f"{ex.id}\t{ex.subcorpus}\t{ex.text}\t"
-                     f"{','.join(map(str, ex.coder_stress))}\t"
-                     f"{','.join(map(str, ex.coder_relax))}\n")
+        row = (f"{ex.id}\t{ex.subcorpus}\t{ex.text}\t{','.join(map(str, ex.coder_stress))}\t"
+               f"{','.join(map(str, ex.coder_relax))}")
+        if _is_skipped(row):
+            raise WriteError(f"example {ex.id!r}: the row would read back as a comment")
+        lines.append(row + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 

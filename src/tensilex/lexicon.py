@@ -10,9 +10,9 @@ A lexicon lives on disk as a directory of seven UTF-8 files:
     emoticons.tsv      glyph<TAB>kind<TAB>strength
     dictionary.txt     one word per line
 
-Lines starting with ``#`` are comments, and a leading UTF-8 byte-order mark
-is skipped. A term pattern may end in a single ``*`` wildcard meaning "any
-suffix". Strengths are integers 1..5.
+Blank lines, lines whose first non-blank character is ``#`` (comments) and a
+leading UTF-8 byte-order mark are skipped. A term pattern may end in a single
+``*`` wildcard meaning "any suffix". Strengths are integers 1..5.
 
 Loaded sets are immutable; :func:`set_strengths` returns a new set with
 the strengths of a ``{(Kind, pattern): strength}`` table. The optimizer
@@ -269,15 +269,16 @@ def _check_strength(strength):
         raise StrengthRangeError(f"strength must be an integer in 1..5, got {strength!r}")
 
 
+def _is_skipped(line) -> bool:  # what the readers skip: blank, or "#" after leading whitespace
+    return line.lstrip()[:1] in ("", "#")
+
+
 def _data_lines(path):
-    """Yield (line_number, stripped_text) skipping blanks, # comments and a
-    leading byte-order mark."""
+    """Yield (line_number, text) for each line not :func:`_is_skipped`, past a leading BOM."""
     with open(path, encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
-            text = line.rstrip("\n")
-            if not text.strip() or text.lstrip().startswith("#"):
-                continue
-            yield i, text
+            if not _is_skipped(line):
+                yield i, line.rstrip("\n")
 
 
 def _parse_int(text, what):
@@ -377,10 +378,9 @@ def set_strength(lex: LexiconSet, kind: Kind, pattern: str, strength: int) -> Le
 
 
 def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
-    """Write the seven-file directory, entries sorted for deterministic diffs.
-    Each entry of a set reads back except on a line starting with ``#``, which
-    reads as a comment: such a line raises :class:`WriteError` naming the file
-    and the line, before any file opens."""
+    """Write the seven-file directory, entries sorted for deterministic diffs. A line
+    the readers would skip, one starting with ``#``, raises :class:`WriteError`
+    naming the file and the line, before any file opens."""
     files = {
         "stress_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.stress_terms],
         "relax_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.relax_terms],
@@ -393,7 +393,7 @@ def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
     }
     for name, lines in files.items():
         for lineno, line in enumerate(lines, start=1):
-            if line.startswith("#"):
+            if _is_skipped(line):
                 raise WriteError(f"{os.path.join(directory_path, name)}: line {lineno} {line!r} "
                                  "would read back as a comment")
     os.makedirs(directory_path, exist_ok=True)

@@ -5,6 +5,7 @@ conftest.pytest_runtest_logreport)."""
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +132,7 @@ def test_criterion_6_crossval_determinism(tmp_path, capsys):
                      "--k", "10", "--reps", "30", "--seed", "7", "--log", log])
         captured = capsys.readouterr()
         assert code == 0
-        outputs.append((captured.out.encode(), open(log, "rb").read()))
+        outputs.append((captured.out.encode(), Path(log).read_bytes()))
     elapsed = time.perf_counter() - start
 
     assert outputs[0] == outputs[1]  # byte-identical stdout and detailed log

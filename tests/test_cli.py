@@ -2,6 +2,7 @@ import io
 import os
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,7 +187,7 @@ def test_optimize_same_seed_identical_output(capsys, ref_setup, tmp_path):
             "--out-dir", out_dir, "--seed", "3")
         files = {}
         for fn in sorted(os.listdir(out_dir)):
-            files[fn] = open(os.path.join(out_dir, fn), "rb").read()
+            files[fn] = Path(out_dir, fn).read_bytes()
         outs.append(files)
     assert outs[0] == outs[1]
 
@@ -251,6 +252,30 @@ def test_evaluate_unknown_subcorpus_supervised_header(capsys, ref_setup, tmp_pat
     assert not log.exists()  # no cross validation ran, so there is no log to write
 
 
+@pytest.fixture
+def empty_label_corpus(tmp_path):
+    corpus = [make_example("a", "transport", "the train is late", (-2,), (1,)),
+              make_example("b", "", "so relaxed today", (-1,), (3,)),
+              make_example("c", "leisure", "a quiet walk", (-1,), (2,))]
+    path = tmp_path / "labels.tsv"
+    save_corpus(corpus, str(path))
+    return str(path)
+
+
+def test_evaluate_empty_subcorpus_selects_empty_label(capsys, lex_dir, empty_label_corpus):
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, empty_label_corpus,
+                         "--subcorpus", "")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith("stress\t1\t")  # only "b", not all 3 texts
+
+
+def test_evaluate_empty_log_path_exit_1(capsys, lex_dir, empty_label_corpus):
+    # An empty --log is a path that cannot be written, not a missing flag.
+    code, _, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, empty_label_corpus,
+                       "--supervised", "--k", "2", "--reps", "1", "--seed", "1", "--log", "")
+    assert code == 1 and err.startswith("I/O error: ")
+
+
 @pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "1"), ("--reps", "0")])
 def test_evaluate_supervised_bad_numeric_flag_exit_2(capsys, ref_setup, flags):
     _, lex_dir, corpus_path, _ = ref_setup
@@ -293,7 +318,7 @@ def test_evaluate_supervised_runs(capsys, ref_setup, tmp_path):
                        "--log", log)
     assert code == 0
     assert out.splitlines()[0].startswith("scale\t")
-    log_lines = open(log).read().splitlines()
+    log_lines = Path(log).read_text().splitlines()
     assert len(log_lines) == 1 + 2 * 5 * 2
 
 
@@ -470,7 +495,7 @@ def test_golden_supervised_and_baseline_output(capsys, tmp_path):
                        "--supervised", "--k", "5", "--reps", "2", "--seed", "3", "--log", log)
     assert code == 0
     assert out == GOLDEN_EVALUATE_STDOUT
-    assert open(log, encoding="utf-8").read() == GOLDEN_EVALUATE_LOG
+    assert Path(log).read_text(encoding="utf-8") == GOLDEN_EVALUATE_LOG
     code, out, _ = run(capsys, "baseline", corpus_path, "--features", "20", "--scale", "stress",
                        "--k", "5", "--reps", "2", "--seed", "5")
     assert code == 0

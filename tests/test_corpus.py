@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensilex import corpus as cp, lexicon, optimizer, scorer
 from tensilex.corpus import (
@@ -60,7 +61,7 @@ def test_load_rejects_bad_rows(tmp_path):
     assert exc.value.line == 2
     with pytest.raises(ParseError):
         load_corpus(write_corpus(tmp_path, ["a\ts\ttext\t-1"]))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 2: code is not an integer: 'x'"):
         load_corpus(write_corpus(tmp_path, ["a\ts\ttext\t-1,x\t1,1"]))
 
 
@@ -118,6 +119,49 @@ def test_save_rejects_comment_like_id(tmp_path):
     with pytest.raises(WriteError, match="'  #x'"):
         save_corpus([make_example("  #x", "s", "text", (-1,), (1,))], str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fields", [("", "#sub", "text"), ("", "", "#tag stressed")])
+def test_save_rejects_rows_read_back_as_comments(tmp_path, fields):
+    # An empty id leaves the row to start with the next field; written, the
+    # row would be skipped and a two-example corpus read back as one.
+    good = make_example("ok0", "s", "first", (-1,), (2,))
+    bad = make_example(*fields, (-1,), (1,))
+    path = tmp_path / "bad.tsv"
+    with pytest.raises(WriteError, match="example '': "):
+        save_corpus([good, bad], str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("stress, relax, message", [
+    ((0,), (1,), "code 0 outside -5..-1"),
+    ((-1,), (9,), "code 9 outside 1..5"),
+    ((-1,), (True,), "code is not an integer: True"),
+    ((-1, -2), (1,), "coder count differs between scales"),
+    ((), (), "no coders"),
+])
+def test_make_example_enforces_the_reader_rules(stress, relax, message):
+    # Each of these once saved a corpus that failed to load, or divided by zero.
+    with pytest.raises(ParseError, match=message):
+        make_example("a", "s", "text", stress, relax)
+
+
+_FIELD_TEXT = st.text(alphabet="# \t\na", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT, st.lists(
+    st.tuples(st.integers(-5, -1), st.integers(1, 5)), min_size=1, max_size=3))
+def test_saved_corpus_reads_back_or_is_refused(tmp_path_factory, ex_id, sub, text, codes):
+    corpus = [make_example("ok0", "s", "first", (-1,), (2,)),
+              make_example(ex_id, sub, text, [s for s, _ in codes], [r for _, r in codes])]
+    path = tmp_path_factory.mktemp("rt") / "corpus.tsv"
+    try:
+        save_corpus(corpus, str(path))
+    except WriteError:
+        assert not path.exists()
+    else:
+        assert load_corpus(str(path)) == corpus
 
 
 def test_slice_by_label():
