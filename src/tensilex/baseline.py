@@ -294,9 +294,15 @@ def _scatter(columns: _Columns, rows, cols, counts, totals) -> np.ndarray:
     return x.take(columns.source, axis=1)
 
 
+def _check_kind(kind) -> None:
+    if kind not in ("nb", "logistic"):
+        raise ValueError(f"unknown classifier kind {kind!r}")
+
+
 def train(kind: str, vectors, labels, subset) -> TrainedModel:
     """Fit a ``kind`` model on ``vectors`` (:class:`FeatureVector`s or their
     :class:`CompiledFeatures`) over the feature ``subset``."""
+    _check_kind(kind)
     _check_labels(vectors, labels)
     if not vectors:
         raise EmptyCorpus("empty training set")
@@ -313,10 +319,8 @@ def train(kind: str, vectors, labels, subset) -> TrainedModel:
             totals = rows.sum(axis=0) + 1.0  # add-one smoothing
             log_like[ci] = np.log(totals / totals.sum())
         params = {"log_prior": log_prior, "log_like": log_like}
-    elif kind == "logistic":
-        params = {"weights": _train_logistic(x, y, classes)}
     else:
-        raise ValueError(f"unknown classifier kind {kind!r}")
+        params = {"weights": _train_logistic(x, y, classes)}
 
     return TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
 
@@ -437,6 +441,8 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         raise ValueError(f"a sweep needs classifiers and feature counts, got {kinds}, {grid}")
     if any(n < 1 for n in grid):
         raise ValueError(f"feature counts must be >= 1, got {grid}")
+    for kind in kinds:
+        _check_kind(kind)
     labels = [ex.gold_stress if scale == "stress" else ex.gold_relax for ex in corpus]
     cells = [(kind, n) for kind in kinds for n in grid]
     features = compile_features([extract_features(ex.text) for ex in corpus])

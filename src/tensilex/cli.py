@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import os
 import sys
@@ -34,6 +35,19 @@ def _load_lexicon(args):
     if not args.lexicon_dir:
         raise TensilexError(f"no lexicon directory: pass --lexicon-dir or set ${ENV_LEXICON_DIR}")
     return lx.load_lexicon_set(args.lexicon_dir)
+
+
+def _check_output_file(path):
+    """Raise :class:`OSError` unless ``path`` names a file that could be written:
+    its parent (``.`` for none) is an existing, writable directory and ``path``
+    is not a directory. Nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if not path or not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _input_lines(path):
@@ -63,13 +77,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    lex = _load_lexicon(args)
-    corpus = cp.load_corpus(args.corpus)
     cfg = OptimizerConfig(seed=args.seed, min_improvement=args.min_improvement,
                           max_passes=args.max_passes)
+    os.makedirs(args.out_dir, exist_ok=True)
+    log_path = os.path.join(args.out_dir, "optimization_log.tsv")
+    _check_output_file(log_path)
+    lex = _load_lexicon(args)
+    corpus = cp.load_corpus(args.corpus)
     optimized, report = hill_climb(lex, corpus, cfg)
     lx.save_lexicon_set(optimized, args.out_dir)
-    with open(os.path.join(args.out_dir, "optimization_log.tsv"), "w", encoding="utf-8") as fh:
+    with open(log_path, "w", encoding="utf-8") as fh:
         for line in report.log_lines():
             fh.write(line + "\n")
     print(f"initial error: {report.initial_error}")
@@ -87,6 +104,8 @@ def cmd_evaluate(args) -> int:
         raise TensilexError("--supervised requires --seed")
     elif args.unrounded:
         raise TensilexError("--supervised does not take --unrounded")
+    if args.log is not None:
+        _check_output_file(args.log)
     lex = _load_lexicon(args)
     corpus = cp.load_corpus(args.corpus)
     if args.subcorpus is not None:
@@ -101,7 +120,7 @@ def cmd_evaluate(args) -> int:
         reports = result.averaged
     else:
         reports = cp.evaluate_lexicon(lex, corpus, unrounded=args.unrounded)
-    report_type = cp.AveragedReport if args.supervised else mx.MetricsReport
+    report_type = mx.AveragedReport if args.supervised else mx.MetricsReport
     print("scale\t" + report_type.TSV_HEADER)
     for scale, rpt in reports.items():
         print(f"{scale}\t{rpt.tsv_row()}")
@@ -137,7 +156,7 @@ def cmd_agreement(args) -> int:
 def cmd_baseline(args) -> int:
     corpus = cp.load_corpus(args.corpus)
     kinds = ("nb", "logistic") if args.classifier == "both" else (args.classifier,)
-    print("classifier\tn_features\tscale\t" + cp.AveragedReport.TSV_HEADER + "\tbest_for")
+    print("classifier\tn_features\tscale\t" + mx.AveragedReport.TSV_HEADER + "\tbest_for")
     grid = bl.SWEEP_GRID if args.features == "sweep" else (args.features,)
     rows, best = bl.sweep(corpus, args.scale, kinds=kinds, grid=grid, k=args.k,
                           reps=args.reps, base_seed=args.seed)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
 from .lexicon import _is_int, _is_skipped, _parse_int, _read_rows
-from .metrics import MetricsReport, PairedSeries, exact_within1, mad, pearson, report
+from .metrics import AveragedReport, MetricsReport, PairedSeries, average, mad, pearson, report
 from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
                         tokenize_corpus)
 
@@ -136,31 +136,27 @@ def make_folds(corpus, k: int, seed: int) -> list[int]:
     return fold_of
 
 
-def _mixed_report(preds, golds_rounded, golds_raw, unrounded) -> MetricsReport:
-    # Exact/within-1 always compare against rounded codes; with unrounded
-    # golds, MAD and the correlation use the raw coder means.
-    rounded = PairedSeries(tuple(preds), tuple(golds_rounded))
-    graded = PairedSeries(tuple(preds), tuple(golds_raw)) if unrounded else rounded
-    return MetricsReport(len(preds), *exact_within1(rounded), pearson(graded), mad(graded))
-
-
 def evaluate_lexicon(lex, corpus, unrounded: bool = False) -> dict[str, MetricsReport]:
-    """Unsupervised evaluation: score every text with the lexicon as-is."""
+    """Unsupervised evaluation: score every text with the lexicon as-is. Exact and
+    within-1 use the rounded golds; ``unrounded`` takes Pearson and MAD against the raw means."""
     if not corpus:
         raise EmptyCorpus("cannot evaluate an empty corpus")
     scores = [trace.score for trace in tokenize_corpus(lex, corpus)]
-    return {
-        "stress": _mixed_report([s.stress for s in scores], [e.gold_stress for e in corpus],
-                                [e.gold_stress_raw for e in corpus], unrounded),
-        "relax": _mixed_report([s.relaxation for s in scores], [e.gold_relax for e in corpus],
-                               [e.gold_relax_raw for e in corpus], unrounded),
-    }
+    reports = {}
+    for scale, preds in (("stress", tuple(s.stress for s in scores)),
+                         ("relax", tuple(s.relaxation for s in scores))):
+        rpt = report(PairedSeries(preds, tuple(getattr(ex, f"gold_{scale}") for ex in corpus)))
+        if unrounded:
+            raw = PairedSeries(preds, tuple(getattr(ex, f"gold_{scale}_raw") for ex in corpus))
+            rpt = replace(rpt, pearson=pearson(raw), mad=mad(raw))
+        reports[scale] = rpt
+    return reports
 
 
 @dataclass
 class CrossValResult:
     base_seed: int
-    averaged: dict[object, "AveragedReport"]  # keyed like run_folds' golds
+    averaged: dict[object, AveragedReport]  # keyed like run_folds' golds
     rep_reports: list[dict[object, MetricsReport]]  # per repetition, pooled
     log_rows: list[tuple] = field(default_factory=list)  # (rep, fold, key, report)
 
@@ -170,38 +166,6 @@ class CrossValResult:
         yield self.LOG_HEADER
         for rep, fold, scale, rpt in self.log_rows:
             yield f"{rep}\t{fold}\t{scale}\t{rpt.tsv_row()}"
-
-
-@dataclass(frozen=True)
-class AveragedReport:
-    n: int
-    reps: int
-    exact_pct: float
-    within1_pct: float
-    pearson: float | None
-    pearson_skipped: int  # repetitions with undefined correlation
-    mad: float
-
-    TSV_HEADER = "n\treps\texact\twithin1\tpearson\tpearson_skipped\tmad"
-
-    def tsv_row(self) -> str:
-        r = "NA" if self.pearson is None else f"{self.pearson:.3f}"
-        return (f"{self.n}\t{self.reps}\t{self.exact_pct:.3f}\t{self.within1_pct:.3f}"
-                f"\t{r}\t{self.pearson_skipped}\t{self.mad:.3f}")
-
-
-def _average(reports: list[MetricsReport], n: int) -> AveragedReport:
-    defined = [r.pearson for r in reports if r.pearson is not None]
-    avg_pearson = sum(defined) / len(defined) if defined else None
-    return AveragedReport(
-        n=n,
-        reps=len(reports),
-        exact_pct=sum(r.exact_pct for r in reports) / len(reports),
-        within1_pct=sum(r.within1_pct for r in reports) / len(reports),
-        pearson=avg_pearson,
-        pearson_skipped=len(reports) - len(defined),
-        mad=sum(r.mad for r in reports) / len(reports),
-    )
 
 
 def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> CrossValResult:
@@ -245,7 +209,7 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
         rep_reports.append({key: report(PairedSeries(tuple(preds), tuple(gold)))
                             for key, (preds, gold) in pooled.items()})
 
-    averaged = {key: _average([r[key] for r in rep_reports], len(corpus)) for key in golds}
+    averaged = {key: average([r[key] for r in rep_reports]) for key in golds}
     return CrossValResult(base_seed, averaged, rep_reports, log_rows)
 
 

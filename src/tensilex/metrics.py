@@ -1,13 +1,17 @@
-"""Evaluation statistics: exact/within-1 rates, Pearson, MAD, weighted
-Krippendorff alpha, and scorer-vs-scorer cross tabulation.
+"""Evaluation statistics and reports: exact/within-1 rates, Pearson, MAD,
+weighted Krippendorff alpha, and scorer-vs-scorer cross tabulation.
 
-Internal values keep full precision; rounding to 3 decimals happens only
-at display time.
+Two constructors build every report: :func:`report` makes a
+:class:`MetricsReport` from one paired series, and :func:`average` makes an
+:class:`AveragedReport` from repetition reports over the same texts. Both
+print a row of their fields in order through one cell rule: an int as is, a
+float to 3 decimals, and an undefined value (``None``) as ``NA``. Internal
+values keep full precision; rounding happens only at display time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +30,17 @@ class PairedSeries:
             raise EmptySeries("empty paired series")
 
 
+def _cell(value) -> str:
+    return "NA" if value is None else str(value) if isinstance(value, int) else f"{value:.3f}"
+
+
+class _Report:
+    def tsv_row(self) -> str:  # the fields in TSV_HEADER order
+        return "\t".join(_cell(getattr(self, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(_Report):
     n: int
     exact_pct: float
     within1_pct: float
@@ -36,9 +49,18 @@ class MetricsReport:
 
     TSV_HEADER = "n\texact\twithin1\tpearson\tmad"
 
-    def tsv_row(self) -> str:
-        r = "NA" if self.pearson is None else f"{self.pearson:.3f}"
-        return f"{self.n}\t{self.exact_pct:.3f}\t{self.within1_pct:.3f}\t{r}\t{self.mad:.3f}"
+
+@dataclass(frozen=True)
+class AveragedReport(_Report):
+    n: int
+    reps: int
+    exact_pct: float
+    within1_pct: float
+    pearson: float | None  # mean over the repetitions where it is defined
+    pearson_skipped: int  # repetitions with undefined correlation
+    mad: float
+
+    TSV_HEADER = "n\treps\texact\twithin1\tpearson\tpearson_skipped\tmad"
 
 
 def mad(s: PairedSeries) -> float:
@@ -72,6 +94,18 @@ def exact_within1(s: PairedSeries) -> tuple[float, float]:
 def report(s: PairedSeries) -> MetricsReport:
     exact, within1 = exact_within1(s)
     return MetricsReport(len(s.predictions), exact, within1, pearson(s), mad(s))
+
+
+def average(reports) -> AveragedReport:
+    """The mean of repetition reports over the same texts; Pearson's mean is over
+    the repetitions where it is defined (None if none is), the rest counted."""
+    if len({r.n for r in reports}) != 1:
+        raise LengthError(f"reports over one text count needed, got {sorted({r.n for r in reports})}")
+    defined = [r.pearson for r in reports if r.pearson is not None]
+    mean = lambda name: sum(getattr(r, name) for r in reports) / len(reports)
+    return AveragedReport(reports[0].n, len(reports), mean("exact_pct"), mean("within1_pct"),
+                          sum(defined) / len(defined) if defined else None,
+                          len(reports) - len(defined), mean("mad"))
 
 
 @dataclass(frozen=True)

@@ -156,16 +156,30 @@ def test_unknown_scale_kind_and_zero_size_rejected():
         select_top(information_gain(vectors, labels), 0)
 
 
-@pytest.mark.parametrize("cells", [dict(kinds=()), dict(grid=()), dict(grid=iter(()))],
-                         ids=["no-kinds", "no-grid", "no-grid-iterator"])
-def test_sweep_without_cells_rejected(monkeypatch, cells):
-    # Unchecked, every fold's information gain is computed before max() of no rows fails.
-    def no_work(vectors):
-        raise AssertionError("features compiled before the cells were checked")
+def _no_work(vectors):
+    raise AssertionError("features compiled before the arguments were checked")
 
-    monkeypatch.setattr(baseline, "compile_features", no_work)
-    with pytest.raises(ValueError, match="a sweep needs classifiers and feature counts"):
+
+NO_CELLS = "a sweep needs classifiers and feature counts"
+
+
+@pytest.mark.parametrize("cells, message", [(dict(kinds=()), NO_CELLS), (dict(grid=()), NO_CELLS),
+                                            (dict(grid=iter(())), NO_CELLS),
+                                            (dict(kinds=("nb", "svm")), "unknown classifier kind 'svm'")],
+                         ids=["no-kinds", "no-grid", "no-grid-iterator", "unknown-kind"])
+def test_sweep_without_cells_rejected(monkeypatch, cells, message):
+    # Unchecked, every fold's information gain is computed before max() of no
+    # rows fails, or before the first train() meets the unknown kind.
+    monkeypatch.setattr(baseline, "compile_features", _no_work)
+    with pytest.raises(ValueError, match=message):
         sweep(injected_token_corpus(), "stress", k=2, reps=1, **cells)
+
+
+def test_train_checks_kind_before_design_matrix(monkeypatch):
+    vectors, labels = corpus_vectors(["aa bb", "cc dd"], [1, 2])
+    monkeypatch.setattr(baseline, "compile_features", _no_work)
+    with pytest.raises(ValueError, match="unknown classifier kind 'svm'"):
+        train("svm", vectors, labels, ("aa",))
 
 
 def test_select_top_caps_at_vocabulary():

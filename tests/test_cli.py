@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tensilex import cli, corpus as cp
 from tensilex.cli import main
 from tensilex.corpus import AveragedReport, make_example, save_corpus
 from tensilex.lexicon import load_lexicon_set, save_lexicon_set, set_strength, Kind
@@ -154,14 +155,34 @@ def test_optimize_recovers_perturbation(capsys, ref_setup, tmp_path):
     assert os.path.exists(os.path.join(out_dir, "optimization_log.tsv"))
 
 
-def test_optimize_unwritable_out_dir_exit_1(capsys, ref_setup, tmp_path):
+def _never_reached(*args, **kwargs):
+    raise AssertionError("the work started before the output was checked")
+
+
+def test_optimize_unwritable_out_dir_exit_1(capsys, ref_setup, tmp_path, monkeypatch):
     _, lex_dir, corpus_path, _ = ref_setup
     blocker = tmp_path / "file"
     blocker.write_text("")
+    monkeypatch.setattr(cli, "hill_climb", _never_reached)
     code, out, err = run(capsys, "optimize", "--lexicon-dir", lex_dir, corpus_path,
                          "--out-dir", str(blocker / "opt"), "--seed", "7")
-    assert code == 1
+    assert code == 1 and out == ""
     assert err.startswith("I/O error: ") and "Traceback" not in err
+
+
+def test_optimize_creates_out_dir_before_the_climb(capsys, ref_setup, tmp_path, monkeypatch):
+    _, lex_dir, corpus_path, _ = ref_setup
+    out_dir = tmp_path / "a" / "b"
+
+    def climb(*args):
+        assert out_dir.is_dir()
+        raise OSError("stop")
+
+    monkeypatch.setattr(cli, "hill_climb", climb)
+    code, _, err = run(capsys, "optimize", "--lexicon-dir", lex_dir, corpus_path,
+                       "--out-dir", str(out_dir), "--seed", "7")
+    assert (code, err) == (1, "I/O error: stop\n")
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, message", [("--min-improvement", "min_improvement must be >= 1"),
@@ -269,11 +290,47 @@ def test_evaluate_empty_subcorpus_selects_empty_label(capsys, lex_dir, empty_lab
     assert out.splitlines()[1].startswith("stress\t1\t")  # only "b", not all 3 texts
 
 
-def test_evaluate_empty_log_path_exit_1(capsys, lex_dir, empty_label_corpus):
+def test_evaluate_empty_log_path_exit_1(capsys, lex_dir, empty_label_corpus, monkeypatch):
     # An empty --log is a path that cannot be written, not a missing flag.
-    code, _, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, empty_label_corpus,
-                       "--supervised", "--k", "2", "--reps", "1", "--seed", "1", "--log", "")
-    assert code == 1 and err.startswith("I/O error: ")
+    monkeypatch.setattr(cp, "crossval_supervised", _never_reached)
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, empty_label_corpus,
+                         "--supervised", "--k", "2", "--reps", "1", "--seed", "1", "--log", "")
+    assert code == 1 and out == "" and err.startswith("I/O error: ")
+
+
+@pytest.mark.parametrize("log", ["missing/cv.tsv", "."], ids=["missing-dir", "a-dir"])
+def test_evaluate_unwritable_log_exit_1(capsys, lex_dir, empty_label_corpus, monkeypatch, tmp_path, log):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cp, "crossval_supervised", _never_reached)
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, empty_label_corpus,
+                         "--supervised", "--k", "2", "--reps", "1", "--seed", "1", "--log", log)
+    assert code == 1 and out == "" and err.startswith("I/O error: ") and repr(log) in err
+    assert sorted(os.listdir(tmp_path)) == sorted(["lexicon", "labels.tsv"])
+
+
+# Raw coder means halfway between codes on both scales. The default lexicon
+# predicts stress -3, -1, -1, -1 and relaxation 1, 4, 2, 3.
+HALF_POINT_ROWS = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes",
+                   "a\ts\tthe train is delayed\t-3,-2\t1,2",
+                   "b\ts\tso relaxed today\t-1,-1\t4,5",
+                   "c\ts\ta quiet walk home\t-1,-2\t2,2",
+                   "d\ts\tchill out :)\t-1,-2\t3,4"]
+
+
+# Rounded golds: stress -3, -1, -2, -2 and relaxation 2, 5, 2, 4.
+# Raw golds: stress -2.5, -1, -1.5, -1.5 and relaxation 1.5, 4.5, 2, 3.5.
+# exact and within1 compare with the rounded golds either way; --unrounded
+# takes pearson and mad against the raw golds.
+@pytest.mark.parametrize("flags, stress, relax", [
+    ((), "4\t50.000\t100.000\t0.816\t0.500", "4\t25.000\t100.000\t0.947\t0.750"),
+    (("--unrounded",), "4\t50.000\t100.000\t0.927\t0.375", "4\t25.000\t100.000\t0.984\t0.375"),
+], ids=["rounded", "unrounded"])
+def test_evaluate_half_point_golds(capsys, tmp_path, flags, stress, relax):
+    corpus_path = tmp_path / "half.tsv"
+    corpus_path.write_text("\n".join(HALF_POINT_ROWS) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", DEFAULT_LEXICON, str(corpus_path), *flags)
+    assert (code, err) == (0, "")
+    assert out == f"scale\tn\texact\twithin1\tpearson\tmad\nstress\t{stress}\nrelax\t{relax}\n"
 
 
 @pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "1"), ("--reps", "0")])

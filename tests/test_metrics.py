@@ -8,6 +8,7 @@ from tensilex.errors import EmptySeries, InsufficientData, LengthError
 from tensilex.metrics import (
     CodingMatrix,
     PairedSeries,
+    average,
     cross_tab,
     exact_within1,
     krippendorff_alpha_weighted,
@@ -83,6 +84,33 @@ def test_empty_series_rejected():
 def test_report_tsv():
     rpt = report(PAPER_SERIES)
     assert rpt.tsv_row() == "4\t75.000\t75.000\t0.577\t1.000"
+
+
+def test_report_tsv_undefined_pearson():
+    rpt = report(PairedSeries((2, 2, 2), (1, 2, 3)))  # constant predictions
+    assert rpt.pearson is None
+    assert rpt.tsv_row() == "3\t33.333\t100.000\tNA\t0.667"
+
+
+CONSTANT_PREDICTIONS = report(PairedSeries((2, 2, 2), (1, 2, 3)))  # pearson undefined
+
+
+def test_average_tsv_one_pearson_undefined():
+    reps = [CONSTANT_PREDICTIONS, report(PairedSeries((1, 2, 3), (1, 2, 3))),
+            report(PairedSeries((1, 2, 3), (1, 3, 2)))]  # pearson 1.0 and 0.5
+    assert average(reps).tsv_row() == "3\t3\t55.556\t100.000\t0.750\t1\t0.444"
+
+
+def test_average_tsv_every_pearson_undefined():
+    reps = [CONSTANT_PREDICTIONS, report(PairedSeries((1, 1, 1), (1, 2, 3)))]
+    assert average(reps).tsv_row() == "3\t2\t33.333\t83.333\tNA\t2\t0.833"
+
+
+@pytest.mark.parametrize("reps", [[], [CONSTANT_PREDICTIONS, report(PairedSeries((1,), (1,)))]],
+                         ids=["none", "different-n"])
+def test_average_needs_reports_over_one_text_count(reps):
+    with pytest.raises(LengthError, match="one text count"):
+        average(reps)
 
 
 def test_alpha_perfect_agreement():
