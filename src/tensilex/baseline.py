@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import run_folds
+from .corpus import check_folds, run_folds
 from .errors import DegenerateLabels, EmptyCorpus, LengthError
 from .textproc import segment_sentences, tokenize
 
@@ -443,6 +443,7 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         raise ValueError(f"feature counts must be >= 1, got {grid}")
     for kind in kinds:
         _check_kind(kind)
+    check_folds(corpus, k, reps)
     labels = [ex.gold_stress if scale == "stress" else ex.gold_relax for ex in corpus]
     cells = [(kind, n) for kind in kinds for n in grid]
     features = compile_features([extract_features(ex.text) for ex in corpus])

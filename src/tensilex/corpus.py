@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import EmptyCorpus, ParseError, TooSmall, WriteError
-from .lexicon import _is_int, _is_skipped, _parse_int, _read_rows
+from .lexicon import _is_int, _is_skipped, _parse_int, _read_rows, _write_whole
 from .metrics import AveragedReport, MetricsReport, PairedSeries, average, mad, pearson, report
 from .optimizer import (OptimizerConfig, compile_plans, hill_climb_tokenized, rescore,
                         tokenize_corpus)
@@ -96,9 +96,10 @@ def load_corpus(path) -> list[AnnotatedExample]:
 
 
 def save_corpus(examples, path) -> None:
-    """Write the corpus TSV. A field that :func:`load_corpus` would split, or a row it
-    would skip as a comment, raises :class:`WriteError` naming the example, before the file opens."""
-    lines = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes\n"]
+    """Write the corpus TSV, whole or not at all. A field that :func:`load_corpus` would
+    split, or a row it would skip as a comment, raises :class:`WriteError` naming the
+    example, before the file opens."""
+    lines = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes"]
     for ex in examples:
         for name in ("id", "subcorpus", "text"):
             if any(ch in getattr(ex, name) for ch in "\t\n\r"):
@@ -107,14 +108,36 @@ def save_corpus(examples, path) -> None:
                f"{','.join(map(str, ex.coder_relax))}")
         if _is_skipped(row):
             raise WriteError(f"example {ex.id!r}: the row would read back as a comment")
-        lines.append(row + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        lines.append(row)
+    _write_whole({path: lines})
 
 
 def slice_corpus(corpus, subcorpus_label) -> list[AnnotatedExample]:
     """Examples with the given sub-corpus label (may be empty)."""
     return [ex for ex in corpus if ex.subcorpus == subcorpus_label]
+
+
+def _check_k(corpus, k: int) -> None:
+    if k < 2:
+        raise TooSmall(f"cross validation needs at least 2 folds, got k={k}")
+    if len(corpus) < k:
+        raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
+
+
+def check_folds(corpus, k: int, reps: int) -> None:
+    """Check the arguments of :func:`run_folds`, before any work on the corpus.
+
+    Raises :class:`EmptyCorpus` for an empty corpus, :class:`TooSmall` when
+    ``k < 2``, ``reps < 1`` or the corpus has fewer than ``k`` examples, and
+    :class:`ParseError` for duplicate example ids.
+    """
+    if not corpus:
+        raise EmptyCorpus("cannot cross-validate an empty corpus")
+    if reps < 1:
+        raise TooSmall(f"cross validation needs at least 1 repetition, got reps={reps}")
+    if len({ex.id for ex in corpus}) != len(corpus):
+        raise ParseError("duplicate example ids in corpus")
+    _check_k(corpus, k)
 
 
 def make_folds(corpus, k: int, seed: int) -> list[int]:
@@ -124,10 +147,7 @@ def make_folds(corpus, k: int, seed: int) -> list[int]:
     Raises :class:`TooSmall` when ``k < 2`` or the corpus has fewer than
     ``k`` examples.
     """
-    if k < 2:
-        raise TooSmall(f"cross validation needs at least 2 folds, got k={k}")
-    if len(corpus) < k:
-        raise TooSmall(f"corpus of {len(corpus)} examples cannot make {k} folds")
+    _check_k(corpus, k)
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
     fold_of = [0] * len(corpus)
@@ -177,19 +197,10 @@ def run_folds(corpus, k: int, reps: int, base_seed: int, fit_predict, golds) -> 
     positions of the fold's training and held-out texts, fits on ``train`` and
     returns ``{key: predictions for test}`` for every key in ``golds``. Each
     repetition pools its folds' predictions into one report per key, so one
-    pass can evaluate many models on the same folds.
-
-    Raises :class:`EmptyCorpus` for an empty corpus, :class:`TooSmall` when
-    ``k < 2``, ``reps < 1`` or the corpus has fewer than ``k`` examples, and
-    :class:`ParseError` for duplicate example ids.
+    pass can evaluate many models on the same folds. The arguments are
+    checked first, by :func:`check_folds`.
     """
-    if not corpus:
-        raise EmptyCorpus("cannot cross-validate an empty corpus")
-    if reps < 1:
-        raise TooSmall(f"cross validation needs at least 1 repetition, got reps={reps}")
-    if len({ex.id for ex in corpus}) != len(corpus):
-        raise ParseError("duplicate example ids in corpus")
-
+    check_folds(corpus, k, reps)
     rep_reports = []
     log_rows = []
     for rep in range(reps):
@@ -223,8 +234,10 @@ def crossval_supervised(lex, corpus, k: int = 10, reps: int = 30, base_seed: int
     ``cfg`` and the fold's seed, and its held-out texts are predicted from
     their plans under the fold's strength table. With ``supervised=False``
     the climb is skipped and the held-out texts keep their scores under
-    ``lex`` (the unsupervised protocol).
+    ``lex`` (the unsupervised protocol). The arguments are checked before
+    any text is scored.
     """
+    check_folds(corpus, k, reps)
     traces = tokenize_corpus(lex, corpus)
     if supervised:
         plans = compile_plans(lex, traces)

@@ -24,7 +24,9 @@ and its idioms and emoticons into lookup tables; a set made by
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import errno
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -378,9 +380,10 @@ def set_strength(lex: LexiconSet, kind: Kind, pattern: str, strength: int) -> Le
 
 
 def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
-    """Write the seven-file directory, entries sorted for deterministic diffs. A line
-    the readers would skip, one starting with ``#``, raises :class:`WriteError`
-    naming the file and the line, before any file opens."""
+    """Write the seven-file directory, entries sorted for deterministic diffs, whole
+    or not at all (the old files stay when a write fails). A line the readers would
+    skip, one starting with ``#``, raises :class:`WriteError` naming the file and
+    the line, before any file opens."""
     files = {
         "stress_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.stress_terms],
         "relax_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.relax_terms],
@@ -397,6 +400,31 @@ def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
                 raise WriteError(f"{os.path.join(directory_path, name)}: line {lineno} {line!r} "
                                  "would read back as a comment")
     os.makedirs(directory_path, exist_ok=True)
-    for name, lines in files.items():
-        with open(os.path.join(directory_path, name), "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
+    _write_whole({os.path.join(directory_path, name): lines for name, lines in files.items()})
+
+
+def _write_whole(files) -> None:
+    """Write each ``{path: lines}`` file, all of them or none: every file is written
+    and synced as a temporary file beside its target, and only then are they renamed
+    into place. A failure before the first rename, such as a target that is a
+    directory, removes the temporary files and leaves every target as it was."""
+    temps = []
+    try:
+        for path, lines in files.items():
+            temp = os.path.join(os.path.dirname(path),
+                                f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps.append(temp)
+                fh.writelines(line + "\n" for line in lines)
+                fh.flush()
+                os.fsync(fh.fileno())  # the data is on disk before a rename can be
+        for path in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for temp, path in zip(temps, files):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise

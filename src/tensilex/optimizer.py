@@ -11,17 +11,19 @@ The climb edits a strength table, not a lexicon: a list of strengths
 indexed by term id, a term's position in the set's stress-then-relaxation
 order (:func:`term_keys`). Each text is scored once (:func:`tokenize_corpus`)
 and its trace compiled once into a :class:`Plan` (:func:`compile_plan`).
-Per sentence, a plan holds the magnitudes no table can move (idioms,
-emoticons, negated stress words), the ``!`` boost as a lookup table, and
-each term match as its id and its final strength at each of the five table
-strengths. The finals come from the scorer's :func:`term_strength` and the
-boost table from :func:`sentence_magnitudes`, so rules 3-9 live only in the
-scorer, and :func:`rescore` evaluates a plan by lookups and maxima alone. A
-candidate re-scores only the texts whose score can move with the edited
-term: those whose plan holds a match of it that the table moves. A term
-matched only as a negated stress word moves no text, so it is never tried.
-The cross-validation driver compiles each text once per run and predicts
-its held-out texts with :func:`rescore` too. :func:`hill_climb` builds its
+A plan holds, per scale, the magnitude no table can move (idioms,
+emoticons, negated stress words) and each other term match as its id and
+its magnitude at each of the five table strengths, its sentence's ``!``
+boost applied. The boost is non-decreasing, so the maximum of boosted
+values is the boosted maximum, and a plan needs no sentences. The
+magnitudes come from the scorer's :func:`term_strength` and
+:func:`sentence_magnitudes`, so rules 3-9 live only in the scorer, and
+:func:`rescore` evaluates a plan by lookups and maxima alone. A candidate
+re-scores only the texts whose score can move with the edited term: those
+whose plan holds a match of it that the table moves. A term matched only
+as a negated stress word moves no text, so it is never tried. The
+cross-validation driver compiles each text once per run and predicts its
+held-out texts with :func:`rescore` too. :func:`hill_climb` builds its
 lexicon once, from the final table.
 
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
@@ -113,63 +115,56 @@ def term_keys(lex: lx.LexiconSet) -> tuple[tuple[lx.Kind, str], ...]:
 _TERM_SOURCES = {Source.STRESS_TERM: lx.Kind.STRESS, Source.NEGATED_STRESS: lx.Kind.STRESS,
                  Source.RELAX_TERM: lx.Kind.RELAXATION, Source.NEGATED_RELAX: lx.Kind.RELAXATION}
 
-# Rule 9 as a lookup: a sentence with "!" takes _BOOST[m] for magnitude m on
-# each scale (the rule is the same on both), one without keeps m.
-_NO_BOOST = tuple(range(6))
-_BOOST = (0,) + tuple(sentence_magnitudes(((lx.Kind.STRESS, m),), True)[0] for m in range(1, 6))
+
+def _boosted(scale: lx.Kind, final: int, exclaim: bool) -> int:
+    """``final`` on ``scale`` after rule 9, as the sole match of a sentence with or without ``!``."""
+    stress, relax, _, _ = sentence_magnitudes(((scale, final),), exclaim)
+    return stress if scale is lx.Kind.STRESS else relax
 
 
 @functools.cache
-def _finals(source: Source, delta: int, repeat: int) -> tuple[int, ...]:
-    """A match's final strength at each table strength 1..5 (index 0 unused)."""
-    return (0,) + tuple(term_strength(source, s, delta, repeat) for s in range(1, 6))
+def _finals(source: Source, delta: int, repeat: int, scale: lx.Kind, exclaim: bool) -> tuple[int, ...]:
+    """A match's boosted magnitude at each table strength 1..5 (index 0 unused)."""
+    return (0,) + tuple(_boosted(scale, term_strength(source, s, delta, repeat), exclaim)
+                        for s in range(1, 6))
 
 
 @dataclass(frozen=True)
 class Plan:
     """A text's score as a function of a strength table; see :func:`compile_plan`."""
-    stress: int  # magnitudes of the sentences that no table moves
+    stress: int  # magnitudes that no table moves
     relax: int
-    # Each other sentence: (fixed stress, fixed relaxation, boost, stress matches,
-    # relaxation matches); a match (term id, finals) scores finals[table[term id]].
-    sentences: tuple[tuple[int, int, tuple[int, ...], tuple, tuple], ...]
+    # Each other match as (term id, magnitudes); it scores magnitudes[table[term id]].
+    stress_matches: tuple[tuple[int, tuple[int, ...]], ...]
+    relax_matches: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def compile_plan(trace: ScoreTrace, ids) -> Plan:
     """``trace``'s text as a :class:`Plan`; ``ids`` maps ``(Kind, pattern)`` to term id.
 
-    Idioms, emoticons and matches whose final strength is the same at every
-    table strength (a negated stress word) give a sentence's fixed
-    magnitudes, by the scorer's :func:`sentence_magnitudes`. Every other
-    match keeps its :func:`term_strength` at each table strength, and the
-    sentence its ``!`` boost table, so :func:`rescore` only takes maxima and
-    looks values up.
+    Each contribution takes its sentence's ``!`` boost. Idioms, emoticons and
+    matches whose boosted magnitude is the same at every table strength (a
+    negated stress word) give the fixed magnitudes; every other match keeps
+    its magnitude at each table strength, so :func:`rescore` only takes
+    maxima and looks values up.
     """
-    stress = relax = 1
-    sentences = []
+    fixed = {lx.Kind.STRESS: 1, lx.Kind.RELAXATION: 1}
+    matches = {lx.Kind.STRESS: [], lx.Kind.RELAXATION: []}
     for sentence in trace.sentences:
-        fixed, stress_matches, relax_matches = [], [], []
+        exclaim = sentence.exclamation_present
         for c in sentence.contributions:
             kind = _TERM_SOURCES.get(c.source)
             if kind is None:  # an idiom or an emoticon
-                fixed.append((c.scale, c.final_strength))
-                continue
-            term = ids[kind, c.label]
-            finals = _finals(c.source, c.booster_delta, c.repeat_boost)
-            if len(set(finals[1:])) == 1:
-                fixed.append((c.scale, finals[1]))
-            elif c.scale is lx.Kind.STRESS:
-                stress_matches.append((term, finals))
+                magnitude = _boosted(c.scale, c.final_strength, exclaim)
             else:
-                relax_matches.append((term, finals))
-        if stress_matches or relax_matches:
-            s, r, _, _ = sentence_magnitudes(fixed, False)
-            sentences.append((s, r, _BOOST if sentence.exclamation_present else _NO_BOOST,
-                              tuple(stress_matches), tuple(relax_matches)))
-        else:
-            s, r, _, _ = sentence_magnitudes(fixed, sentence.exclamation_present)
-            stress, relax = max(stress, s), max(relax, r)
-    return Plan(stress, relax, tuple(sentences))
+                finals = _finals(c.source, c.booster_delta, c.repeat_boost, c.scale, exclaim)
+                if len(set(finals[1:])) > 1:
+                    matches[c.scale].append((ids[kind, c.label], finals))
+                    continue
+                magnitude = finals[1]
+            fixed[c.scale] = max(fixed[c.scale], magnitude)
+    return Plan(fixed[lx.Kind.STRESS], fixed[lx.Kind.RELAXATION],
+                tuple(matches[lx.Kind.STRESS]), tuple(matches[lx.Kind.RELAXATION]))
 
 
 def compile_plans(lex: lx.LexiconSet, traces) -> list[Plan]:
@@ -179,22 +174,16 @@ def compile_plans(lex: lx.LexiconSet, traces) -> list[Plan]:
 
 
 def _magnitudes(plan: Plan, table) -> tuple[int, int]:
-    """``plan``'s text magnitudes: each scale's extreme sentence under ``table``."""
+    """``plan``'s text magnitudes under ``table``: each scale's largest."""
     stress, relax = plan.stress, plan.relax
-    for s, r, boost, stress_matches, relax_matches in plan.sentences:
-        for term, finals in stress_matches:
-            final = finals[table[term]]
-            if final > s:
-                s = final
-        for term, finals in relax_matches:
-            final = finals[table[term]]
-            if final > r:
-                r = final
-        s, r = boost[s], boost[r]
-        if s > stress:
-            stress = s
-        if r > relax:
-            relax = r
+    for term, finals in plan.stress_matches:
+        final = finals[table[term]]
+        if final > stress:
+            stress = final
+    for term, finals in plan.relax_matches:
+        final = finals[table[term]]
+        if final > relax:
+            relax = final
     return stress, relax
 
 
@@ -219,8 +208,7 @@ class _ErrorTracker:
         self.table, self.plans, self.golds = table, plans, golds
         self.hits: list[list[int]] = [[] for _ in table]  # by term id: examples it moves
         for i, plan in enumerate(plans):
-            for term in {term for *_, stress_matches, relax_matches in plan.sentences
-                         for term, _ in stress_matches + relax_matches}:
+            for term in {term for term, _ in plan.stress_matches + plan.relax_matches}:
                 self.hits[term].append(i)
         self.errors = [self._error(i) for i in range(len(plans))]
         self.total = sum(self.errors)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensilex import corpus as cp, lexicon, optimizer, scorer
+from tensilex import baseline as bl, corpus as cp, lexicon, optimizer, scorer
 from tensilex.corpus import (
     crossval_supervised,
     evaluate_lexicon,
@@ -98,6 +98,22 @@ def test_corpus_roundtrip(tmp_path):
     path = tmp_path / "round.tsv"
     save_corpus(corpus, str(path))
     assert load_corpus(str(path)) == corpus
+
+
+def test_failed_save_leaves_the_old_corpus_whole(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    good = [make_example("a", "s", "first", (-1,), (2,))]
+    save_corpus(good, str(path))
+    before = path.read_bytes()
+    # A lone surrogate cannot be encoded in UTF-8, so the write fails part-way.
+    with pytest.raises(UnicodeEncodeError):
+        save_corpus([make_example("b", "s", "second", (-3,), (1,)),
+                     make_example("c", "s", "odd \ud800 text", (-2,), (1,))], str(path))
+    (tmp_path / "dir.tsv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_corpus(good, str(tmp_path / "dir.tsv"))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["corpus.tsv", "dir.tsv"]
 
 
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
@@ -384,3 +400,25 @@ def test_crossval_compiles_each_plan_once(monkeypatch):
     evaluate_lexicon(perturbed, corpus)
     crossval_supervised(perturbed, corpus, k=5, reps=2, base_seed=3, supervised=False)
     assert not compiled
+
+
+@pytest.mark.parametrize("k, reps, edit, error", [(1, 1, None, TooSmall), (2, 0, None, TooSmall),
+                                                  (400, 1, None, TooSmall), (2, 1, "duplicate", ParseError),
+                                                  (2, 1, "empty", EmptyCorpus)])
+def test_fold_arguments_are_checked_before_any_text_is_read(monkeypatch, k, reps, edit, error):
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=30, seed=18)
+    if edit == "duplicate":
+        corpus[7] = make_example(corpus[3].id, "s", "late", (-2,), (1,))
+    elif edit == "empty":
+        corpus = []
+
+    def unreached(*args):
+        raise AssertionError("setup ran before the fold arguments were checked")
+
+    monkeypatch.setattr(cp, "tokenize_corpus", unreached)
+    monkeypatch.setattr(bl, "extract_features", unreached)
+    with pytest.raises(error):
+        crossval_supervised(lex, corpus, k=k, reps=reps)
+    with pytest.raises(error):
+        bl.sweep(corpus, "stress", k=k, reps=reps)

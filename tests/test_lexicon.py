@@ -233,6 +233,32 @@ def test_save_sorted_order(tmp_path):
     assert lines == sorted(lines) == ["apple\t3", "zebra\t2"]
 
 
+def _snapshot(directory):
+    """Each entry under ``directory``: a file's bytes, or None for a directory."""
+    return {path.relative_to(directory).as_posix(): None if path.is_dir() else path.read_bytes()
+            for path in sorted(directory.rglob("*"))}
+
+
+@pytest.mark.parametrize("blocked", FILES)
+def test_failed_save_leaves_the_old_set_whole(tmp_path, paper_lexicon, blocked):
+    target = tmp_path / "lex"
+    save_lexicon_set(EMPTY_LEXICON, str(target))
+    (target / blocked).unlink()
+    (target / blocked).mkdir()
+    before = _snapshot(target)
+    with pytest.raises(IsADirectoryError):
+        save_lexicon_set(paper_lexicon, str(target))
+    assert _snapshot(target) == before
+
+
+def test_save_over_a_set_leaves_only_the_new_set(tmp_path, paper_lexicon):
+    save_lexicon_set(EMPTY_LEXICON, str(tmp_path / "over"))
+    save_lexicon_set(paper_lexicon, str(tmp_path / "over"))
+    save_lexicon_set(paper_lexicon, str(tmp_path / "fresh"))
+    assert _snapshot(tmp_path / "over") == _snapshot(tmp_path / "fresh")
+    assert sorted(_snapshot(tmp_path / "over")) == sorted(FILES)
+
+
 @given(st.lists(st.tuples(st.text(alphabet="abcdef", min_size=1, max_size=6),
                           st.integers(1, 5)), max_size=8, unique_by=lambda t: t[0]))
 def test_roundtrip_property(tmp_path_factory, terms):

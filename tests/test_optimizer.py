@@ -17,7 +17,9 @@ from tensilex.lexicon import (
 )
 from tensilex.optimizer import (
     OptimizerConfig,
+    Plan,
     _ErrorTracker,
+    compile_plan,
     compile_plans,
     hill_climb,
     rescore,
@@ -25,7 +27,7 @@ from tensilex.optimizer import (
     tokenize_corpus,
     total_absolute_error,
 )
-from tensilex.scorer import replay_trace, score_text
+from tensilex.scorer import DualScore, replay_trace, score_text
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
 
@@ -162,6 +164,22 @@ def test_tracker_indexes_only_terms_that_score():
     # "not late" scores 1 at every strength of "late", so text b cannot.
     assert term_keys(lex) == ((Kind.STRESS, "late"), (Kind.RELAXATION, "chill"))
     assert tracker.hits == [[0], [1]]
+
+
+def test_compile_plan_boosts_each_match_and_folds_what_no_table_moves():
+    lex = LexiconSet(
+        stress_terms=(LexiconEntry("late", Kind.STRESS, 3),),
+        relax_terms=(LexiconEntry("chill", Kind.RELAXATION, 2),),
+        boosters=(), negators=frozenset(), idioms=(IdiomEntry(("chill", "out"), Kind.RELAXATION, 4),),
+        emoticons=(), dictionary=frozenset("chill out today late and".split()))
+    trace = score_text("chill out today. late and chill!", lex)[1]
+    # The "!" boost (1, 2, 3, 4, 5 -> 1, 3, 4, 5, 5) is in each match of the
+    # second sentence; the idiom in the first is the fixed relaxation, 4.
+    boosted = (0, 1, 3, 4, 5, 5)
+    plan = compile_plan(trace, {(Kind.STRESS, "late"): 0, (Kind.RELAXATION, "chill"): 1})
+    assert plan == Plan(1, 4, ((0, boosted),), ((1, boosted),))
+    assert rescore(plan, [3, 2]) == trace.score == DualScore(-4, 4)
+    assert rescore(plan, [1, 4]) == DualScore(-1, 5)
 
 
 def test_climb_never_tries_a_term_matched_only_under_negation(monkeypatch):
