@@ -21,7 +21,12 @@ A design matrix is the texts' entries scattered through a rank array from
 vocabulary id to column. A model scores a fold's held-out texts with one
 stacked product, which gives each row the arithmetic ``predict`` and
 ``posterior`` give one text. Each Newton iteration solves every
-unconverged one-vs-rest class's system in one batched solve.
+unconverged one-vs-rest class's system in one batched solve. A fold's
+feature sets along a sweep's grid are cuts of one ranking, so each
+logistic fit after the fold's first starts from the previous one's
+weights; its weights agree with a cold fit's to the fit tolerance. On
+generated corpora a fit from zeros takes 5 or 6 Newton steps, a warm
+one 2 to 4.
 """
 
 from __future__ import annotations
@@ -115,8 +120,8 @@ class TrainedModel:
     # logistic: weight matrix per class x (features + bias)
     params: dict[str, np.ndarray]
 
-    # Built on first use and kept in the instance __dict__, outside the
-    # dataclass fields, so equality does not see them.
+    # Built on first use, or by train, and kept in the instance __dict__,
+    # outside the dataclass fields, so equality does not see them.
     @cached_property
     def columns(self) -> _Columns:
         """:func:`_columns` of the subset."""
@@ -299,15 +304,23 @@ def _check_kind(kind) -> None:
         raise ValueError(f"unknown classifier kind {kind!r}")
 
 
-def train(kind: str, vectors, labels, subset) -> TrainedModel:
+def train(kind: str, vectors, labels, subset, start=None) -> TrainedModel:
     """Fit a ``kind`` model on ``vectors`` (:class:`FeatureVector`s or their
-    :class:`CompiledFeatures`) over the feature ``subset``."""
+    :class:`CompiledFeatures`) over the feature ``subset``.
+
+    ``start``, a logistic model of the same training texts, warm-starts a
+    logistic fit: each subset feature starts at ``start``'s weight for it
+    (its first column, if a name repeats), a new feature at 0, and the bias
+    at ``start``'s bias.
+    """
     _check_kind(kind)
     _check_labels(vectors, labels)
     if not vectors:
         raise EmptyCorpus("empty training set")
     classes = tuple(sorted(set(labels)))
-    x = _design_matrix(vectors, subset)
+    initial = None if start is None else _start_weights(kind, start, classes, subset)
+    columns = _columns(subset)
+    x = _design_matrix(vectors, subset, columns)
     y = np.array(labels)
 
     if kind == "nb":
@@ -320,13 +333,32 @@ def train(kind: str, vectors, labels, subset) -> TrainedModel:
             log_like[ci] = np.log(totals / totals.sum())
         params = {"log_prior": log_prior, "log_like": log_like}
     else:
-        params = {"weights": _train_logistic(x, y, classes)}
+        params = {"weights": _train_logistic(x, y, classes, initial)}
 
-    return TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
+    model = TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
+    vars(model)["columns"] = columns  # what the cached property would build
+    return model
 
 
-def _train_logistic(x, y, classes) -> np.ndarray:
-    """One-vs-rest weights by damped Newton, every class in one batched solve.
+def _start_weights(kind, start: TrainedModel, classes, subset) -> np.ndarray:
+    """The initial logistic weights over ``subset`` that ``start`` gives."""
+    if kind != "logistic" or start.kind != "logistic":
+        raise ValueError(f"only a logistic fit takes a start, got {kind!r} from {start.kind!r}")
+    if start.classes != classes:
+        raise ValueError(f"the start's classes {start.classes} are not the labels' {classes}")
+    first: dict[str, int] = {}
+    for j, feature in enumerate(start.subset):
+        first.setdefault(feature, j)
+    old = start.params["weights"]
+    # A zero column past the start's features serves every new feature.
+    padded = np.hstack([old[:, :-1], np.zeros((len(classes), 1))])
+    at = [first.get(feature, len(start.subset)) for feature in subset]
+    return np.hstack([padded[:, at], old[:, -1:]])
+
+
+def _train_logistic(x, y, classes, start=None) -> np.ndarray:
+    """One-vs-rest weights by damped Newton, every class in one batched solve,
+    from a copy of the weight matrix ``start`` if given, else from zeros.
 
     Each class minimises its mean logistic loss plus LOGISTIC_L2 on the
     non-bias weights. An iteration solves every unconverged class's Newton
@@ -341,7 +373,7 @@ def _train_logistic(x, y, classes) -> np.ndarray:
     targets = np.where(y == np.array(classes)[:, None], 1.0, -1.0)
     l2 = np.full(f + 1, LOGISTIC_L2)
     l2[-1] = 0.0  # the bias is not penalised
-    weights = np.zeros((len(classes), f + 1))
+    weights = np.zeros((len(classes), f + 1)) if start is None else np.array(start, dtype=float)
 
     def loss(w, t):
         margins = t * (w @ xb.T)
@@ -432,7 +464,9 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
     corpus's features are extracted and compiled once, each training fold's
     information gain is computed once and cut to every size in ``grid``,
     and each cell predicts the fold's held-out texts in one batch. Feature
-    selection thus happens inside each training fold.
+    selection thus happens inside each training fold. Each logistic cell
+    after a fold's first is warm-started from the fold's previous logistic
+    model.
     """
     if scale not in ("stress", "relax"):
         raise ValueError(f"unknown scale {scale!r}")
@@ -452,9 +486,12 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         train_features, test_features = features.take(train_at), features.take(test_at)
         train_labels = [labels[i] for i in train_at]
         table = information_gain(train_features, train_labels)
-        predictions = {}
+        predictions, latest = {}, None  # latest: the fold's last logistic model
         for kind, n in cells:
-            model = train(kind, train_features, train_labels, select_top(table, n))
+            model = train(kind, train_features, train_labels, select_top(table, n),
+                          latest if kind == "logistic" else None)
+            if kind == "logistic":
+                latest = model
             predictions[kind, n] = _predict(model, _design_matrix(test_features, model.subset,
                                                                   model.columns))
         return predictions

@@ -86,9 +86,7 @@ def cmd_optimize(args) -> int:
     corpus = cp.load_corpus(args.corpus)
     optimized, report = hill_climb(lex, corpus, cfg)
     lx.save_lexicon_set(optimized, args.out_dir)
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for line in report.log_lines():
-            fh.write(line + "\n")
+    lx._write_whole({log_path: report.log_lines()})
     print(f"initial error: {report.initial_error}")
     print(f"final error: {report.final_error}")
     print(f"changes: {report.changes_made} over {report.passes_run} passes")
@@ -125,9 +123,7 @@ def cmd_evaluate(args) -> int:
     for scale, rpt in reports.items():
         print(f"{scale}\t{rpt.tsv_row()}")
     if result is not None and args.log is not None:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            for line in result.log_tsv():
-                fh.write(line + "\n")
+        lx._write_whole({args.log: result.log_tsv()})
     return 0
 
 

@@ -200,16 +200,16 @@ def test_sweep_grid_matches_protocol():
     assert SWEEP_GRID == tuple(range(100, 1001, 100))
 
 
-def fit_each_class(x, labels):
+def fit_each_class(x, labels, start=None):
     """Train the joint logistic fit; per class, its +1/-1 target and weights."""
     classes = tuple(sorted(set(labels)))
-    weights = baseline._train_logistic(x, np.array(labels), classes)
+    weights = baseline._train_logistic(x, np.array(labels), classes, start)
     assert weights.shape == (len(classes), x.shape[1] + 1)
     return [(np.array([1.0 if y == c else -1.0 for y in labels]), w) for c, w in zip(classes, weights)]
 
 
-def assert_logistic_converged(x, labels):
-    for target, w in fit_each_class(x, labels):
+def assert_logistic_converged(x, labels, start=None):
+    for target, w in fit_each_class(x, labels, start):
         loss, grad = logistic_loss_and_gradient(x, target, w)
         assert np.abs(grad).max() <= LOGISTIC_TOLERANCE
         assert abs(loss - logistic_minimum(x, target)) <= 1e-9
@@ -220,7 +220,13 @@ def test_logistic_converges_on_random_counts():
     for n, f, n_classes in ((40, 12, 2), (60, 30, 5), (25, 80, 3)):
         x = rng.poisson(0.4, (n, f)).astype(float)
         labels = [int(c) for c in rng.integers(0, n_classes, n)]
-        assert_logistic_converged(x, labels)
+        classes = tuple(sorted(set(labels)))
+        # The fit on the first half of the columns, widened with zeros: a sweep's warm start.
+        half = baseline._train_logistic(x[:, :f // 2], np.array(labels), classes)
+        nested = np.hstack([half[:, :-1], np.zeros((len(classes), f - f // 2)), half[:, -1:]])
+        for start in (None, rng.normal(0.0, 1.0, (len(classes), f + 1)), nested):
+            assert_logistic_converged(x, labels, start)
+        assert np.array_equal(nested[:, -1], half[:, -1])  # the fits moved copies of their start
 
 
 def test_logistic_converges_on_separable_feature():
@@ -380,6 +386,7 @@ def test_model_keeps_its_columns_out_of_equality_and_saved_form(kind):
     vectors, labels = corpus_vectors(["good day", "bad day", "so bad", "good good"], [1, 2, 2, 1])
     subset = ("good", "day", "good", "never seen") + DENSE_FEATURES  # a repeated feature too
     model = train(kind, vectors, labels, subset)
+    assert "columns" in vars(model)  # train keeps the columns it built
     probes = [extract_features(t) for t in ("good day", "bad bad day", "")]
     first = [(predict(model, p), posterior(model, p)) for p in probes]
     # Later calls read the column map and tie order the first call built.
@@ -490,6 +497,57 @@ def test_sweep_is_one_fold_pass(monkeypatch):
     assert len(rows) == 2 * 3
     # gain once per training fold; the public train once per cell and fold
     assert calls == {"run_folds": 1, "information_gain": 3 * 2, "train": 2 * 3 * 3 * 2}
+
+
+def test_warm_started_sweep_fits_converge(monkeypatch):
+    from .test_cli import golden_corpus
+    fits = []
+    real = baseline._train_logistic
+
+    def recorded(x, y, classes, start=None):
+        weights = real(x, y, classes, start)
+        fits.append((x, y, classes, start, weights))
+        return weights
+
+    monkeypatch.setattr(baseline, "_train_logistic", recorded)
+    grid, k = (5, 20, 100), 4
+    sweep(golden_corpus(), "stress", grid=grid, k=k, reps=1, base_seed=9)
+    assert len(fits) == k * len(grid)
+    for i, (x, y, classes, start, weights) in enumerate(fits):
+        if i % len(grid) == 0:
+            assert start is None  # a fold's first fit starts cold
+        else:
+            assert start is not None
+            assert np.array_equal(start[:, -1], fits[i - 1][4][:, -1])  # the previous bias
+        for c, w in zip(classes, weights):
+            _, grad = logistic_loss_and_gradient(x, np.where(y == c, 1.0, -1.0), w)
+            assert np.abs(grad).max() <= LOGISTIC_TOLERANCE
+
+
+def test_a_start_gives_its_weights_by_feature_name():
+    start = TrainedModel("logistic", (1, 2), ("a", "b", "a"), 1,
+                         {"weights": np.array([[1.0, 2.0, 3.0, 9.0], [4.0, 5.0, 6.0, 8.0]])})
+    # A new feature starts at 0, a repeated name at its first column's weight.
+    assert baseline._start_weights("logistic", start, (1, 2), ("c", "a", "b", "a")).tolist() == \
+        [[0.0, 1.0, 2.0, 1.0, 9.0], [0.0, 4.0, 5.0, 4.0, 8.0]]
+
+
+def test_train_rejects_a_bad_start_before_design_matrix(monkeypatch):
+    vectors, labels = corpus_vectors(["good day", "bad day", "so bad", "good good"], [1, 2, 2, 1])
+    subset = ("good", "bad") + DENSE_FEATURES
+    logistic = train("logistic", vectors, labels, subset)
+    nb = train("nb", vectors, labels, subset)
+    other_classes = train("logistic", vectors, [1, 2, 3, 1], subset)
+
+    def no_matrix(*args):
+        raise AssertionError("design matrix built before the start was checked")
+
+    monkeypatch.setattr(baseline, "_design_matrix", no_matrix)
+    for kind, start, message in (("logistic", nb, "only a logistic fit takes a start"),
+                                 ("nb", logistic, "only a logistic fit takes a start"),
+                                 ("logistic", other_classes, "classes")):
+        with pytest.raises(ValueError, match=message):
+            train(kind, vectors, labels, subset, start)
 
 
 def test_sweep_rejects_bad_grid_before_work(monkeypatch):

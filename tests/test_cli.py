@@ -10,6 +10,7 @@ from tensilex import cli, corpus as cp
 from tensilex.cli import main
 from tensilex.corpus import AveragedReport, make_example, save_corpus
 from tensilex.lexicon import load_lexicon_set, save_lexicon_set, set_strength, Kind
+from tensilex.optimizer import OptimizationReport
 from tensilex.scorer import explain
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
@@ -377,6 +378,44 @@ def test_evaluate_supervised_runs(capsys, ref_setup, tmp_path):
     assert out.splitlines()[0].startswith("scale\t")
     log_lines = Path(log).read_text().splitlines()
     assert len(log_lines) == 1 + 2 * 5 * 2
+
+
+def _fail_after_first_line(monkeypatch, cls, name):
+    """Make ``cls.name``, a log's line generator, fail after its first line."""
+    real = getattr(cls, name)
+
+    def first_line_then_fail(self):
+        yield next(real(self))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cls, name, first_line_then_fail)
+
+
+def test_failed_cv_log_leaves_the_old_log_whole(capsys, ref_setup, tmp_path, monkeypatch):
+    _, lex_dir, corpus_path, _ = ref_setup
+    log = tmp_path / "logs" / "cv.tsv"
+    log.parent.mkdir()
+    log.write_bytes(b"old\tlog\n")
+    _fail_after_first_line(monkeypatch, cp.CrossValResult, "log_tsv")
+    code, _, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path,
+                       "--supervised", "--k", "2", "--reps", "1", "--seed", "7", "--log", str(log))
+    assert (code, err) == (1, "I/O error: disk full\n")
+    assert log.read_bytes() == b"old\tlog\n"
+    assert os.listdir(log.parent) == ["cv.tsv"]  # no temporary file left behind
+
+
+def test_failed_optimize_log_leaves_the_old_log_whole(capsys, ref_setup, tmp_path, monkeypatch):
+    _, lex_dir, corpus_path, _ = ref_setup
+    out_dir = tmp_path / "opt"
+    out_dir.mkdir()
+    log = out_dir / "optimization_log.tsv"
+    log.write_bytes(b"old\tlog\n")
+    _fail_after_first_line(monkeypatch, OptimizationReport, "log_lines")
+    code, _, err = run(capsys, "optimize", "--lexicon-dir", lex_dir, corpus_path,
+                       "--out-dir", str(out_dir), "--seed", "7")
+    assert (code, err) == (1, "I/O error: disk full\n")
+    assert log.read_bytes() == b"old\tlog\n"
+    assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
 
 
 def test_agreement_identical_coders(capsys, tmp_path):
