@@ -42,7 +42,7 @@ import numpy as np
 
 from .corpus import check_folds, run_folds
 from .errors import DegenerateLabels, EmptyCorpus, LengthError
-from .textproc import segment_sentences, tokenize
+from .textproc import _sentences
 
 DENSE_FEATURES = ("<n_unigrams>", "<n_bigrams>", "<n_trigrams>")
 
@@ -137,8 +137,8 @@ class TrainedModel:
 def extract_features(text: str) -> FeatureVector:
     counts: Counter[str] = Counter()
     uni = bi = tri = 0
-    for sentence in segment_sentences(text):
-        tokens = [t.normalized for t in tokenize(sentence)]
+    for _, sentence in _sentences(text, None):
+        tokens = [t.normalized for t in sentence]
         uni += len(tokens)
         bi += max(0, len(tokens) - 1)
         tri += max(0, len(tokens) - 2)

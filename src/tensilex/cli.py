@@ -85,8 +85,8 @@ def cmd_optimize(args) -> int:
     lex = _load_lexicon(args)
     corpus = cp.load_corpus(args.corpus)
     optimized, report = hill_climb(lex, corpus, cfg)
-    lx.save_lexicon_set(optimized, args.out_dir)
-    lx._write_whole({log_path: report.log_lines()})
+    # The lexicon and its log are written together, whole or not at all.
+    lx._write_whole({**lx._lexicon_files(optimized, args.out_dir), log_path: report.log_lines()})
     print(f"initial error: {report.initial_error}")
     print(f"final error: {report.final_error}")
     print(f"changes: {report.changes_made} over {report.passes_run} passes")

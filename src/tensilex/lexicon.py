@@ -384,6 +384,14 @@ def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
     or not at all (the old files stay when a write fails). A line the readers would
     skip, one starting with ``#``, raises :class:`WriteError` naming the file and
     the line, before any file opens."""
+    files = _lexicon_files(lex, directory_path)
+    os.makedirs(directory_path, exist_ok=True)
+    _write_whole(files)
+
+
+def _lexicon_files(lex: LexiconSet, directory_path) -> dict[str, list[str]]:
+    """The seven files of :func:`save_lexicon_set` as ``{path: lines}``; a line
+    that would read back as a comment raises :class:`WriteError`."""
     files = {
         "stress_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.stress_terms],
         "relax_terms.tsv": [f"{e.pattern}\t{e.strength}" for e in lex.relax_terms],
@@ -399,8 +407,7 @@ def save_lexicon_set(lex: LexiconSet, directory_path) -> None:
             if _is_skipped(line):
                 raise WriteError(f"{os.path.join(directory_path, name)}: line {lineno} {line!r} "
                                  "would read back as a comment")
-    os.makedirs(directory_path, exist_ok=True)
-    _write_whole({os.path.join(directory_path, name): lines for name, lines in files.items()})
+    return {os.path.join(directory_path, name): lines for name, lines in files.items()}
 
 
 def _write_whole(files) -> None:

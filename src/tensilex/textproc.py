@@ -1,9 +1,10 @@
 """Sentence splitting, tweet-aware tokenization and repeat-letter correction.
 
-The scorer consumes the output of :func:`process`: sentences of tokens,
-each token carrying its raw form, a lowercase corrected form, and the
-number of letters removed while collapsing repeats (two or more removals
-trigger the scorer's +1 emphasis rule).
+One walk over each line cuts it into sentences and tokens at once, so no two
+readers disagree on where a URL or a sentence ends. The scorer consumes the
+output of :func:`process`: sentences of tokens, each token carrying its raw
+form, a lowercase corrected form, and the number of letters removed while
+collapsing repeats (two or more removals trigger the scorer's +1 emphasis rule).
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import functools
 import re
 from dataclasses import dataclass
 
-_SENTENCE_RE = re.compile(r"[^.!?]*[.!?]+|[^.!?]+")
-# Word tokens may start with # or @ (hashtags/mentions stay whole) and keep
-# internal apostrophes (group 1); everything else groups into maximal
-# punctuation runs (group 2).
-_TOKEN_RE = re.compile(r"([#@]?\w[\w']*)|([^\w\s]+)")
-# A whitespace chunk that starts like a URL is one URL, whatever follows.
-_URL_RE = re.compile(r"(?<!\S)(?:https?://|www\.)\S*", re.IGNORECASE)
-_BLANK_TERMINATORS = str.maketrans(".!?", "___")
+# One piece of a line per match: (1) a URL, the body of a whitespace chunk that
+# starts like one, without the chunk's trailing ``.!?`` run; (2) a word, which may
+# start with # or @ (hashtags and mentions stay whole) and keeps inner apostrophes;
+# (3) a punctuation run through a run of ``.!?``, which ends a sentence; (4) any
+# other punctuation run.
+_PIECE_RE = re.compile(r"(?<!\S)((?=(?i:https?://|www\.))\S*[^\s.!?])"
+                       r"|([#@]?\w[\w']*)|([^\w\s.!?]*[.!?]+)|([^\w\s.!?]+)")
 _RUN_RE = re.compile(r"(.)\1+")
 # In a two-capped form, exactly its length-two runs (a newline is never in a run).
 _PAIR_RE = re.compile(r"(.)\1")
@@ -40,74 +40,63 @@ class TokenizedText:
     sentences: tuple[tuple[Token, ...], ...]
 
 
+def _sentences(text: str, recognised):
+    """Each sentence of ``text`` as its slice of a line and its tokens, from one
+    walk over each line's pieces. Given a ``recognised`` word set, each word
+    but a hashtag or mention is spell-corrected as its token is built."""
+    for line in text.splitlines():
+        start, tokens = None, []
+        for match in _PIECE_RE.finditer(line):
+            url, word, stop, punct = match.groups()
+            if start is None:
+                start = match.start()
+            if url:
+                tokens.append(Token(url, URL_TOKEN))
+            elif word:
+                if recognised is None or word[0] in "#@":
+                    tokens.append(Token(word, word.lower()))
+                else:
+                    tokens.append(Token(word, *correct_spelling(word, recognised)))
+            else:
+                run = stop or punct
+                tokens.append(Token(run, run, is_punct_run=True))
+                if stop:
+                    yield line[start:match.end()], tokens
+                    start, tokens = None, []
+        if tokens:
+            yield line[start:].rstrip(), tokens
+
+
 def segment_sentences(text: str) -> list[str]:
     """Split on newlines and runs of ``.!?``; terminators stay attached.
 
     A URL never splits: of the terminators in a URL's whitespace chunk,
     only a run that ends the chunk can end a sentence.
     """
-    sentences = []
-    for line in text.splitlines():
-        # Split a copy whose URL-inner terminators are blanked; slice the line.
-        masked = _URL_RE.sub(_blank_url_terminators, line)
-        for match in _SENTENCE_RE.finditer(masked):
-            sentence = line[match.start():match.end()].strip()
-            if sentence:
-                sentences.append(sentence)
-    return sentences
-
-
-def _blank_url_terminators(match: re.Match) -> str:
-    body, tail = _split_url(match.group())
-    return body.translate(_BLANK_TERMINATORS) + tail
-
-
-def _split_url(url: str) -> tuple[str, str]:
-    """A URL chunk's body and its trailing ``.!?`` run, which is not part of it."""
-    body = url.rstrip(".!?")
-    return body, url[len(body):]
+    return [sentence for sentence, _ in _sentences(text, None)]
 
 
 def tokenize(sentence: str) -> list[Token]:
     """Split a sentence into word tokens and punctuation-run tokens.
 
     Whitespace chunks are never merged; within a chunk, maximal punctuation
-    runs (emoticons, ``!!!``) become their own tokens. URLs collapse to the
-    neutral ``<url>`` token; a ``.!?`` run ending a URL chunk is a
-    punctuation run after it.
+    runs (emoticons, ``!!!``) become their own tokens, except that a run
+    ends after a run of ``.!?``, as a sentence does. A whitespace chunk that
+    starts like a URL collapses to the neutral ``<url>`` token; a ``.!?`` run
+    ending it is a punctuation run after it. A URL glued inside a chunk, as
+    in ``a.www.x``, is no URL.
     """
-    return _tokens(sentence, None)
-
-
-def _tokens(sentence: str, recognised) -> list[Token]:
-    """:func:`tokenize`'s tokens; given a ``recognised`` word set, each word
-    token but a hashtag or mention is spell-corrected as it is built."""
-    tokens = []
-    for chunk in sentence.split():
-        if _URL_RE.match(chunk):
-            url, tail = _split_url(chunk)
-            tokens.append(Token(url, URL_TOKEN))
-            if tail:
-                tokens.append(Token(tail, tail, is_punct_run=True))
-            continue
-        for word, punct in _TOKEN_RE.findall(chunk):
-            if not word:
-                tokens.append(Token(punct, punct, is_punct_run=True))
-            elif recognised is None or word[0] in "#@":
-                tokens.append(Token(word, word.lower()))
-            else:
-                tokens.append(Token(word, *correct_spelling(word, recognised)))
-    return tokens
+    return [token for _, tokens in _sentences(sentence, None) for token in tokens]
 
 
 def is_word_token(text: str) -> bool:
-    """Whether ``text`` is exactly one word token under :func:`tokenize`'s
-    token rule, or the ``<url>`` token: the forms a scorer can match a
-    token's normalized form against."""
+    """Whether ``text`` is exactly one word token under :func:`tokenize`, or
+    the ``<url>`` token: the forms a scorer can match a token's normalized
+    form against."""
     if text == URL_TOKEN:
         return True
-    match = _TOKEN_RE.fullmatch(text)
-    return match is not None and match.group(1) is not None
+    match = _PIECE_RE.fullmatch(text)
+    return match is not None and match.lastindex == 2
 
 
 def correct_spelling(raw: str, recognised) -> tuple[str, int]:
@@ -169,5 +158,4 @@ def process(text: str, recognised) -> TokenizedText:
     hashes and compares."""
     # Frozen once here, not once per corrected token.
     recognised = frozenset(recognised)
-    return TokenizedText(tuple(tuple(_tokens(sentence, recognised))
-                               for sentence in segment_sentences(text)))
+    return TokenizedText(tuple(tuple(tokens) for _, tokens in _sentences(text, recognised)))

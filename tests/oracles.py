@@ -13,7 +13,7 @@ import numpy as np
 from tensilex.baseline import LOGISTIC_L2
 from tensilex.lexicon import Kind
 from tensilex.scorer import DualScore, SentenceTrace, Source, TermContribution
-from tensilex.textproc import Token, TokenizedText, correct_spelling, segment_sentences
+from tensilex.textproc import Token, TokenizedText, correct_spelling
 
 
 def kripp_alpha_bruteforce(rows, metric="linear"):
@@ -236,39 +236,61 @@ def correct_spelling_bruteforce(raw, recognised):
     return capped, len(lowered) - len(capped)
 
 
-def tokenize_two_pass(sentence):
-    """Word and punctuation-run tokens as the library built them before it
-    spell-corrected inside its chunk loop: each URL chunk is one ``<url>``
-    token plus its trailing ``.!?`` run, and any other chunk splits into
-    words (``#``/``@`` prefix, inner apostrophes) and punctuation runs."""
-    tokens = []
-    for chunk in sentence.split():
-        if re.match(r"(?:https?://|www\.)", chunk, re.IGNORECASE):
-            url = chunk.rstrip(".!?")
-            tokens.append(Token(url, "<url>"))
-            if url != chunk:
-                tokens.append(Token(chunk[len(url):], chunk[len(url):], is_punct_run=True))
-            continue
-        for word, punct in re.findall(r"([#@]?\w[\w']*)|([^\w\s]+)", chunk):
-            if word:
-                tokens.append(Token(word, word.lower()))
-            else:
-                tokens.append(Token(punct, punct, is_punct_run=True))
-    return tokens
+# A whitespace chunk of a line that starts like a URL.
+_URL_CHUNK = re.compile(r"(?<!\S)(?:https?://|www\.)\S*", re.IGNORECASE)
+
+
+def _sentence_spans(text):
+    """Each sentence as ``(line, start, end)``, by the masked two-regex
+    segmenter: in a copy of each line, blank the ``.!?`` inside each URL
+    chunk's body (all but the chunk's trailing run), split the copy after
+    each ``.!?`` run, and strip each piece of the line."""
+    def blank(match):
+        body = match.group().rstrip(".!?")
+        return body.translate(str.maketrans(".!?", "___")) + match.group()[len(body):]
+
+    for line in text.splitlines():
+        masked = _URL_CHUNK.sub(blank, line)
+        for match in re.finditer(r"[^.!?]*[.!?]+|[^.!?]+", masked):
+            piece = line[match.start():match.end()]
+            if piece.strip():
+                start = match.start() + len(piece) - len(piece.lstrip())
+                yield line, start, start + len(piece.strip())
+
+
+def segment_masked(text):
+    """``segment_sentences`` by the masked two-regex segmenter."""
+    return [line[start:end] for line, start, end in _sentence_spans(text)]
+
+
+def _chunk_tokens(chunk, is_url):
+    """A whitespace chunk's tokens: a URL chunk is one ``<url>`` token plus its
+    trailing ``.!?`` run, and any other chunk splits into words (``#``/``@``
+    prefix, inner apostrophes) and punctuation runs."""
+    if is_url:
+        url = chunk.rstrip(".!?")
+        tail = [Token(chunk[len(url):], chunk[len(url):], is_punct_run=True)] if url != chunk else []
+        return [Token(url, "<url>")] + tail
+    return [Token(word, word.lower()) if word else Token(punct, punct, is_punct_run=True)
+            for word, punct in re.findall(r"([#@]?\w[\w']*)|([^\w\s]+)", chunk)]
 
 
 def process_composed(text, recognised):
-    """``process`` as the composition it replaced: tokenize each sentence,
-    then spell-correct each word token but a URL, hashtag or mention and
-    build that token again."""
+    """``process`` as the composition it replaced: segment with the masked
+    segmenter, tokenize each sentence chunk by chunk, then spell-correct each
+    word token but a URL, hashtag or mention and build that token again.
+    URL-ness is decided once per whitespace chunk of the line, so a sentence
+    that starts inside a chunk, after a terminator, holds no URL."""
     sentences = []
-    for sentence in segment_sentences(text):
+    for line, start, end in _sentence_spans(text):
+        url_starts = {match.start() for match in _URL_CHUNK.finditer(line)}
         tokens = []
-        for token in tokenize_two_pass(sentence):
-            if not (token.is_punct_run or token.normalized == "<url>"
-                    or token.normalized.startswith(("#", "@"))):
-                normalized, removed = correct_spelling(token.raw, recognised)
-                token = Token(token.raw, normalized, removed)
-            tokens.append(token)
+        for chunk in re.finditer(r"\S+", line[start:end]):
+            for token in _chunk_tokens(chunk.group(), start + chunk.start() in url_starts):
+                if not (token.is_punct_run or token.normalized == "<url>"
+                        or token.normalized.startswith(("#", "@"))):
+                    normalized, removed = correct_spelling(token.raw, recognised)
+                    token = Token(token.raw, normalized, removed)
+                tokens.append(token)
         sentences.append(tuple(tokens))
     return TokenizedText(tuple(sentences))

@@ -405,17 +405,22 @@ def test_failed_cv_log_leaves_the_old_log_whole(capsys, ref_setup, tmp_path, mon
 
 
 def test_failed_optimize_log_leaves_the_old_log_whole(capsys, ref_setup, tmp_path, monkeypatch):
-    _, lex_dir, corpus_path, _ = ref_setup
+    # The climb would rewrite the perturbed lexicon: a failed log write keeps it too.
+    lex, _, corpus_path, _ = ref_setup
+    perturbed = set_strength(lex, Kind.STRESS, "strainword0", 3)
     out_dir = tmp_path / "opt"
-    out_dir.mkdir()
+    save_lexicon_set(perturbed, str(out_dir))
     log = out_dir / "optimization_log.tsv"
     log.write_bytes(b"old\tlog\n")
+    before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
     _fail_after_first_line(monkeypatch, OptimizationReport, "log_lines")
-    code, _, err = run(capsys, "optimize", "--lexicon-dir", lex_dir, corpus_path,
+    code, _, err = run(capsys, "optimize", "--lexicon-dir", str(out_dir), corpus_path,
                        "--out-dir", str(out_dir), "--seed", "7")
     assert (code, err) == (1, "I/O error: disk full\n")
     assert log.read_bytes() == b"old\tlog\n"
-    assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+    # Every file, the lexicon too, is as it was, and no temporary file is left behind.
+    assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
+    assert load_lexicon_set(str(out_dir)) == perturbed
 
 
 def test_agreement_identical_coders(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensilex.textproc import (
@@ -10,7 +11,7 @@ from tensilex.textproc import (
     tokenize,
 )
 
-from .oracles import correct_spelling_bruteforce, process_composed
+from .oracles import correct_spelling_bruteforce, process_composed, segment_masked
 
 
 def test_segment_two_sentences():
@@ -67,6 +68,23 @@ def test_tokenize_splits_terminators_off_a_url():
     tokens = tokenize("see HTTP://t.co/x?!. ok")
     assert [(t.raw, t.normalized, t.is_punct_run) for t in tokens[1:3]] == [
         ("HTTP://t.co/x", URL_TOKEN, False), ("?!.", "?!.", True)]
+
+
+def test_glued_url_prefix_is_no_url():
+    # URL-ness is decided once per whitespace chunk: these chunks start "again." and "a.".
+    assert segment_sentences("Late again.http://t.co/abc") == ["Late again.", "http://t.", "co/abc"]
+    doc = process("Late again.http://t.co/abc", frozenset())
+    assert [[t.raw for t in sentence] for sentence in doc.sentences] == [
+        ["Late", "again", "."], ["http", "://", "t", "."], ["co", "/", "abc"]]
+    assert [t.raw for t in tokenize("a.www.x")] == ["a", ".", "www", ".", "x"]
+    assert URL_TOKEN not in [t.normalized for t in tokenize("so late.www.x.com!")]
+
+
+def test_tokenize_splits_a_run_after_its_terminators():
+    # Where a sentence would end, so each sentence's tokens are the text's tokens.
+    assert [t.raw for t in tokenize("a?:b")] == ["a", "?", ":", "b"]
+    assert segment_sentences("a?:b") == ["a?", ":b"]
+    assert [t.raw for t in tokenize(":).:( ok")] == [":).", ":(", "ok"]
 
 
 def test_tokenize_never_merges_whitespace_chunks():
@@ -224,3 +242,28 @@ def test_process_matches_tokenize_then_correct(fragments, recognised):
     text = "".join(fragment + gap for fragment, gap in fragments)
     assert process(text, recognised) == process_composed(text, recognised)
     assert process(text, set(recognised)) == process_composed(text, recognised)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FRAGMENTS, st.sampled_from(("", " ", "  "))), max_size=12))
+def test_segment_matches_masked_segmenter(fragments):
+    text = "".join(fragment + gap for fragment, gap in fragments)
+    assert segment_sentences(text) == segment_masked(text)
+
+
+_LONG_LINES = {
+    "colons": ":" * 100_000,
+    "www-dots": "www." + "." * 99_996,
+    "dot-colon": ".:" * 50_000,
+    "long-url": "http://" + "a.b/?" * 19_998 + "!",
+    "glued-www": "a.www.x" * 14_285,
+    "glued-http": "again.http://t.co/x" * 5_263,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_LINES))
+def test_process_is_linear_on_long_lines(name):
+    # About 0.2 s at most on a 2-CPU machine; a walk that rescans would take minutes.
+    start = time.perf_counter()
+    process(_LONG_LINES[name], frozenset({"a", "x"}))
+    assert time.perf_counter() - start < 2.0
