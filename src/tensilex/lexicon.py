@@ -17,9 +17,10 @@ leading UTF-8 byte-order mark are skipped. A term pattern may end in a single
 Loaded sets are immutable; :func:`set_strengths` returns a new set with
 the strengths of a ``{(Kind, pattern): strength}`` table. The optimizer
 climbs on such a table and builds its result once, at the end. Each set
-compiles its two term lists once, on first use, into a :class:`TermIndex`,
-and its idioms and emoticons into lookup tables; a set made by
-:func:`set_strengths` compiles its own.
+compiles its stress and relaxation lists once, on first use, into one
+:class:`TermIndex`, so a word costs one lookup for both scales, and its
+idioms and emoticons into lookup tables; a set made by :func:`set_strengths`
+compiles its own.
 """
 
 from __future__ import annotations
@@ -63,42 +64,58 @@ class LexiconEntry:
     def is_wildcard(self) -> bool:
         return self.pattern.endswith("*")
 
-    @property
-    def stem(self) -> str:
-        return self.pattern[:-1] if self.is_wildcard else self.pattern
-
 
 class TermIndex:
-    """A term list compiled for lookups in O(token length), not O(list size).
+    """Term lists compiled for lookups in O(token length), not O(list size).
 
-    Exact patterns sit in one dict and wildcard stems in another; stems are
-    probed longest first, so an exact pattern beats any wildcard, the longest
-    matching stem wins, and a stem equal to the whole token matches. When a
-    pattern occurs twice in the list, its first entry is used.
+    :meth:`lookup` gives a token's match in each list, in list order, for one
+    exact-dict ``get`` and one probe per stem length any list holds. Within a
+    list, an exact pattern beats any wildcard, the longest matching stem wins,
+    a stem equal to the whole token matches, and a pattern's first entry is
+    used. Both dicts hold finished answers, joined one list at a time, so a
+    stem holds each list's longest stem prefixing it.
     """
 
     __slots__ = ("_exact", "_stems", "_stem_lengths")
 
-    def __init__(self, entries):
-        self._exact: dict[str, LexiconEntry] = {}
-        self._stems: dict[str, LexiconEntry] = {}
-        for entry in entries:
-            if entry.is_wildcard:
-                self._stems.setdefault(entry.stem, entry)
-            else:
-                self._exact.setdefault(entry.pattern, entry)
-        self._stem_lengths = sorted({len(stem) for stem in self._stems}, reverse=True)
+    def __init__(self, *term_lists):
+        # Each exact pattern's and each wildcard stem's matches, and the stems' lengths, longest first.
+        self._exact, self._stems, self._stem_lengths = {}, {}, []
+        for entries in term_lists:
+            exact, stems = {}, {}  # the next list's own matches; a pattern's first entry is kept
+            for entry in entries:
+                pattern = entry.pattern
+                if pattern[-1:] == "*":
+                    stems.setdefault(pattern[:-1], (entry,))
+                else:
+                    exact.setdefault(pattern, (entry,))
+            lengths = sorted({len(stem) for stem in stems}, reverse=True)
+            if self._exact or self._stems:  # each key either side holds: the held matches, then the list's
+                held_stems, held_lengths = self._stems, self._stem_lengths
+                joined = {p: found + _longest_stem(stems, lengths, p) for p, found in self._exact.items()}
+                for p, found in exact.items():
+                    joined[p] = (self._exact.get(p) or _longest_stem(held_stems, held_lengths, p)) + found
+                exact = joined
+                joined = {s: found + _longest_stem(stems, lengths, s) for s, found in held_stems.items()}
+                for s, found in stems.items():
+                    joined[s] = _longest_stem(held_stems, held_lengths, s) + found
+                stems, lengths = joined, sorted(set(held_lengths + lengths), reverse=True)
+            self._exact, self._stems, self._stem_lengths = exact, stems, lengths
 
-    def lookup(self, token: str) -> LexiconEntry | None:
-        entry = self._exact.get(token)
-        if entry is not None:
-            return entry
-        for length in self._stem_lengths:
-            if length <= len(token):
-                entry = self._stems.get(token[:length])
-                if entry is not None:
-                    return entry
-        return None
+    def lookup(self, token: str) -> tuple[LexiconEntry, ...]:
+        """Each list's match for ``token``, in list order; a list without one is left out."""
+        found = self._exact.get(token)
+        return found if found is not None else _longest_stem(self._stems, self._stem_lengths, token)
+
+
+def _longest_stem(stems, lengths, token) -> tuple:
+    """What the longest of ``stems`` (of ``lengths``, longest first) prefixing ``token`` holds, or ``()``."""
+    for length in lengths:
+        if length <= len(token):
+            found = stems.get(token[:length])
+            if found is not None:
+                return found
+    return ()
 
 
 @dataclass(frozen=True)
@@ -217,13 +234,16 @@ class LexiconSet:
         raise ValueError(f"no term list for kind {kind}")
 
     @cached_property
-    def _term_indexes(self) -> dict[Kind, TermIndex]:
-        return {kind: TermIndex(self.terms(kind)) for kind in (Kind.STRESS, Kind.RELAXATION)}
+    def compiled_terms(self) -> TermIndex:
+        """The stress and relaxation lists compiled once into one :class:`TermIndex`:
+        a token's lookup gives its stress match, then its relaxation match."""
+        return TermIndex(self.stress_terms, self.relax_terms)
 
     def term_index(self, kind: Kind) -> TermIndex:
-        """``terms(kind)`` compiled once per set; see :class:`TermIndex`."""
-        self.terms(kind)  # raises ValueError for a kind without a term list
-        return self._term_indexes[kind]
+        """:attr:`compiled_terms`, the one index for both lists, whichever list
+        ``kind`` names; raises ValueError for a kind without a term list."""
+        self.terms(kind)
+        return self.compiled_terms
 
     @cached_property
     def idioms_by_first(self) -> dict[str, list[tuple[int, IdiomEntry]]]:
@@ -354,12 +374,10 @@ def lookup(token: str, entries) -> tuple[LexiconEntry, int] | None:
     An exact pattern beats any wildcard; among wildcard matches the
     longest stem wins. Returns None when nothing matches. This compiles
     ``entries`` on every call; to match many tokens against a set's terms,
-    use :meth:`LexiconSet.term_index`.
+    use :attr:`LexiconSet.compiled_terms`.
     """
-    entry = TermIndex(entries).lookup(token)
-    if entry is None:
-        return None
-    return entry, entry.strength
+    found = TermIndex(entries).lookup(token)
+    return (found[0], found[0].strength) if found else None
 
 
 def set_strengths(lex: LexiconSet, table) -> LexiconSet:

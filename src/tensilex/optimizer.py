@@ -210,20 +210,32 @@ class _ErrorTracker:
         for i, plan in enumerate(plans):
             for term in {term for term, _ in plan.stress_matches + plan.relax_matches}:
                 self.hits[term].append(i)
-        self.errors = [self._error(i) for i in range(len(plans))]
+        self.errors = self._errors(range(len(plans)))
         self.total = sum(self.errors)
 
-    def _error(self, i) -> int:
-        """Example ``i``'s |stress - gold| + |relaxation - gold| under the table."""
-        stress, relax = _magnitudes(self.plans[i], self.table)
-        gold_stress, gold_relax = self.golds[i]
-        return abs(stress + gold_stress) + abs(relax - gold_relax)
+    def _errors(self, examples) -> list[int]:
+        """Each example's |stress - gold| + |relaxation - gold| under the table (inlines :func:`_magnitudes`)."""
+        table, plans, golds, errors = self.table, self.plans, self.golds, []
+        for i in examples:
+            plan = plans[i]
+            stress, relax = plan.stress, plan.relax
+            for term, finals in plan.stress_matches:
+                final = finals[table[term]]
+                if final > stress:
+                    stress = final
+            for term, finals in plan.relax_matches:
+                final = finals[table[term]]
+                if final > relax:
+                    relax = final
+            gold_stress, gold_relax = golds[i]
+            errors.append(abs(stress + gold_stress) + abs(relax - gold_relax))
+        return errors
 
     def total_at(self, term, strength) -> tuple[int, list[int]]:
         """Total error with term id ``term`` at ``strength``, and its examples' new errors."""
         table, hits, errors = self.table, self.hits[term], self.errors
         kept, table[term] = table[term], strength
-        updates = [self._error(i) for i in hits]
+        updates = self._errors(hits)
         table[term] = kept
         return self.total + sum(updates) - sum([errors[i] for i in hits]), updates
 

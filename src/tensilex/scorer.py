@@ -108,7 +108,7 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     masked = [False] * n
     contributions: list[TermContribution] = []
     boosters = lex.booster_deltas
-    indexes = (lex.term_index(Kind.STRESS), lex.term_index(Kind.RELAXATION))
+    lookup = lex.compiled_terms.lookup
 
     def override(i, width, source, entry, label):
         # An idiom or emoticon masks its tokens and, unless neutral, scores its own strength.
@@ -147,10 +147,7 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     for i, word in enumerate(words):
         if masked[i] or word is None or word == URL_TOKEN:
             continue
-        for index in indexes:
-            entry = index.lookup(word)
-            if entry is None:
-                continue
+        for entry in lookup(word):  # the stress match, then the relaxation match
             base = entry.strength
 
             j = i - 1  # booster immediately before, allowing one negator between

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # One piece of a line per match: (1) a URL, the body of a whitespace chunk that
 # starts like one, without the chunk's trailing ``.!?`` run; (2) a word, which may
@@ -27,8 +28,10 @@ _PAIR_RE = re.compile(r"(.)\1")
 URL_TOKEN = "<url>"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A token's raw form, its lowercase corrected form, the letters correction
+    removed, and whether it is a punctuation run. Immutable and hashable; as a
+    tuple, it also compares equal to a plain tuple of its fields."""
     raw: str
     normalized: str
     letters_removed: int = 0
@@ -119,8 +122,7 @@ def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     # A recognised word is reachable when it has the same skeleton and its
     # length-two runs are some of the capped form's; it collapses the others.
     best = None
-    for word in _skeleton_index(frozenset(recognised)).get(skeleton, ()):
-        kept = _runs(word)[1]
+    for word, kept in _skeleton_index(frozenset(recognised)).get(skeleton, ()):
         if set(kept).issubset(doubles):
             collapsed = [run for run in doubles if run not in kept]
             if best is None or (len(collapsed), collapsed) < best[0]:
@@ -140,11 +142,12 @@ def _runs(word: str) -> tuple[str, list[int]]:
 
 
 @functools.lru_cache(maxsize=4)
-def _skeleton_index(recognised: frozenset) -> dict[str, tuple[str, ...]]:
-    """The recognised words grouped by skeleton, built once per word set."""
-    index: dict[str, list[str]] = {}
+def _skeleton_index(recognised: frozenset) -> dict[str, tuple[tuple[str, tuple[int, ...]], ...]]:
+    """Each recognised word and its kept runs' positions, by skeleton; built once per word set."""
+    index: dict[str, list] = {}
     for word in recognised:
-        index.setdefault(_runs(word)[0], []).append(word)
+        skeleton, kept = _runs(word)
+        index.setdefault(skeleton, []).append((word, tuple(kept)))
     return {skeleton: tuple(words) for skeleton, words in index.items()}
 
 

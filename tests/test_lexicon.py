@@ -14,6 +14,7 @@ from tensilex.lexicon import (
     Kind,
     LexiconEntry,
     LexiconSet,
+    TermIndex,
     load_lexicon_set,
     lookup,
     save_lexicon_set,
@@ -177,7 +178,45 @@ def test_lookup_matches_linear_scan(entries, data):
         lex = LexiconSet(tuple(entries), (), (), frozenset(), (), (), frozenset())
         for token in tokens:
             expected = lookup_linear_scan(token, entries)
-            assert lex.term_index(Kind.STRESS).lookup(token) == (expected and expected[0])
+            assert lex.term_index(Kind.STRESS).lookup(token) == ((expected[0],) if expected else ())
+
+
+_PATTERNS = st.tuples(_STEMS, st.booleans()).map(lambda t: t[0] + "*" * t[1])
+
+
+@given(st.lists(_PATTERNS, max_size=10), st.lists(_PATTERNS, max_size=10), st.data())
+def test_two_list_lookup_matches_linear_scan_on_each_list(stress, relax, data):
+    # Free draws over a small alphabet, plus three planted cases: a pattern in
+    # both lists, a word exact in one list and under a wildcard of the other,
+    # and stems of different lengths, one in each list, both prefixing a word.
+    shared, stem = data.draw(_PATTERNS), data.draw(_STEMS)
+    word = stem + data.draw(st.text("abc", max_size=2))
+    longer = stem + data.draw(st.text("abc", min_size=1, max_size=2))
+    first, second = data.draw(st.permutations([Kind.STRESS, Kind.RELAXATION]))
+    lists = {Kind.STRESS: [LexiconEntry(p, Kind.STRESS, 1 + i % 5) for i, p in enumerate(stress)],
+             Kind.RELAXATION: [LexiconEntry(p, Kind.RELAXATION, 1 + i % 5) for i, p in enumerate(relax)]}
+    for kind, pattern in ((first, shared), (second, shared), (first, word), (second, stem + "*"),
+                          (first, longer + "*")):
+        lists[kind].append(LexiconEntry(pattern, kind, 3))
+    tokens = data.draw(st.lists(st.text(alphabet="abc", max_size=6), max_size=8))
+    tokens += [e.pattern.rstrip("*") for e in lists[Kind.STRESS] + lists[Kind.RELAXATION]]
+    tokens += [word, longer + "a", shared.rstrip("*") + "b"]
+
+    def expected(token):
+        found = (lookup_linear_scan(token, lists[Kind.STRESS]),
+                 lookup_linear_scan(token, lists[Kind.RELAXATION]))
+        return tuple(f[0] for f in found if f is not None)
+
+    index = TermIndex(lists[Kind.STRESS], lists[Kind.RELAXATION])  # duplicates: first entry
+    for token in tokens:
+        assert index.lookup(token) == expected(token)
+    lists = {kind: list({e.pattern: e for e in reversed(entries)}.values())
+             for kind, entries in lists.items()}  # a LexiconSet holds each pattern once
+    lex = LexiconSet(tuple(lists[Kind.STRESS]), tuple(lists[Kind.RELAXATION]),
+                     (), frozenset(), (), (), frozenset())
+    assert lex.term_index(Kind.STRESS) is lex.term_index(Kind.RELAXATION) is lex.compiled_terms
+    for token in tokens:
+        assert lex.term_index(Kind.RELAXATION).lookup(token) == expected(token)
 
 
 def test_set_strength_does_not_reuse_compiled_index(paper_lexicon):

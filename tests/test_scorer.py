@@ -425,3 +425,59 @@ def test_scoring_time_flat_in_idiom_and_emoticon_count():
     # Interleaved repeats; the fastest of each side is the least disturbed.
     pairs = [(seconds(base), seconds(grown)) for _ in range(5)]
     assert min(g for _, g in pairs) <= 1.5 * min(b for b, _ in pairs)
+
+
+def test_scoring_time_flat_in_term_count():
+    # 200 texts scored under 50 terms, and under the same 50 plus 2,950 terms
+    # that never match: their letters never start or spell a text word. Every
+    # fifth term is a wildcard; the extra stems have lengths 3 to 8, so the
+    # grown set probes more stem lengths. Both sets share one dictionary.
+    rng = random.Random(15)
+
+    def word(consonants):
+        return "".join(rng.choice(consonants) + rng.choice("aeiou") for _ in range(rng.randint(2, 4)))
+
+    vocabulary = sorted({word("bcdfghklmnprstvz") for _ in range(3000)})
+    matched = rng.sample(vocabulary, 50)
+    extra = []
+    while len(extra) < 2950:
+        pattern = word("jqwxy")
+        if len(extra) % 5 == 0:
+            pattern = pattern[:rng.randint(3, min(8, len(pattern)))] + "*"
+        if pattern not in extra:
+            extra.append(pattern)
+    default = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
+                                            "data", "default_lexicon"))
+
+    def entries(patterns, kind, wildcards):
+        return tuple(LexiconEntry(p + "*" * (wildcards and i % 5 == 0), kind, 1 + i % 5)
+                     for i, p in enumerate(patterns))
+
+    base = LexiconSet(entries(matched[:25], Kind.STRESS, True), entries(matched[25:], Kind.RELAXATION, True),
+                      default.boosters, default.negators, default.idioms, default.emoticons,
+                      frozenset(vocabulary) | default.dictionary)
+    grown = LexiconSet(base.stress_terms + entries(extra[:1475], Kind.STRESS, False),
+                       base.relax_terms + entries(extra[1475:], Kind.RELAXATION, False),
+                       base.boosters, base.negators, base.idioms, base.emoticons, base.dictionary)
+    texts = []
+    for _ in range(200):
+        sentences = []
+        for _ in range(rng.randint(1, 3)):
+            tokens = rng.choices(vocabulary, k=rng.randint(5, 12)) + rng.sample(matched, 2)
+            rng.shuffle(tokens)
+            tokens[0] = tokens[0][0] + tokens[0][0] * rng.randint(0, 3) + tokens[0][1:]
+            sentences.append(" ".join(tokens) + rng.choice(("", " !", " !!!")))
+        texts.append(". ".join(sentences))
+    assert [score_text(t, base)[0] for t in texts] == [score_text(t, grown)[0] for t in texts]
+
+    def seconds(lex):
+        recognised = lex.recognised_words
+        start = time.process_time()
+        for text in texts:
+            score_text(text, lex, recognised)
+        return time.process_time() - start
+
+    seconds(base), seconds(grown)  # compile both sets' tables
+    # Interleaved repeats; the fastest of each side is the least disturbed.
+    pairs = [(seconds(base), seconds(grown)) for _ in range(5)]
+    assert min(g for _, g in pairs) <= 1.5 * min(b for b, _ in pairs)

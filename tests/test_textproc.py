@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensilex.textproc import (
     URL_TOKEN,
+    Token,
     correct_spelling,
     process,
     segment_sentences,
@@ -113,6 +114,21 @@ def test_correct_spelling_unreachable_keeps_two_cap():
 def test_correct_spelling_left_to_right_preference():
     # both single collapses recognised: the leftmost run collapses first
     assert correct_spelling("aabb", {"abb", "aab"}) == ("abb", 1)
+
+
+def test_token_contract():
+    token = Token("Sooo", "so", 2, False)
+    assert repr(token) == "Token(raw='Sooo', normalized='so', letters_removed=2, is_punct_run=False)"
+    assert repr(Token("!!", "!!", 0, True)) == "Token(raw='!!', normalized='!!', letters_removed=0, is_punct_run=True)"
+    assert token == Token("Sooo", "so", 2, False) and hash(token) == hash(Token("Sooo", "so", 2, False))
+    assert len({token, Token("Sooo", "so", 2, False)}) == 1
+    assert token == ("Sooo", "so", 2, False)  # a token is a tuple of its fields
+    with pytest.raises(AttributeError):
+        token.normalized = "sooo"
+    plain = Token("late", "late")
+    assert (plain.letters_removed, plain.is_punct_run) == (0, False)
+    assert process("sooo late!", {"so", "late"}).sentences == (
+        (Token("sooo", "so", 2, False), Token("late", "late", 0, False), Token("!", "!", 0, True)),)
 
 
 def test_process_paper_example_two():
