@@ -50,29 +50,36 @@ def _check_output_file(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
-def _input_lines(path):
-    """Lines of ``path``, or of stdin for ``-``, without their newlines. A
-    leading byte-order mark is skipped, as the corpus and lexicon readers do."""
-    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+def _input_lines(fh, path):
+    """Lines of ``fh``, opened from ``path`` (``-`` for stdin), without their
+    newlines. A leading byte-order mark is skipped, as the corpus and lexicon
+    readers do, and a file's bytes that are not UTF-8 raise a ParseError."""
+    try:
         for i, line in enumerate(fh):
             yield (line.removeprefix("\ufeff") if i == 0 else line).rstrip("\n")
+    except UnicodeDecodeError:
+        if path == "-":
+            raise
+        raise lx._not_utf8(path) from None
 
 
 def cmd_score(args) -> int:
     lex = _load_lexicon(args)
     out = sys.stdout
-    out.write("id\tstress\trelaxation\n")
-    for i, line in enumerate(_input_lines(args.input), start=1):
-        if args.tsv:
-            text_id, tab, text = line.partition("\t")
-            if not tab:
-                raise ParseError("expected id<TAB>text, found no tab", line=i)
-        else:
-            text_id, text = str(i), line
-        score, trace = score_text(text, lex)
-        out.write(f"{text_id}\t{score.stress}\t{score.relaxation}\n")
-        if args.trace:
-            sys.stderr.write(f"--- {text_id}\n{format_trace(trace)}\n")
+    path = args.input
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        out.write("id\tstress\trelaxation\n")
+        for i, line in enumerate(_input_lines(fh, path), start=1):
+            if args.tsv:
+                text_id, tab, text = line.partition("\t")
+                if not tab:
+                    raise ParseError("expected id<TAB>text, found no tab", line=i)
+            else:
+                text_id, text = str(i), line
+            score, trace = score_text(text, lex)
+            out.write(f"{text_id}\t{score.stress}\t{score.relaxation}\n")
+            if args.trace:
+                sys.stderr.write(f"--- {text_id}\n{format_trace(trace)}\n")
     return 0
 
 

@@ -296,11 +296,29 @@ def _is_skipped(line) -> bool:  # what the readers skip: blank, or "#" after lea
 
 
 def _data_lines(path):
-    """Yield (line_number, text) for each line not :func:`_is_skipped`, past a leading BOM."""
+    """Yield (line_number, text) for each line not :func:`_is_skipped`, past a leading BOM.
+    Bytes that are not UTF-8 raise :func:`_not_utf8`'s error."""
     with open(path, encoding="utf-8-sig") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not _is_skipped(line):
-                yield i, line.rstrip("\n")
+        try:
+            for i, line in enumerate(fh, start=1):
+                if not _is_skipped(line):
+                    yield i, line.rstrip("\n")
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> ParseError:
+    """The error for a file at ``path`` that does not decode as UTF-8, naming its
+    first bad line. The decoder reads ahead, so the line is found only here, by
+    decoding the file again line by line; a newline byte never falls inside a
+    UTF-8 sequence."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return ParseError(f"{path}: line {lineno}: not valid UTF-8")
+    return ParseError(f"{path}: not valid UTF-8")
 
 
 def _parse_int(text, what):

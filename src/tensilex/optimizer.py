@@ -20,11 +20,15 @@ magnitudes come from the scorer's :func:`term_strength` and
 :func:`sentence_magnitudes`, so rules 3-9 live only in the scorer, and
 :func:`rescore` evaluates a plan by lookups and maxima alone. A candidate
 re-scores only the texts whose score can move with the edited term: those
-whose plan holds a match of it that the table moves. A term matched only
-as a negated stress word moves no text, so it is never tried. The
-cross-validation driver compiles each text once per run and predicts its
-held-out texts with :func:`rescore` too. :func:`hill_climb` builds its
-lexicon once, from the final table.
+whose plan holds a match of it that the table moves. Only those texts'
+errors can fall, and none below 0, so a term whose texts' summed error is
+below ``min_improvement`` is skipped untried: no edit of it could be kept,
+and the climb ends as if it had been tried. A larger ``min_improvement``
+skips more. A term matched only as a negated stress word moves no text,
+sums to 0 and is always skipped. The cross-validation driver compiles
+each text once per run and predicts its held-out texts with
+:func:`rescore` too. :func:`hill_climb` builds its lexicon once, from the
+final table.
 
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
 Twister); the reproducibility contract is determinism for a given seed,
@@ -262,12 +266,22 @@ def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
     Lets a caller that climbs many times from one lexicon, such as the
     cross-validation driver, score and compile each text once and build no
     lexicon.
+
+    A term is skipped, with neither edit tried, when the summed current
+    error of the texts it moves is below ``cfg.min_improvement``. The skip
+    is exact: an edit changes only those texts' errors, and an error is
+    never negative, so the total can fall by at most that sum and no edit
+    could be kept. A term that moves no text (one matched only as a negated
+    stress word) sums to 0 and is always skipped. A larger
+    ``min_improvement`` skips more terms. The skip draws no randomness and
+    changes no state, so the climb's result is that of trying every term.
     """
     rng = random.Random(cfg.seed)
     keys = term_keys(lex)
     table = [e.strength for e in lex.stress_terms + lex.relax_terms]
     tracker = _ErrorTracker(table, plans, [(ex.gold_stress, ex.gold_relax) for ex in examples])
     report = OptimizationReport(initial_error=tracker.total)
+    hits, errors = tracker.hits, tracker.errors
 
     for _ in range(cfg.max_passes):
         report.passes_run += 1
@@ -275,8 +289,8 @@ def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
         rng.shuffle(order)
         changed = False
         for term in order:
-            if not tracker.hits[term]:
-                continue  # no text moves with it
+            if sum([errors[i] for i in hits[term]]) < cfg.min_improvement:
+                continue  # no edit of it can lower the total by min_improvement
             old = table[term]
             for new in (old + 1, old - 1):
                 if not 1 <= new <= 5:

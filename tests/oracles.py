@@ -6,12 +6,14 @@ no shared helpers, so a bug cannot hide on both sides of a comparison.
 
 import itertools
 import math
+import random
 import re
 
 import numpy as np
 
 from tensilex.baseline import LOGISTIC_L2
-from tensilex.lexicon import Kind
+from tensilex.lexicon import Kind, set_strength
+from tensilex.optimizer import Change, OptimizationReport, total_absolute_error
 from tensilex.scorer import DualScore, SentenceTrace, Source, TermContribution
 from tensilex.textproc import Token, TokenizedText, correct_spelling
 
@@ -294,3 +296,40 @@ def process_composed(text, recognised):
                 tokens.append(token)
         sentences.append(tuple(tokens))
     return TokenizedText(tuple(sentences))
+
+
+def hill_climb_bruteforce(lex, corpus, cfg):
+    """The hill climb as the optimizer specifies it, with nothing skipped:
+    each pass shuffles every term id (stress terms, then relaxation terms)
+    with ``random.Random(cfg.seed)``, and every candidate strength is tried by
+    editing the lexicon with ``set_strength`` and re-scoring the whole corpus.
+    Returns (lexicon, report)."""
+    rng = random.Random(cfg.seed)
+    keys = [(Kind.STRESS, e.pattern) for e in lex.stress_terms]
+    keys += [(Kind.RELAXATION, e.pattern) for e in lex.relax_terms]
+    strengths = [e.strength for e in lex.stress_terms + lex.relax_terms]
+    current = total_absolute_error(lex, corpus)
+    report = OptimizationReport(initial_error=current)
+    for _ in range(cfg.max_passes):
+        report.passes_run += 1
+        order = list(range(len(keys)))
+        rng.shuffle(order)
+        changed = False
+        for term in order:
+            kind, pattern = keys[term]
+            old = strengths[term]
+            for new in (old + 1, old - 1):
+                if not 1 <= new <= 5:
+                    continue
+                candidate = set_strength(lex, kind, pattern, new)
+                total = total_absolute_error(candidate, corpus)
+                if current - total >= cfg.min_improvement:
+                    report.changes.append(Change(kind, pattern, old, new, current, total))
+                    report.changes_made += 1
+                    lex, current, strengths[term] = candidate, total, new
+                    changed = True
+                    break
+        if not changed:
+            break
+    report.final_error = current
+    return lex, report

@@ -114,6 +114,50 @@ def test_score_missing_input_exit_1(capsys, lex_dir):
     assert code == 1
 
 
+def test_score_opens_its_input_before_the_header(capsys, lex_dir):
+    code, out, err = run(capsys, "score", "--lexicon-dir", lex_dir, "/no/such/file.txt")
+    assert (code, out) == (1, "") and err.startswith("I/O error: ")
+
+
+def _append_bad_line(path) -> int:
+    """Append a line holding the byte 0xff, which no UTF-8 text holds, to the
+    file at ``path``; returns that line's number."""
+    with open(path, "ab") as fh:
+        fh.write(b"caf\xff\n")
+    with open(path, "rb") as fh:
+        return len(fh.read().splitlines())
+
+
+@pytest.mark.parametrize("good_lines", [1, 3000], ids=["first-read", "past-first-read"])
+def test_score_file_not_utf8_exit_2(capsys, lex_dir, tmp_path, good_lines):
+    # The decoder reads ahead in blocks, so a bad line far into the file is
+    # met only after the rows before it are scored; its number is still exact.
+    inp = tmp_path / "texts.txt"
+    inp.write_bytes(b"so late\n" * good_lines)
+    bad = _append_bad_line(inp)
+    code, out, err = run(capsys, "score", "--lexicon-dir", lex_dir, str(inp))
+    assert (code, err) == (2, f"error: {inp}: line {bad}: not valid UTF-8\n")
+    assert out.startswith("id\tstress\trelaxation\n")
+
+
+def test_evaluate_corpus_not_utf8_exit_2(capsys, ref_setup):
+    _, lex_dir, corpus_path, _ = ref_setup
+    bad = _append_bad_line(corpus_path)
+    code, out, err = run(capsys, "evaluate", "--lexicon-dir", lex_dir, corpus_path)
+    assert (code, out, err) == (2, "", f"error: {corpus_path}: line {bad}: not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("name", ["stress_terms.tsv", "relax_terms.tsv", "boosters.tsv", "negators.txt",
+                                  "idioms.tsv", "emoticons.tsv", "dictionary.txt"])
+def test_lexicon_file_not_utf8_exit_2(capsys, lex_dir, tmp_path, name):
+    path = os.path.join(lex_dir, name)
+    bad = _append_bad_line(path)
+    inp = tmp_path / "texts.txt"
+    inp.write_text("so late\n")
+    code, out, err = run(capsys, "score", "--lexicon-dir", lex_dir, str(inp))
+    assert (code, out, err) == (2, "", f"error: {path}: line {bad}: not valid UTF-8\n")
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize("flags, line, text_id", [((), ":( awful", "1"),
                                                   (("--tsv",), "a1\t:( awful", "a1")],

@@ -30,6 +30,7 @@ from tensilex.optimizer import (
 from tensilex.scorer import DualScore, replay_trace, score_text
 
 from .conftest import make_reference_lexicon, make_synthetic_corpus
+from .oracles import hill_climb_bruteforce
 
 
 def test_total_error_zero_on_perfect_corpus():
@@ -182,7 +183,9 @@ def test_compile_plan_boosts_each_match_and_folds_what_no_table_moves():
     assert rescore(plan, [1, 4]) == DualScore(-1, 5)
 
 
-def test_climb_never_tries_a_term_matched_only_under_negation(monkeypatch):
+def _climb_recording_tries(monkeypatch, cfg):
+    """The climb over a set where "rush" is matched only under negation: its
+    (optimized lexicon, report, set of (Kind, pattern) tried) under ``cfg``."""
     lex = LexiconSet(
         stress_terms=(LexiconEntry("late", Kind.STRESS, 3), LexiconEntry("rush", Kind.STRESS, 2)),
         relax_terms=(LexiconEntry("chill", Kind.RELAXATION, 2),),
@@ -200,13 +203,47 @@ def test_climb_never_tries_a_term_matched_only_under_negation(monkeypatch):
         return total_at(self, term, strength)
 
     monkeypatch.setattr(_ErrorTracker, "total_at", recorded)
-    optimized, report = hill_climb(lex, corpus, OptimizerConfig(seed=1))
+    optimized, report = hill_climb(lex, corpus, cfg)
     keys = term_keys(lex)
-    assert {keys[term] for term in tried} == {(Kind.STRESS, "late"), (Kind.RELAXATION, "chill")}
-    # The report is the same as when "rush" is tried: no edit of it is kept.
+    return lex, optimized, report, {keys[term] for term in tried}
+
+
+def test_climb_never_tries_a_term_matched_only_under_negation(monkeypatch):
+    # "chill"'s only text has error 1, below the default min_improvement of 2,
+    # so it is skipped too; "rush" moves no text and its texts sum to 0.
+    lex, optimized, report, tried = _climb_recording_tries(monkeypatch, OptimizerConfig(seed=1))
+    assert tried == {(Kind.STRESS, "late")}
+    # The report is the same as when every term is tried: no skipped edit could be kept.
     assert list(report.log_lines()) == ["initial_error\t3", "change\tstress\tlate\t3->4\t3->1",
                                         "passes_run\t2", "changes_made\t1", "final_error\t1"]
     assert optimized == set_strength(lex, Kind.STRESS, "late", 4)
+
+
+def test_climb_tries_a_term_whose_texts_can_fall_by_min_improvement(monkeypatch):
+    # At min_improvement 1, "chill"'s text (error 1) can pay for an edit; "rush",
+    # matched only under negation, still moves no text and is never tried.
+    lex, optimized, report, tried = _climb_recording_tries(
+        monkeypatch, OptimizerConfig(seed=1, min_improvement=1))
+    assert tried == {(Kind.STRESS, "late"), (Kind.RELAXATION, "chill")}
+    assert list(report.log_lines()) == ["initial_error\t3", "change\trelax\tchill\t2->3\t3->2",
+                                        "change\tstress\tlate\t3->4\t2->0",
+                                        "passes_run\t2", "changes_made\t2", "final_error\t0"]
+    assert optimized == set_strength(set_strength(lex, Kind.STRESS, "late", 4),
+                                     Kind.RELAXATION, "chill", 3)
+
+
+def test_climb_tries_a_term_whose_one_text_can_fall_by_two():
+    # The "!" boost maps strengths 1 and 2 to 1 and 3, so one edit of "late"
+    # lowers its one text's error by 2: the skip bound is the texts' summed
+    # error, not their count or one per text.
+    lex = LexiconSet(stress_terms=(LexiconEntry("late", Kind.STRESS, 1),), relax_terms=(),
+                     boosters=(), negators=frozenset(), idioms=(), emoticons=(),
+                     dictionary=frozenset({"late"}))
+    optimized, report = hill_climb(lex, [make_example("a", "s", "late!", (-3,), (1,))],
+                                   OptimizerConfig(seed=1))
+    assert list(report.log_lines()) == ["initial_error\t2", "change\tstress\tlate\t1->2\t2->0",
+                                        "passes_run\t2", "changes_made\t1", "final_error\t0"]
+    assert optimized == set_strength(lex, Kind.STRESS, "late", 2)
 
 
 # Words whose wildcard stems overlap ("cal*" and "calm*", "ten*" and "tens*"),
@@ -305,6 +342,31 @@ def test_rescore_matches_scorer(case):
     by_id = [table[key] for key in term_keys(lex)]
     edited = lexicon.set_strengths(lex, table)
     assert [rescore(plan, by_id) for plan in plans] == [score_text(text, edited)[0] for text in texts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rescore_cases(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16), st.data())
+def test_climb_matches_bruteforce_climb(case, min_improvement, max_passes, seed, data):
+    # The skip rule and the plan re-scores against the literal climb: every
+    # term tried each pass, each candidate scored by editing the lexicon. Each
+    # text comes 1-3 times, each copy with the text's score under the drawn
+    # table as its gold, at times one off. So the climb has edits to find,
+    # and a term's texts can hold several small errors that one edit clears.
+    lex, texts, table = case
+    target = lexicon.set_strengths(lex, table)
+    off = st.sampled_from((0, 0, 1, -1))
+    corpus = []
+    for i, text in enumerate(texts):
+        score = score_text(text, target)[0]
+        for copy in range(data.draw(st.integers(1, 3))):
+            corpus.append(make_example(f"t{i}c{copy}", "s", text,
+                                       (min(-1, max(-5, score.stress + data.draw(off))),),
+                                       (min(5, max(1, score.relaxation + data.draw(off))),)))
+    cfg = OptimizerConfig(seed=seed, min_improvement=min_improvement, max_passes=max_passes)
+    optimized, report = hill_climb(lex, corpus, cfg)
+    expected_lex, expected = hill_climb_bruteforce(lex, corpus, cfg)
+    assert list(report.log_lines()) == list(expected.log_lines())
+    assert optimized == expected_lex
 
 
 def test_climb_compiles_no_lexicon_per_candidate(monkeypatch):
