@@ -53,13 +53,14 @@ def _check_output_file(path):
 def _input_lines(fh, path):
     """Lines of ``fh``, opened from ``path`` (``-`` for stdin), without their
     newlines. A leading byte-order mark is skipped, as the corpus and lexicon
-    readers do, and a file's bytes that are not UTF-8 raise a ParseError."""
+    readers do, and bytes that are not UTF-8 raise a ParseError. A file's
+    names its first bad line; stdin cannot be read again to find it."""
     try:
         for i, line in enumerate(fh):
             yield (line.removeprefix("\ufeff") if i == 0 else line).rstrip("\n")
     except UnicodeDecodeError:
         if path == "-":
-            raise
+            raise ParseError("stdin: not valid UTF-8") from None
         raise lx._not_utf8(path) from None
 
 
@@ -67,6 +68,8 @@ def cmd_score(args) -> int:
     lex = _load_lexicon(args)
     out = sys.stdout
     path = args.input
+    if path == "-":  # decoded as a file is, whatever the locale's encoding
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
     with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
         out.write("id\tstress\trelaxation\n")
         for i, line in enumerate(_input_lines(fh, path), start=1):

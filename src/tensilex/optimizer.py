@@ -235,13 +235,17 @@ class _ErrorTracker:
             errors.append(abs(stress + gold_stress) + abs(relax - gold_relax))
         return errors
 
-    def total_at(self, term, strength) -> tuple[int, list[int]]:
-        """Total error with term id ``term`` at ``strength``, and its examples' new errors."""
-        table, hits, errors = self.table, self.hits[term], self.errors
+    def total_at(self, term, strength, hit_error) -> tuple[int, list[int]]:
+        """Total error with term id ``term`` at ``strength``, and its examples' new errors.
+
+        ``hit_error`` is the summed current error of the examples ``term``
+        moves, ``sum(errors[i] for i in hits[term])``: the climb has it from
+        its skip test, so it is not summed again for each edit tried."""
+        table, hits = self.table, self.hits[term]
         kept, table[term] = table[term], strength
         updates = self._errors(hits)
         table[term] = kept
-        return self.total + sum(updates) - sum([errors[i] for i in hits]), updates
+        return self.total + sum(updates) - hit_error, updates
 
     def accept_at(self, term, strength, total, updates):
         self.table[term] = strength
@@ -289,13 +293,14 @@ def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
         rng.shuffle(order)
         changed = False
         for term in order:
-            if sum([errors[i] for i in hits[term]]) < cfg.min_improvement:
+            hit_error = sum([errors[i] for i in hits[term]])
+            if hit_error < cfg.min_improvement:
                 continue  # no edit of it can lower the total by min_improvement
             old = table[term]
             for new in (old + 1, old - 1):
                 if not 1 <= new <= 5:
                     continue
-                total, updates = tracker.total_at(term, new)
+                total, updates = tracker.total_at(term, new, hit_error)
                 if tracker.total - total >= cfg.min_improvement:
                     report.changes.append(Change(*keys[term], old, new, tracker.total, total))
                     report.changes_made += 1

@@ -11,6 +11,7 @@ replays to the same numbers.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .lexicon import Kind, LexiconSet
@@ -18,6 +19,8 @@ from .textproc import URL_TOKEN, Token, TokenizedText, process
 
 STRESS_BASELINE = -1
 RELAX_BASELINE = 1
+
+_normalized = operator.attrgetter("normalized")  # a token's normalized form
 
 
 class Source(enum.Enum):
@@ -29,7 +32,7 @@ class Source(enum.Enum):
     NEGATED_STRESS = "negated-stress"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualScore:
     stress: int  # -5..-1
     relaxation: int  # 1..5
@@ -41,7 +44,7 @@ class DualScore:
             raise ValueError(f"relaxation out of range: {self.relaxation}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermContribution:
     token_index: int
     source: Source
@@ -53,7 +56,7 @@ class TermContribution:
     label: str  # matched pattern / idiom phrase / glyph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceTrace:
     tokens: tuple[Token, ...]
     contributions: tuple[TermContribution, ...]
@@ -63,7 +66,7 @@ class SentenceTrace:
     score: DualScore
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreTrace:
     sentences: tuple[SentenceTrace, ...]
     score: DualScore
@@ -101,67 +104,84 @@ def sentence_magnitudes(finals, exclaim: bool) -> tuple[int, int, bool, bool]:
 def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     """Score one tokenized sentence; see the module pipeline description."""
     tokens = tuple(tokens)
-    n = len(tokens)
-    forms = [t.normalized for t in tokens]
-    # Punctuation runs read as None here, so no idiom or term matches one.
-    words = tuple([None if t.is_punct_run else t.normalized for t in tokens])
-    masked = [False] * n
     contributions: list[TermContribution] = []
-    boosters = lex.booster_deltas
-    lookup = lex.compiled_terms.lookup
-
-    def override(i, width, source, entry, label):
-        # An idiom or emoticon masks its tokens and, unless neutral, scores its own strength.
-        masked[i:i + width] = [True] * width
-        if entry.kind is not Kind.NEUTRAL:
-            contributions.append(TermContribution(
-                i, source, entry.strength, 0, 0, entry.strength, entry.kind, label))
+    # Which tokens an idiom or an emoticon covers; None, and not built, unless
+    # the sentence holds an idiom's first word or an emoticon's glyph.
+    masked = None
 
     # 1. Idioms override their constituent words: longest first, leftmost.
     # Only idioms whose first token is a word here can match, and only where
     # that word is; sorting by their (unique) ranks tries them in their order
-    # in lex.idioms.
+    # in lex.idioms. Every idiom token is a word token, so no punctuation run
+    # matches one.
     by_first = lex.idioms_by_first
-    starts: dict[str, list[int]] = {}
-    for i, word in enumerate(words):
-        if word in by_first:
-            starts.setdefault(word, []).append(i)
-    for _, idiom in sorted(found for word in starts for found in by_first[word]):
-        width = len(idiom.tokens)
-        for i in starts[idiom.tokens[0]]:
-            if words[i:i + width] == idiom.tokens and not any(masked[i:i + width]):
-                override(i, width, Source.IDIOM, idiom, " ".join(idiom.tokens))
+    if not by_first.keys().isdisjoint(map(_normalized, tokens)):
+        words = tuple(map(_normalized, tokens))
+        masked = [False] * len(tokens)
+        starts: dict[str, list[int]] = {}
+        for i, word in enumerate(words):
+            if word in by_first:
+                starts.setdefault(word, []).append(i)
+        for _, idiom in sorted(found for word in starts for found in by_first[word]):
+            width = len(idiom.tokens)
+            for i in starts[idiom.tokens[0]]:
+                if words[i:i + width] == idiom.tokens and not any(masked[i:i + width]):
+                    # An idiom masks its tokens and, unless neutral, scores its own strength.
+                    masked[i:i + width] = [True] * width
+                    if idiom.kind is not Kind.NEUTRAL:
+                        contributions.append(TermContribution(
+                            i, Source.IDIOM, idiom.strength, 0, 0, idiom.strength, idiom.kind,
+                            " ".join(idiom.tokens)))
 
-    # 2. Emoticons match punctuation runs verbatim and case-sensitively; a run
-    # holding "!" also sets the sentence's exclamation flag for rule 9.
+    # One left-to-right pass over the tokens does rules 2-6. A mask only ever
+    # reaches back to earlier tokens, so each token's emoticon is known before
+    # any later word reads it; emoticons' contributions go after the idioms'
+    # and before any term's.
     exclaim = False
+    emoticon_at = len(contributions)
     by_glyph = lex.emoticons_by_glyph
-    for i, token in enumerate(tokens):
-        if words[i] is None:
-            exclaim = exclaim or "!" in token.raw
-            emo = by_glyph.get(token.raw)
+    boosters = lex.booster_deltas
+    negators = lex.negators
+    lookup = lex.compiled_terms.lookup
+    for i, (raw, word, letters_removed, is_punct_run) in enumerate(tokens):
+        if is_punct_run:
+            # 2. Emoticons match punctuation runs verbatim and case-sensitively;
+            # a run holding "!" also sets the sentence's exclamation flag for rule 9.
+            if "!" in raw:
+                exclaim = True
+            emo = by_glyph.get(raw)
             if emo is not None:
-                override(i, 1, Source.EMOTICON, emo, emo.glyph)
-
-    # 3-6. Term matches with booster, repeated-letter emphasis and negation.
-    for i, word in enumerate(words):
-        if masked[i] or word is None or word == URL_TOKEN:
+                if masked is None:
+                    masked = [False] * len(tokens)
+                masked[i] = True
+                if emo.kind is not Kind.NEUTRAL:
+                    contributions.insert(emoticon_at, TermContribution(
+                        i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, emo.kind, emo.glyph))
+                    emoticon_at += 1
             continue
-        for entry in lookup(word):  # the stress match, then the relaxation match
+        if word == URL_TOKEN or masked is not None and masked[i]:
+            continue
+        found = lookup(word)
+        if not found:
+            continue
+
+        # 3-6. Term matches with booster, repeated-letter emphasis and negation.
+        j = i - 1  # booster immediately before, allowing one negator between
+        if j >= 0 and tokens[j].normalized in negators:
+            j -= 1
+        delta = (boosters.get(tokens[j].normalized, 0)
+                 if j >= 0 and (masked is None or not masked[j]) else 0)
+
+        repeat = 1 if letters_removed >= 2 else 0
+
+        j = i - 1  # negator immediately before, allowing one booster between
+        if j >= 0 and tokens[j].normalized in boosters:
+            j -= 1
+        negated = (j >= 0 and (masked is None or not masked[j])
+                   and tokens[j].normalized in negators)
+
+        for entry in found:  # the stress match, then the relaxation match
             base = entry.strength
-
-            j = i - 1  # booster immediately before, allowing one negator between
-            if j >= 0 and forms[j] in lex.negators:
-                j -= 1
-            delta = boosters.get(forms[j], 0) if j >= 0 and not masked[j] else 0
-
-            repeat = 1 if tokens[i].letters_removed >= 2 else 0
-
-            j = i - 1  # negator immediately before, allowing one booster between
-            if j >= 0 and forms[j] in boosters:
-                j -= 1
-            negated = j >= 0 and not masked[j] and forms[j] in lex.negators
-
             if entry.kind is Kind.RELAXATION:
                 # A negated relaxing word becomes a stress word of the same (boosted) strength.
                 source = Source.NEGATED_RELAX if negated else Source.RELAX_TERM
@@ -173,7 +193,7 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
 
     # 7-9. Per-scale maxima, exclamation boost, clamp.
     stress_mag, relax_mag, stress_boosted, relax_boosted = sentence_magnitudes(
-        ((c.scale, c.final_strength) for c in contributions), exclaim)
+        [(c.scale, c.final_strength) for c in contributions], exclaim)
     score = DualScore(-stress_mag, relax_mag)
     trace = SentenceTrace(tokens, tuple(contributions), exclaim, stress_boosted, relax_boosted, score)
     return score, trace

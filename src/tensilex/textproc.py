@@ -38,15 +38,21 @@ class Token(NamedTuple):
     is_punct_run: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedText:
     sentences: tuple[tuple[Token, ...], ...]
+
+
+# Builds a Token from its four fields in one C call, past NamedTuple's Python __new__.
+_new_token = tuple.__new__
 
 
 def _sentences(text: str, recognised):
     """Each sentence of ``text`` as its slice of a line and its tokens, from one
     walk over each line's pieces. Given a ``recognised`` word set, each word
-    but a hashtag or mention is spell-corrected as its token is built."""
+    but a hashtag or mention is spell-corrected as its token is built; only a
+    word holding a repeated character calls :func:`correct_spelling`, since
+    any other word it would only lowercase."""
     for line in text.splitlines():
         start, tokens = None, []
         for match in _PIECE_RE.finditer(line):
@@ -54,15 +60,16 @@ def _sentences(text: str, recognised):
             if start is None:
                 start = match.start()
             if url:
-                tokens.append(Token(url, URL_TOKEN))
+                tokens.append(_new_token(Token, (url, URL_TOKEN, 0, False)))
             elif word:
-                if recognised is None or word[0] in "#@":
-                    tokens.append(Token(word, word.lower()))
+                lowered = word.lower()
+                if recognised is None or word[0] in "#@" or not _RUN_RE.search(lowered):
+                    tokens.append(_new_token(Token, (word, lowered, 0, False)))
                 else:
-                    tokens.append(Token(word, *correct_spelling(word, recognised)))
+                    tokens.append(_new_token(Token, (word, *correct_spelling(word, recognised), False)))
             else:
                 run = stop or punct
-                tokens.append(Token(run, run, is_punct_run=True))
+                tokens.append(_new_token(Token, (run, run, 0, True)))
                 if stop:
                     yield line[start:match.end()], tokens
                     start, tokens = None, []

@@ -140,6 +140,39 @@ def test_score_file_not_utf8_exit_2(capsys, lex_dir, tmp_path, good_lines):
     assert out.startswith("id\tstress\trelaxation\n")
 
 
+def _ascii_stdin(monkeypatch, data):
+    """Stdin as Python opens it under a locale whose encoding is ASCII."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
+                                                       errors="surrogateescape"))
+
+
+def test_score_stdin_reads_utf8_as_a_file_does(capsys, tmp_path, monkeypatch):
+    # Read as ASCII, "café" would be "caf" and two surrogates, a token more.
+    data = "so stressed \u2014 caf\u00e9 late\n".encode()
+    inp = tmp_path / "texts.txt"
+    inp.write_bytes(data)
+    from_file = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", str(inp))
+    _ascii_stdin(monkeypatch, data)
+    from_stdin = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", "-")
+    assert from_stdin == from_file
+    assert "    stress-term 'late' at token 4: base 2, -> 2 on stress\n" in from_stdin[2]
+
+
+@pytest.mark.parametrize("good_lines", [1, 3000], ids=["first-read", "past-first-read"])
+def test_score_stdin_not_utf8_exit_2(capsys, monkeypatch, good_lines):
+    # Stdin cannot be read again to find the bad line; the rows already
+    # written stay written, and they are the rows of the good lines.
+    _ascii_stdin(monkeypatch, b"so late\n" * good_lines + b"caf\xff\n")
+    code, out, err = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "-")
+    assert (code, err) == (2, "error: stdin: not valid UTF-8\n")
+    header, *rows = out.splitlines()
+    assert header == "id\tstress\trelaxation"
+    assert len(rows) < good_lines
+    assert rows == [f"{i}\t-3\t1" for i in range(1, len(rows) + 1)]
+    if good_lines == 3000:
+        assert rows  # lines decoded before the bad block were scored
+
+
 def test_evaluate_corpus_not_utf8_exit_2(capsys, ref_setup):
     _, lex_dir, corpus_path, _ = ref_setup
     bad = _append_bad_line(corpus_path)

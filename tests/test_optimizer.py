@@ -198,9 +198,9 @@ def _climb_recording_tries(monkeypatch, cfg):
     tried = []
     total_at = _ErrorTracker.total_at
 
-    def recorded(self, term, strength):
+    def recorded(self, term, strength, hit_error):
         tried.append(term)
-        return total_at(self, term, strength)
+        return total_at(self, term, strength, hit_error)
 
     monkeypatch.setattr(_ErrorTracker, "total_at", recorded)
     optimized, report = hill_climb(lex, corpus, cfg)
@@ -320,8 +320,10 @@ def test_tracker_rescore_matches_scorer(case):
     ids = {key: term for term, key in enumerate(term_keys(lex))}
     edited = lex
     for (kind, pattern), strength in table.items():
-        total, updates = tracker.total_at(ids[kind, pattern], strength)
-        tracker.accept_at(ids[kind, pattern], strength, total, updates)
+        term = ids[kind, pattern]
+        hit_error = sum(tracker.errors[i] for i in tracker.hits[term])
+        total, updates = tracker.total_at(term, strength, hit_error)
+        tracker.accept_at(term, strength, total, updates)
         edited = set_strength(edited, kind, pattern, strength)
     expected = []
     for ex in corpus:

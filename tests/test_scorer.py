@@ -1,7 +1,7 @@
 import os
 import random
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +18,16 @@ from tensilex.lexicon import (
 )
 from tensilex.scorer import (
     DualScore,
+    ScoreTrace,
+    SentenceTrace,
     Source,
+    TermContribution,
     explain,
     replay_trace,
     score_sentence,
     score_text,
 )
-from tensilex.textproc import Token, process
+from tensilex.textproc import Token, TokenizedText, process
 
 from .oracles import score_sentence_scan
 
@@ -189,6 +192,40 @@ def test_trace_names_rules():
     assert Source.NEGATED_RELAX in sources and Source.STRESS_TERM in sources
     rendered = explain("Never trust a man with a filthy kitchen", lex)
     assert "negated-relax" in rendered and "stress-term" in rendered
+
+
+def test_trace_records_are_frozen_slotted_and_hashable():
+    lex = rich_lexicon()
+    text = "very worried :("
+    _, trace = score_text(text, lex)
+    sentence = trace.sentences[0]
+    records = (trace.score, sentence.contributions[0], sentence, trace,
+               process(text, lex.recognised_words))
+    assert [type(r) for r in records] == [DualScore, TermContribution, SentenceTrace, ScoreTrace,
+                                          TokenizedText]
+    _, again = score_text(text, lex)
+    twins = (again.score, again.sentences[0].contributions[0], again.sentences[0], again,
+             process(text, lex.recognised_words))
+    for record, twin in zip(records, twins):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, None)
+        assert record == twin and record is not twin and hash(record) == hash(twin)
+    assert repr(trace) == (
+        "ScoreTrace(sentences=(SentenceTrace(tokens=("
+        "Token(raw='very', normalized='very', letters_removed=0, is_punct_run=False), "
+        "Token(raw='worried', normalized='worried', letters_removed=0, is_punct_run=False), "
+        "Token(raw=':(', normalized=':(', letters_removed=0, is_punct_run=True)), "
+        "contributions=("
+        "TermContribution(token_index=2, source=<Source.EMOTICON: 'emoticon'>, base_strength=2, "
+        "booster_delta=0, repeat_boost=0, final_strength=2, scale=<Kind.STRESS: 'stress'>, "
+        "label=':('), "
+        "TermContribution(token_index=1, source=<Source.STRESS_TERM: 'stress-term'>, "
+        "base_strength=3, booster_delta=1, repeat_boost=0, final_strength=4, "
+        "scale=<Kind.STRESS: 'stress'>, label='worried')), "
+        "exclamation_present=False, stress_boosted=False, relax_boosted=False, "
+        "score=DualScore(stress=-4, relaxation=1)),), "
+        "score=DualScore(stress=-4, relaxation=1))")
 
 
 def test_explain_text_is_pinned():

@@ -260,6 +260,19 @@ def test_process_matches_tokenize_then_correct(fragments, recognised):
     assert process(text, set(recognised)) == process_composed(text, recognised)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=60),
+                 st.lists(_FRAGMENTS, max_size=12).map(" ".join)),
+       st.frozensets(st.sampled_from(("so", "worried", "hello", "helo", "ab", "aab", "calm")),
+                     max_size=4))
+def test_every_token_is_a_token(text, recognised):
+    # The walk builds tokens as plain tuples; each must still be a Token.
+    tokens = [t for sentence in process(text, recognised).sentences for t in sentence]
+    for token in tokens + tokenize(text):
+        assert type(token) is Token
+        assert [type(field) for field in token] == [str, str, int, bool]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_FRAGMENTS, st.sampled_from(("", " ", "  "))), max_size=12))
 def test_segment_matches_masked_segmenter(fragments):
