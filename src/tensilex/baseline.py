@@ -16,17 +16,28 @@ and compiles its corpus once and hands each fold a row subset of it;
 ``information_gain`` and ``train`` compile a plain :class:`FeatureVector`
 list on entry, so both take the same path. Information gain counts each
 feature's per-class presence with one ``np.bincount`` and computes the
-gain once per distinct count vector, which thousands of features share.
+gain once per distinct count vector, which thousands of features share,
+with arrays that repeat a per-feature loop's arithmetic to the bit.
 A design matrix is the texts' entries scattered through a rank array from
 vocabulary id to column. A model scores a fold's held-out texts with one
 stacked product, which gives each row the arithmetic ``predict`` and
 ``posterior`` give one text. Each Newton iteration solves every
-unconverged one-vs-rest class's system in one batched solve. A fold's
-feature sets along a sweep's grid are cuts of one ranking, so each
-logistic fit after the fold's first starts from the previous one's
-weights; its weights agree with a cold fit's to the fit tolerance. On
-generated corpora a fit from zeros takes 5 or 6 Newton steps, a warm
-one 2 to 4.
+unconverged one-vs-rest class's system in one batched solve.
+
+A sweep does its per-fold work once per fold, not once per cell. A fold
+ranks its features once, only as deep as the widest cell: the features
+at or above that depth's gain are found with ``np.partition`` and only
+they are sorted, ties at the cut included, so the ranking is exactly
+``information_gain``'s prefix. It builds one design matrix per side
+(training and held-out) over the widest subset. A cell's matrices are
+column cuts of those: every subset holds the dense counts, so a
+column's values depend only on its feature's name, and ``take`` returns
+them in the C order a cell's own matrix has, so every fit and prediction
+is the same to the bit. A fold's feature sets along the grid are cuts of
+one ranking, so each logistic fit after the fold's first starts from the
+previous one's weights; its weights agree with a cold fit's to the fit
+tolerance. On generated corpora a fit from zeros takes 5 or 6 Newton
+steps, a warm one 2 to 4.
 """
 
 from __future__ import annotations
@@ -148,16 +159,6 @@ def extract_features(text: str) -> FeatureVector:
     return FeatureVector(dict(counts), uni, bi, tri)
 
 
-def _entropy(label_counts) -> float:
-    total = sum(label_counts)
-    h = 0.0
-    for c in label_counts:
-        if c:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
-
-
 def _distinct_rows(table: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct row of ``table`` (entries in 0..base-1): the position of
     its first occurrence, and each row's distinct-row number.
@@ -181,22 +182,37 @@ def _check_labels(vectors, labels) -> None:
         raise LengthError(f"{len(labels)} labels for {len(vectors)} texts")
 
 
-def information_gain(vectors, labels) -> FeatureTable:
-    """Rank sparse features by reduction in label entropy (presence/absence).
+def _entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """The label entropy of each row of ``counts``, whose sums are ``totals``.
 
-    ``vectors`` are :class:`FeatureVector`s or their :class:`CompiledFeatures`.
+    The arithmetic is a plain loop's: ``h -= p * math.log2(p)`` for each
+    nonzero count in label order, ``p = count / total``. Each distinct
+    (count, total) pair's term is taken once from ``math.log2``, since
+    ``np.log2`` can differ in the last bit. A zero count's term is 0.0,
+    which subtracts nothing.
     """
-    _check_labels(vectors, labels)
-    if len(set(labels)) < 2:
-        raise DegenerateLabels("information gain needs at least 2 distinct labels")
-    features = compile_features(vectors)
-    n = len(features)
+    base = int(totals.max(initial=0)) + 1
+    pairs, inverse = np.unique(counts * base + totals[:, None], return_inverse=True)
+    terms = np.array([(c / t) * math.log2(c / t) if c else 0.0
+                      for c, t in map(divmod, pairs.tolist(), repeat(base))])
+    h = np.zeros(len(counts))
+    for column in terms[inverse.reshape(counts.shape)].T:
+        h -= column
+    return h
+
+
+def _gains(features: CompiledFeatures, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ids of the features the texts have, and each one's
+    information gain over presence/absence."""
     label_values = sorted(set(labels))
+    if len(label_values) < 2:
+        raise DegenerateLabels("information gain needs at least 2 distinct labels")
+    n = len(features)
     label_index = {y: i for i, y in enumerate(label_values)}
     y = np.array([label_index[label] for label in labels])
     n_labels = len(label_values)
-    total_counts = np.bincount(y, minlength=n_labels).tolist()
-    h_y = _entropy(total_counts)
+    total_counts = np.bincount(y, minlength=n_labels)
+    h_y = _entropies(total_counts[None, :], np.array([n]))[0]
 
     present = features.counts > 0
     entry_ids = features.ids[present]
@@ -208,21 +224,41 @@ def information_gain(vectors, labels) -> FeatureTable:
     # Gain depends only on the per-class presence counts, and thousands of
     # features share a few hundred distinct count vectors.
     first, inverse = _distinct_rows(with_f, n + 1)
-    distinct_gains = []
-    for counts in with_f[first].tolist():
-        n_with = sum(counts)
-        without_f = [t - w for t, w in zip(total_counts, counts)]
-        n_without = n - n_with
-        # Every feature here is present in some text, so n_with >= 1.
-        h_cond = (n_with / n) * _entropy(counts)
-        if n_without:
-            h_cond += (n_without / n) * _entropy(without_f)
-        distinct_gains.append(max(0.0, h_y - h_cond))
-    gains = np.array(distinct_gains)[inverse]
-    # Vocabulary ids follow the sorted names, so they break gain ties lexicographically.
-    order = np.lexsort((ids, -gains))
-    return FeatureTable(tuple(features.vocabulary[ids[order]].tolist()),
-                        tuple(gains[order].tolist()))
+    counts = with_f[first]
+    n_with = counts.sum(axis=1)  # every feature here is present in some text, so >= 1
+    n_without = n - n_with
+    h_cond = (n_with / n) * _entropies(counts, n_with)
+    # Where no text lacks the feature this adds 0.0, which changes nothing.
+    h_cond += (n_without / n) * _entropies(total_counts - counts, n_without)
+    return ids, np.maximum(0.0, h_y - h_cond)[inverse]
+
+
+def _ranking(features: CompiledFeatures, labels, depth=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and gains of the ``depth`` top-ranked features (all if None), in rank order.
+
+    Ids ascend with the sorted names, so a stable sort by descending gain
+    breaks ties lexicographically. Below the full depth, only the features
+    at or above the cut's gain are sorted, ties at the cut included, so the
+    result is the full ranking's prefix.
+    """
+    ids, gains = _gains(features, labels)
+    if depth is not None and depth < len(gains):
+        cut = np.partition(gains, len(gains) - depth)[len(gains) - depth]
+        kept = np.flatnonzero(gains >= cut)
+        ids, gains = ids[kept], gains[kept]
+    order = np.argsort(-gains, kind="stable")[:depth]
+    return ids[order], gains[order]
+
+
+def information_gain(vectors, labels) -> FeatureTable:
+    """Rank sparse features by reduction in label entropy (presence/absence).
+
+    ``vectors`` are :class:`FeatureVector`s or their :class:`CompiledFeatures`.
+    """
+    _check_labels(vectors, labels)
+    features = compile_features(vectors)
+    ids, gains = _ranking(features, labels)
+    return FeatureTable(tuple(features.vocabulary[ids].tolist()), tuple(gains.tolist()))
 
 
 def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
@@ -320,24 +356,26 @@ def train(kind: str, vectors, labels, subset, start=None) -> TrainedModel:
     classes = tuple(sorted(set(labels)))
     initial = None if start is None else _start_weights(kind, start, classes, subset)
     columns = _columns(subset)
-    x = _design_matrix(vectors, subset, columns)
-    y = np.array(labels)
-
-    if kind == "nb":
-        log_prior = np.zeros(len(classes))
-        log_like = np.zeros((len(classes), len(subset)))
-        for ci, c in enumerate(classes):
-            rows = x[y == c]
-            log_prior[ci] = math.log(len(rows) / len(vectors))
-            totals = rows.sum(axis=0) + 1.0  # add-one smoothing
-            log_like[ci] = np.log(totals / totals.sum())
-        params = {"log_prior": log_prior, "log_like": log_like}
-    else:
-        params = {"weights": _train_logistic(x, y, classes, initial)}
-
-    model = TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
+    model = _fit(kind, _design_matrix(vectors, subset, columns), np.array(labels), classes,
+                 subset, initial)
     vars(model)["columns"] = columns  # what the cached property would build
     return model
+
+
+def _fit(kind, x, y, classes, subset, start) -> TrainedModel:
+    """A ``kind`` model of the design matrix ``x`` over ``subset``, with one
+    label per row in the array ``y`` and the sorted distinct labels as
+    ``classes``; ``start`` is a logistic fit's initial weights, or None."""
+    if kind == "nb":
+        # Sums of whole counts, so the product adds them exactly, in any order.
+        indicator = (y == np.array(classes)[:, None]).astype(float)
+        totals = indicator @ x + 1.0  # add-one smoothing
+        log_prior = np.array([math.log(m / len(x)) for m in indicator.sum(axis=1).tolist()])
+        log_like = np.log(totals / totals.sum(axis=1, keepdims=True))
+        params = {"log_prior": log_prior, "log_like": log_like}
+    else:
+        params = {"weights": _train_logistic(x, y, classes, start)}
+    return TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
 
 
 def _start_weights(kind, start: TrainedModel, classes, subset) -> np.ndarray:
@@ -374,6 +412,7 @@ def _train_logistic(x, y, classes, start=None) -> np.ndarray:
     l2 = np.full(f + 1, LOGISTIC_L2)
     l2[-1] = 0.0  # the bias is not penalised
     weights = np.zeros((len(classes), f + 1)) if start is None else np.array(start, dtype=float)
+    a = np.empty_like(xb)  # each class's curvature-weighted rows, in turn
 
     def loss(w, t):
         margins = t * (w @ xb.T)
@@ -390,7 +429,7 @@ def _train_logistic(x, y, classes, start=None) -> np.ndarray:
         for h, c in zip(hess, todo):
             # numpy computes an array times its own transpose as a symmetric
             # rank-k update, half the flops of (xb.T * curvature) @ xb.
-            a = xb * np.sqrt(sig[c] * (1.0 - sig[c]) / n)[:, None]
+            np.multiply(xb, np.sqrt(sig[c] * (1.0 - sig[c]) / n)[:, None], out=a)
             np.matmul(a.T, a, out=h)
             h.flat[::f + 2] += l2
         step = -np.linalg.solve(hess, grad[todo][..., None])[..., 0]
@@ -462,8 +501,9 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
 
     One cross-validation pass serves every (classifier, size) cell: the
     corpus's features are extracted and compiled once, each training fold's
-    information gain is computed once and cut to every size in ``grid``,
-    and each cell predicts the fold's held-out texts in one batch. Feature
+    features are ranked once to the largest size in ``grid``, its training
+    and held-out design matrices are built once over that widest subset,
+    and each cell fits and predicts on column cuts of them. Feature
     selection thus happens inside each training fold. Each logistic cell
     after a fold's first is warm-started from the fold's previous logistic
     model.
@@ -480,20 +520,33 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
     check_folds(corpus, k, reps)
     labels = [ex.gold_stress if scale == "stress" else ex.gold_relax for ex in corpus]
     cells = [(kind, n) for kind in kinds for n in grid]
+    widest = max(grid)  # each fold ranks only this deep
     features = compile_features([extract_features(ex.text) for ex in corpus])
 
     def fit_predict(train_at, test_at, _fold_seed):
         train_features, test_features = features.take(train_at), features.take(test_at)
         train_labels = [labels[i] for i in train_at]
-        table = information_gain(train_features, train_labels)
+        ids, _ = _ranking(train_features, train_labels, widest)
+        wide = tuple(train_features.vocabulary[ids].tolist()) + DENSE_FEATURES
+        columns = _columns(wide)
+        x_train = _design_matrix(train_features, wide, columns)
+        x_test = _design_matrix(test_features, wide, columns)
+        y, classes = np.array(train_labels), tuple(sorted(set(train_labels)))
+        dense = np.arange(len(ids), len(wide))
         predictions, latest = {}, None  # latest: the fold's last logistic model
         for kind, n in cells:
-            model = train(kind, train_features, train_labels, select_top(table, n),
-                          latest if kind == "logistic" else None)
+            # A column's values depend only on its feature's name, so a cell's
+            # matrices are column cuts of the wide ones; take keeps C order.
+            m = min(n, len(ids))
+            cut = np.concatenate([np.arange(m), dense])
+            subset = wide[:m] + DENSE_FEATURES
+            start = None
+            if kind == "logistic" and latest is not None:
+                start = _start_weights(kind, latest, classes, subset)
+            model = _fit(kind, x_train.take(cut, axis=1), y, classes, subset, start)
             if kind == "logistic":
                 latest = model
-            predictions[kind, n] = _predict(model, _design_matrix(test_features, model.subset,
-                                                                  model.columns))
+            predictions[kind, n] = _predict(model, x_test.take(cut, axis=1))
         return predictions
 
     averaged = run_folds(corpus, k, reps, base_seed, fit_predict, dict.fromkeys(cells, labels)).averaged

@@ -65,6 +65,45 @@ def information_gain_bruteforce(presence, labels):
     return h
 
 
+def entropy_of_counts(label_counts):
+    """Label entropy from per-label counts, term by term in label order."""
+    total = sum(label_counts)
+    h = 0.0
+    for c in label_counts:
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def gains_per_distinct_vector(vectors, labels):
+    """Each feature some text has (a positive count), in name order, and its
+    information gain, with the arithmetic of a loop over the distinct
+    vectors of per-label presence counts: one gain per vector, from the
+    entropies of its with- and without-feature label counts, in label order."""
+    label_values = sorted(set(labels))
+    n = len(labels)
+    total_counts = [labels.count(v) for v in label_values]
+    h_y = entropy_of_counts(total_counts)
+    presence = {}
+    for vec, y in zip(vectors, labels):
+        for feature, count in vec.counts.items():
+            if count > 0:
+                presence.setdefault(feature, [0] * len(label_values))[label_values.index(y)] += 1
+    names = sorted(presence)
+    gain_of = {}
+    for counts in map(tuple, (presence[name] for name in names)):
+        if counts not in gain_of:
+            n_with = sum(counts)
+            without_f = [t - w for t, w in zip(total_counts, counts)]
+            n_without = n - n_with
+            h_cond = (n_with / n) * entropy_of_counts(counts)
+            if n_without:
+                h_cond += (n_without / n) * entropy_of_counts(without_f)
+            gain_of[counts] = max(0.0, h_y - h_cond)
+    return names, [gain_of[tuple(presence[name])] for name in names]
+
+
 def pearson_bruteforce(xs, ys):
     n = len(xs)
     mx = sum(xs) / n

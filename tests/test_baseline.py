@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tensilex import baseline
 from tensilex.baseline import (
@@ -27,6 +28,8 @@ from tensilex.metrics import PairedSeries, report
 
 from .oracles import (
     design_matrix_plain,
+    entropy_of_counts,
+    gains_per_distinct_vector,
     information_gain_bruteforce,
     logistic_loss_and_gradient,
     logistic_minimum,
@@ -121,6 +124,78 @@ def test_gain_matches_bruteforce_where_a_naive_radix_key_overflows():
         assert gain == pytest.approx(information_gain_bruteforce(presence, labels), abs=1e-12)
     ranked = list(zip(table.gains, table.vocabulary))
     assert ranked == sorted(ranked, key=lambda gf: (-gf[0], gf[1]))
+
+
+@st.composite
+def _labelled_vectors(draw):
+    """Up to 30 texts over 8 features, most of them sharing a few presence
+    patterns, so gains tie often; counts of 0 are entries of no presence."""
+    names = [f"f{i}" for i in range(8)]
+    patterns = draw(st.lists(st.frozensets(st.integers(0, 29), max_size=30), min_size=1, max_size=4))
+    n = draw(st.integers(2, 30))
+    labels = draw(st.lists(st.integers(-3, -1), min_size=n, max_size=n))
+    assume(len(set(labels)) >= 2)
+    counts: list[dict[str, int]] = [{} for _ in range(n)]
+    for name in names:
+        texts = draw(st.one_of(st.sampled_from(patterns), st.frozensets(st.integers(0, n - 1))))
+        for i in texts:
+            if i < n:
+                counts[i][name] = draw(st.integers(0, 3))
+    return [FeatureVector(c, 0, 0, 0) for c in counts], labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_vectors())
+def test_gain_core_equals_the_per_distinct_vector_loop(case):
+    vectors, labels = case
+    features = baseline.compile_features(vectors)
+    ids, gains = baseline._gains(features, labels)
+    names, expected = gains_per_distinct_vector(vectors, labels)
+    assert features.vocabulary[ids].tolist() == names
+    assert gains.tolist() == expected  # bit for bit
+
+
+def test_gain_core_equals_the_per_distinct_vector_loop_on_the_golden_corpus():
+    from .test_cli import golden_corpus
+    vectors = [extract_features(ex.text) for ex in golden_corpus()]
+    for scale in ("gold_stress", "gold_relax"):
+        labels = [getattr(ex, scale) for ex in golden_corpus()]
+        features = baseline.compile_features(vectors)
+        ids, gains = baseline._gains(features, labels)
+        assert (features.vocabulary[ids].tolist(), gains.tolist()) == \
+            gains_per_distinct_vector(vectors, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_vectors(), st.integers(1, 10))
+def test_sweep_ranking_is_the_information_gain_prefix(case, depth):
+    # depth runs past the 8 features, and ties across the cut are common.
+    vectors, labels = case
+    table = information_gain(vectors, labels)
+    features = baseline.compile_features(vectors)
+    ids, gains = baseline._ranking(features, labels, depth)
+    assert features.vocabulary[ids].tolist() == list(table.vocabulary[:depth])
+    assert gains.tolist() == list(table.gains[:depth])
+
+
+def test_entropies_equal_the_loop_over_every_ratio_up_to_400():
+    # np.log2 differs from math.log2 in the last bit on some of these ratios.
+    rows = np.array([(c, t - c, 0) for t in range(1, 401) for c in range(t + 1)])
+    got = baseline._entropies(rows, rows.sum(axis=1))
+    assert got.tolist() == [entropy_of_counts(row) for row in rows.tolist()]
+
+
+def test_sweep_ranking_keeps_ties_at_the_cut_in_name_order():
+    # Five features with one gain: a cut at 2 keeps the first two names.
+    vectors = [FeatureVector({f: 1 for f in "edcba"} | {"x": 1}, 0, 0, 0),
+               FeatureVector({f: 1 for f in "edcba"}, 0, 0, 0),
+               FeatureVector({"x": 1}, 0, 0, 0),
+               FeatureVector({}, 0, 0, 0)]
+    labels = [1, 1, 2, 2]
+    features = baseline.compile_features(vectors)
+    ids, gains = baseline._ranking(features, labels, 2)
+    assert features.vocabulary[ids].tolist() == ["a", "b"]
+    assert information_gain(vectors, labels).vocabulary == ("a", "b", "c", "d", "e", "x")
 
 
 def test_gain_single_label_rejected():
@@ -480,7 +555,7 @@ def test_sweep_rows_equal_per_text_runs_on_plain_folds():
 
 
 def test_sweep_is_one_fold_pass(monkeypatch):
-    calls = {"run_folds": 0, "information_gain": 0, "train": 0}
+    calls = {"run_folds": 0, "_gains": 0, "_fit": 0}
 
     def counted(name):
         real = getattr(baseline, name)
@@ -495,8 +570,52 @@ def test_sweep_is_one_fold_pass(monkeypatch):
     rows, _ = sweep(injected_token_corpus(n=30), "stress", grid=(1, 2, 3), k=3, reps=2,
                     base_seed=1)
     assert len(rows) == 2 * 3
-    # gain once per training fold; the public train once per cell and fold
-    assert calls == {"run_folds": 1, "information_gain": 3 * 2, "train": 2 * 3 * 3 * 2}
+    # gain once per training fold; a fit once per cell and fold
+    assert calls == {"run_folds": 1, "_gains": 3 * 2, "_fit": 2 * 3 * 3 * 2}
+
+
+def test_sweep_cells_are_cuts_equal_to_their_own_design_matrices(monkeypatch):
+    from .test_cli import golden_corpus
+    corpus = golden_corpus()
+    labels = [ex.gold_stress for ex in corpus]
+    features = baseline.compile_features([extract_features(ex.text) for ex in corpus])
+    kinds, grid = ("nb", "logistic"), (5, 20, 10_000)  # 10,000 exceeds every fold's vocabulary
+    fits, predictions, folds = [], [], []
+    real_fit, real_predict, real_run_folds = baseline._fit, baseline._predict, baseline.run_folds
+
+    def fit(kind, x, y, classes, subset, start):
+        fits.append((x, subset))
+        return real_fit(kind, x, y, classes, subset, start)
+
+    def predict_rows(model, x):
+        predictions.append((x, model.subset))
+        return real_predict(model, x)
+
+    def run_folds(*args):
+        *head, fit_predict, golds = args
+
+        def checked(train_at, test_at, fold_seed):
+            fits.clear()
+            predictions.clear()
+            out = fit_predict(train_at, test_at, fold_seed)
+            train_features, test_features = features.take(train_at), features.take(test_at)
+            table = information_gain(train_features, [labels[i] for i in train_at])
+            assert [subset for _, subset in fits] == [select_top(table, n) for _ in kinds for n in grid]
+            assert [subset for _, subset in predictions] == [subset for _, subset in fits]
+            for (x, subset), (x_test, _) in zip(fits, predictions):
+                for got, side in ((x, train_features), (x_test, test_features)):
+                    want = baseline._design_matrix(side, subset)
+                    assert got.flags.c_contiguous and (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()  # bit for bit
+            folds.append(len(fits))
+            return out
+        return real_run_folds(*head, checked, golds)
+
+    monkeypatch.setattr(baseline, "_fit", fit)
+    monkeypatch.setattr(baseline, "_predict", predict_rows)
+    monkeypatch.setattr(baseline, "run_folds", run_folds)
+    sweep(corpus, "stress", kinds, grid, k=4, reps=2, base_seed=9)
+    assert folds == [len(kinds) * len(grid)] * (4 * 2)
 
 
 def test_warm_started_sweep_fits_converge(monkeypatch):

@@ -158,6 +158,16 @@ def test_score_stdin_reads_utf8_as_a_file_does(capsys, tmp_path, monkeypatch):
     assert "    stress-term 'late' at token 4: base 2, -> 2 on stress\n" in from_stdin[2]
 
 
+def test_score_writes_utf8_whatever_the_locale(monkeypatch):
+    # Encoded as ASCII, the row of "café" would end the run in a UnicodeEncodeError.
+    _ascii_stdin(monkeypatch, "caf\u00e9\tso late\n".encode())
+    stdout = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(stdout, encoding="ascii"))
+    assert main(["score", "--lexicon-dir", DEFAULT_LEXICON, "--tsv", "-"]) == 0
+    sys.stdout.flush()
+    assert stdout.getvalue() == "id\tstress\trelaxation\ncaf\u00e9\t-3\t1\n".encode()
+
+
 @pytest.mark.parametrize("good_lines", [1, 3000], ids=["first-read", "past-first-read"])
 def test_score_stdin_not_utf8_exit_2(capsys, monkeypatch, good_lines):
     # Stdin cannot be read again to find the bad line; the rows already
