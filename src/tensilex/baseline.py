@@ -25,9 +25,8 @@ stacked product, which gives each row the arithmetic ``predict`` and
 unconverged one-vs-rest class's system in one batched solve.
 
 A sweep does its per-fold work once per fold, not once per cell. A fold
-ranks its features once, only as deep as the widest cell: the features
-at or above that depth's gain are found with ``np.partition`` and only
-they are sorted, ties at the cut included, so the ranking is exactly
+ranks its features once, only as deep as the widest cell: one stable
+sort of the gains, cut at that depth, so the ranking is exactly
 ``information_gain``'s prefix. It builds one design matrix per side
 (training and held-out) over the widest subset. A cell's matrices are
 column cuts of those: every subset holds the dense counts, so a
@@ -233,21 +232,16 @@ def _gains(features: CompiledFeatures, labels) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.maximum(0.0, h_y - h_cond)[inverse]
 
 
-def _ranking(features: CompiledFeatures, labels, depth=None) -> tuple[np.ndarray, np.ndarray]:
-    """The ids and gains of the ``depth`` top-ranked features (all if None), in rank order.
+def _ranking(features: CompiledFeatures, labels, depth=None) -> FeatureTable:
+    """The ``depth`` top-ranked features (all if None) and their gains.
 
     Ids ascend with the sorted names, so a stable sort by descending gain
-    breaks ties lexicographically. Below the full depth, only the features
-    at or above the cut's gain are sorted, ties at the cut included, so the
-    result is the full ranking's prefix.
+    breaks ties lexicographically, and a shallower ranking is the full one's
+    prefix.
     """
     ids, gains = _gains(features, labels)
-    if depth is not None and depth < len(gains):
-        cut = np.partition(gains, len(gains) - depth)[len(gains) - depth]
-        kept = np.flatnonzero(gains >= cut)
-        ids, gains = ids[kept], gains[kept]
     order = np.argsort(-gains, kind="stable")[:depth]
-    return ids[order], gains[order]
+    return FeatureTable(tuple(features.vocabulary[ids[order]].tolist()), tuple(gains[order].tolist()))
 
 
 def information_gain(vectors, labels) -> FeatureTable:
@@ -256,9 +250,7 @@ def information_gain(vectors, labels) -> FeatureTable:
     ``vectors`` are :class:`FeatureVector`s or their :class:`CompiledFeatures`.
     """
     _check_labels(vectors, labels)
-    features = compile_features(vectors)
-    ids, gains = _ranking(features, labels)
-    return FeatureTable(tuple(features.vocabulary[ids].tolist()), tuple(gains.tolist()))
+    return _ranking(compile_features(vectors), labels)
 
 
 def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
@@ -354,7 +346,7 @@ def train(kind: str, vectors, labels, subset, start=None) -> TrainedModel:
     if not vectors:
         raise EmptyCorpus("empty training set")
     classes = tuple(sorted(set(labels)))
-    initial = None if start is None else _start_weights(kind, start, classes, subset)
+    initial = _start_weights(kind, start, classes, subset)
     columns = _columns(subset)
     model = _fit(kind, _design_matrix(vectors, subset, columns), np.array(labels), classes,
                  subset, initial)
@@ -378,8 +370,11 @@ def _fit(kind, x, y, classes, subset, start) -> TrainedModel:
     return TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
 
 
-def _start_weights(kind, start: TrainedModel, classes, subset) -> np.ndarray:
-    """The initial logistic weights over ``subset`` that ``start`` gives."""
+def _start_weights(kind, start: TrainedModel | None, classes, subset) -> np.ndarray | None:
+    """The initial logistic weights over ``subset`` that ``start`` gives, or
+    None without a start."""
+    if start is None:
+        return None
     if kind != "logistic" or start.kind != "logistic":
         raise ValueError(f"only a logistic fit takes a start, got {kind!r} from {start.kind!r}")
     if start.classes != classes:
@@ -526,23 +521,22 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
     def fit_predict(train_at, test_at, _fold_seed):
         train_features, test_features = features.take(train_at), features.take(test_at)
         train_labels = [labels[i] for i in train_at]
-        ids, _ = _ranking(train_features, train_labels, widest)
-        wide = tuple(train_features.vocabulary[ids].tolist()) + DENSE_FEATURES
+        table = _ranking(train_features, train_labels, widest)
+        wide = select_top(table, widest)
         columns = _columns(wide)
         x_train = _design_matrix(train_features, wide, columns)
         x_test = _design_matrix(test_features, wide, columns)
         y, classes = np.array(train_labels), tuple(sorted(set(train_labels)))
-        dense = np.arange(len(ids), len(wide))
+        dense = np.arange(len(table.vocabulary), len(wide))
         predictions, latest = {}, None  # latest: the fold's last logistic model
         for kind, n in cells:
-            # A column's values depend only on its feature's name, so a cell's
-            # matrices are column cuts of the wide ones; take keeps C order.
-            m = min(n, len(ids))
-            cut = np.concatenate([np.arange(m), dense])
-            subset = wide[:m] + DENSE_FEATURES
-            start = None
-            if kind == "logistic" and latest is not None:
-                start = _start_weights(kind, latest, classes, subset)
+            # Every subset is a prefix of the wide one's sparse features plus
+            # the dense counts, and a column's values depend only on its
+            # feature's name, so a cell's matrices are column cuts of the
+            # wide ones; take keeps C order.
+            subset = select_top(table, n)
+            cut = np.concatenate([np.arange(len(subset) - len(DENSE_FEATURES)), dense])
+            start = _start_weights(kind, latest if kind == "logistic" else None, classes, subset)
             model = _fit(kind, x_train.take(cut, axis=1), y, classes, subset, start)
             if kind == "logistic":
                 latest = model

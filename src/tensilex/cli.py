@@ -70,8 +70,7 @@ def cmd_score(args) -> int:
     path = args.input
     if path == "-":  # decoded as a file is, whatever the locale's encoding
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    if hasattr(out, "reconfigure"):  # rows are UTF-8, whatever the locale's encoding
-        out.reconfigure(encoding="utf-8")
+    out.reconfigure(encoding="utf-8")  # rows are UTF-8, whatever the locale's encoding
     with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
         out.write("id\tstress\trelaxation\n")
         for i, line in enumerate(_input_lines(fh, path), start=1):

@@ -153,8 +153,7 @@ def _skeleton_index(recognised: frozenset) -> dict[str, tuple[tuple[str, tuple[i
     """Each recognised word and its kept runs' positions, by skeleton; built once per word set."""
     index: dict[str, list] = {}
     for word in recognised:
-        # Few words hold a pair; one that holds none is its own skeleton.
-        skeleton, kept = _runs(word) if _PAIR_RE.search(word) else (word, ())
+        skeleton, kept = _runs(word)
         index.setdefault(skeleton, []).append((word, tuple(kept)))
     return {skeleton: tuple(words) for skeleton, words in index.items()}
 

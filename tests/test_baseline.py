@@ -11,6 +11,7 @@ from tensilex.baseline import (
     DENSE_FEATURES,
     LOGISTIC_TOLERANCE,
     SWEEP_GRID,
+    FeatureTable,
     FeatureVector,
     TrainedModel,
     crossval_baseline,
@@ -172,10 +173,8 @@ def test_sweep_ranking_is_the_information_gain_prefix(case, depth):
     # depth runs past the 8 features, and ties across the cut are common.
     vectors, labels = case
     table = information_gain(vectors, labels)
-    features = baseline.compile_features(vectors)
-    ids, gains = baseline._ranking(features, labels, depth)
-    assert features.vocabulary[ids].tolist() == list(table.vocabulary[:depth])
-    assert gains.tolist() == list(table.gains[:depth])
+    ranked = baseline._ranking(baseline.compile_features(vectors), labels, depth)
+    assert ranked == FeatureTable(table.vocabulary[:depth], table.gains[:depth])
 
 
 def test_entropies_equal_the_loop_over_every_ratio_up_to_400():
@@ -192,9 +191,7 @@ def test_sweep_ranking_keeps_ties_at_the_cut_in_name_order():
                FeatureVector({"x": 1}, 0, 0, 0),
                FeatureVector({}, 0, 0, 0)]
     labels = [1, 1, 2, 2]
-    features = baseline.compile_features(vectors)
-    ids, gains = baseline._ranking(features, labels, 2)
-    assert features.vocabulary[ids].tolist() == ["a", "b"]
+    assert baseline._ranking(baseline.compile_features(vectors), labels, 2).vocabulary == ("a", "b")
     assert information_gain(vectors, labels).vocabulary == ("a", "b", "c", "d", "e", "x")
 
 

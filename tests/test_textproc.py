@@ -3,7 +3,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensilex import textproc
 from tensilex.textproc import (
     URL_TOKEN,
     Token,
@@ -205,18 +204,6 @@ def test_correct_spelling_many_runs_is_fast():
     elapsed = time.perf_counter() - start
     assert result == (last_cut, 141)
     assert elapsed < 0.1
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.frozensets(st.text(alphabet="abB\n", min_size=1, max_size=8), max_size=30))
-def test_skeleton_index_equals_one_built_with_runs_of_every_word(recognised):
-    # The index skips _runs for a word holding no pair of equal characters.
-    index: dict[str, list] = {}
-    for word in recognised:
-        skeleton, kept = textproc._runs(word)
-        index.setdefault(skeleton, []).append((word, tuple(kept)))
-    textproc._skeleton_index.cache_clear()
-    assert textproc._skeleton_index(recognised) == {s: tuple(words) for s, words in index.items()}
 
 
 WORDS = st.text(alphabet="abcdefgh", min_size=1, max_size=8)
