@@ -71,6 +71,8 @@ def cmd_score(args) -> int:
     if path == "-":  # decoded as a file is, whatever the locale's encoding
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
     out.reconfigure(encoding="utf-8")  # rows are UTF-8, whatever the locale's encoding
+    if args.trace:  # and so is the trace; reconfigure alone would reset the handler to strict
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
         out.write("id\tstress\trelaxation\n")
         for i, line in enumerate(_input_lines(fh, path), start=1):
@@ -163,10 +165,10 @@ def cmd_agreement(args) -> int:
 def cmd_baseline(args) -> int:
     corpus = cp.load_corpus(args.corpus)
     kinds = ("nb", "logistic") if args.classifier == "both" else (args.classifier,)
-    print("classifier\tn_features\tscale\t" + mx.AveragedReport.TSV_HEADER + "\tbest_for")
     grid = bl.SWEEP_GRID if args.features == "sweep" else (args.features,)
     rows, best = bl.sweep(corpus, args.scale, kinds=kinds, grid=grid, k=args.k,
                           reps=args.reps, base_seed=args.seed)
+    print("classifier\tn_features\tscale\t" + mx.AveragedReport.TSV_HEADER + "\tbest_for")
     marks = {}
     if args.features == "sweep":  # a single feature count marks no best cell
         for metric, row in best.items():

@@ -10,9 +10,12 @@ A lexicon lives on disk as a directory of seven UTF-8 files:
     emoticons.tsv      glyph<TAB>kind<TAB>strength
     dictionary.txt     one word per line
 
-Blank lines, lines whose first non-blank character is ``#`` (comments) and a
-leading UTF-8 byte-order mark are skipped. A term pattern may end in a single
-``*`` wildcard meaning "any suffix". Strengths are integers 1..5.
+Each file is read whole: ``\n``, ``\r\n`` and ``\r`` end a line alike, and a
+file holding bytes that are not UTF-8 is rejected, naming its first bad line,
+before any of its rows is parsed. Blank lines, lines whose first non-blank
+character is ``#`` (comments) and a leading UTF-8 byte-order mark are skipped.
+A term pattern may end in a single ``*`` wildcard meaning "any suffix".
+Strengths are integers 1..5.
 
 Loaded sets are immutable; :func:`set_strengths` returns a new set with
 the strengths of a ``{(Kind, pattern): strength}`` table. The optimizer
@@ -31,6 +34,7 @@ import errno
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .errors import (
     DuplicateTerm,
@@ -49,14 +53,15 @@ class Kind(enum.Enum):  # an entry's list, and the scale its score counts on
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconEntry:
     pattern: str  # lowercase, optional single trailing '*'
     kind: Kind
     strength: int  # magnitude 1..5; sign applied at scoring time
 
     def __post_init__(self):
-        _check_strength(self.strength)
+        if type(self.strength) is not int or not 1 <= self.strength <= 5:  # an exact int in range skips the call
+            _check_strength(self.strength)
         if "*" in self.pattern[:-1] or self.pattern == "*":
             raise ParseError(f"wildcard must be a single trailing '*': {self.pattern!r}")
 
@@ -92,13 +97,19 @@ class TermIndex:
             lengths = sorted({len(stem) for stem in stems}, reverse=True)
             if self._exact or self._stems:  # each key either side holds: the held matches, then the list's
                 held_stems, held_lengths = self._stems, self._stem_lengths
-                joined = {p: found + _longest_stem(stems, lengths, p) for p, found in self._exact.items()}
+                cut, heads = _heads(stems, lengths)
+                held_cut, held_heads = _heads(held_stems, held_lengths)
+                joined = {p: found + _longest_stem(stems, lengths, p) if p[:cut] in heads else found
+                          for p, found in self._exact.items()}
                 for p, found in exact.items():
-                    joined[p] = (self._exact.get(p) or _longest_stem(held_stems, held_lengths, p)) + found
+                    joined[p] = (self._exact.get(p) or (_longest_stem(held_stems, held_lengths, p)
+                                                        if p[:held_cut] in held_heads else ())) + found
                 exact = joined
-                joined = {s: found + _longest_stem(stems, lengths, s) for s, found in held_stems.items()}
+                joined = {s: found + _longest_stem(stems, lengths, s) if s[:cut] in heads else found
+                          for s, found in held_stems.items()}
                 for s, found in stems.items():
-                    joined[s] = _longest_stem(held_stems, held_lengths, s) + found
+                    joined[s] = (_longest_stem(held_stems, held_lengths, s)
+                                 if s[:held_cut] in held_heads else ()) + found
                 stems, lengths = joined, sorted(set(held_lengths + lengths), reverse=True)
             self._exact, self._stems, self._stem_lengths = exact, stems, lengths
 
@@ -106,6 +117,14 @@ class TermIndex:
         """Each list's match for ``token``, in list order; a list without one is left out."""
         found = self._exact.get(token)
         return found if found is not None else _longest_stem(self._stems, self._stem_lengths, token)
+
+
+def _heads(stems, lengths) -> tuple[int, set]:
+    """The shortest of ``stems``' ``lengths`` (longest first) and each stem's first that
+    many characters. A stem prefixing a key shares this head with it, and a key
+    shorter than every stem has none, so only a key whose head is here needs a probe."""
+    cut = lengths[-1] if lengths else 0
+    return cut, {stem[:cut] for stem in stems}
 
 
 def _longest_stem(stems, lengths, token) -> tuple:
@@ -184,17 +203,22 @@ class LexiconSet:
     dictionary: frozenset[str]
 
     def __post_init__(self):
+        stress, relax = [e.pattern for e in self.stress_terms], [e.pattern for e in self.relax_terms]
         # Words match lowercased tokens; glyphs match verbatim.
         _check_tokens({
-            "stress pattern": [e.pattern for e in self.stress_terms],
-            "relax pattern": [e.pattern for e in self.relax_terms],
+            "stress pattern": stress,
+            "relax pattern": relax,
             "booster": [b.word for b in self.boosters],
             "negator": list(self.negators),
             "idiom token": [t for i in self.idioms for t in i.tokens],
             "dictionary word": list(self.dictionary),
         }, lowercase=True)
         _check_tokens({"emoticon glyph": [e.glyph for e in self.emoticons]}, lowercase=False)
-        for entries, kind in ((self.stress_terms, Kind.STRESS), (self.relax_terms, Kind.RELAXATION)):
+        for entries, patterns, kind in ((self.stress_terms, stress, Kind.STRESS),
+                                        (self.relax_terms, relax, Kind.RELAXATION)):
+            # One bulk test; the entries are walked one by one only to name a failure.
+            if len(set(patterns)) == len(patterns) and [e.kind for e in entries].count(kind) == len(entries):
+                continue
             seen = set()
             for e in entries:
                 if e.kind is not kind:
@@ -205,8 +229,8 @@ class LexiconSet:
         # Canonical ordering so equality and the save/load round trip are
         # insensitive to insertion order. Idioms come longest first, the
         # order in which the scorer matches them.
-        object.__setattr__(self, "stress_terms", tuple(sorted(self.stress_terms, key=lambda e: e.pattern)))
-        object.__setattr__(self, "relax_terms", tuple(sorted(self.relax_terms, key=lambda e: e.pattern)))
+        object.__setattr__(self, "stress_terms", tuple(sorted(self.stress_terms, key=attrgetter("pattern"))))
+        object.__setattr__(self, "relax_terms", tuple(sorted(self.relax_terms, key=attrgetter("pattern"))))
         object.__setattr__(self, "boosters", tuple(sorted(self.boosters, key=lambda b: b.word)))
         object.__setattr__(self, "idioms", tuple(sorted(self.idioms, key=lambda i: (-len(i.tokens), i.tokens))))
         object.__setattr__(self, "emoticons", tuple(sorted(self.emoticons, key=lambda e: e.glyph)))
@@ -224,7 +248,7 @@ class LexiconSet:
         """Dictionary plus every non-wildcard term pattern. Sets with the same
         words share one object, so caches keyed by it hit by identity."""
         return _interned(frozenset(self.dictionary).union(
-            e.pattern for e in self.stress_terms + self.relax_terms if not e.is_wildcard))
+            [e.pattern for e in self.stress_terms + self.relax_terms if e.pattern[-1:] != "*"]))
 
     def terms(self, kind: Kind) -> tuple[LexiconEntry, ...]:
         if kind is Kind.STRESS:
@@ -295,16 +319,29 @@ def _is_skipped(line) -> bool:  # what the readers skip: blank, or "#" after lea
     return line.lstrip()[:1] in ("", "#")
 
 
-def _data_lines(path):
-    """Yield (line_number, text) for each line not :func:`_is_skipped`, past a leading BOM.
-    Bytes that are not UTF-8 raise :func:`_not_utf8`'s error."""
+def _text_lines(path) -> list[str]:
+    """The lines of the UTF-8 file at ``path``, past a leading BOM, from one decode
+    and one split; ``\r\n`` and ``\r`` read as ``\n``. Bytes that are not UTF-8
+    raise :func:`_not_utf8`'s error."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            for i, line in enumerate(fh, start=1):
-                if not _is_skipped(line):
-                    yield i, line.rstrip("\n")
+            return fh.read().split("\n")
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
+
+
+def _data_lines(path) -> list[tuple[int, str]]:
+    """(line_number, text) for each line of :func:`_text_lines` that is not :func:`_is_skipped`."""
+    # The test of _is_skipped, inlined: a call per line would nearly double this filter's time.
+    return [(i, line) for i, line in enumerate(_text_lines(path), start=1)
+            if (head := line.lstrip()[:1]) and head != "#"]
+
+
+def _words(path) -> frozenset[str]:
+    """The stripped, lowercased words of a one-word-per-line file's data lines."""
+    # word[:1] tests what _is_skipped does: a stripped line starts as its left-stripped one.
+    return frozenset([word.lower() for line in _text_lines(path)
+                      if (head := (word := line.strip())[:1]) and head != "#"])
 
 
 def _not_utf8(path) -> ParseError:
@@ -351,16 +388,21 @@ def _read_rows(path, n_cols, build):
 
 
 def _load_terms(path, kind):
-    seen = set()
-
-    def build(pattern, strength):
-        pattern = pattern.strip().lower()
-        if pattern in seen:
-            raise DuplicateTerm(f"duplicate pattern {pattern!r}")
-        seen.add(pattern)
-        return LexiconEntry(pattern, kind, _parse_int(strength, "strength"))
-
-    return _read_rows(path, 2, build)
+    """The entries of a term file's rows, of ``kind``; the loop of :func:`_read_rows`
+    with the row's build written in, as these are the longest files."""
+    entries = {}
+    for lineno, text in _data_lines(path):
+        cols = text.split("\t")
+        try:
+            if len(cols) != 2:
+                raise ParseError(f"expected 2 columns, got {len(cols)}")
+            pattern = cols[0].strip().lower()
+            if pattern in entries:
+                raise DuplicateTerm(f"duplicate pattern {pattern!r}")
+            entries[pattern] = LexiconEntry(pattern, kind, _parse_int(cols[1], "strength"))
+        except ParseError as exc:
+            raise type(exc)(str(exc), line=lineno) from None
+    return tuple(entries.values())
 
 
 def load_lexicon_set(directory_path) -> LexiconSet:
@@ -377,12 +419,12 @@ def load_lexicon_set(directory_path) -> LexiconSet:
         _load_terms(paths["relax_terms.tsv"], Kind.RELAXATION),
         _read_rows(paths["boosters.tsv"], 2, lambda word, delta: BoosterEntry(
             word.strip().lower(), _parse_int(delta, "booster delta"))),
-        frozenset(text.strip().lower() for _, text in _data_lines(paths["negators.txt"])),
+        _words(paths["negators.txt"]),
         _read_rows(paths["idioms.tsv"], 3, lambda phrase, kind, strength: IdiomEntry(
             tuple(phrase.strip().lower().split()), _parse_kind(kind), _parse_int(strength, "strength"))),
         _read_rows(paths["emoticons.tsv"], 3, lambda glyph, kind, strength: EmoticonEntry(
             glyph, _parse_kind(kind), _parse_int(strength, "strength"))),
-        frozenset(text.strip().lower() for _, text in _data_lines(paths["dictionary.txt"])),
+        _words(paths["dictionary.txt"]),
     )
 
 

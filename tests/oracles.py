@@ -136,6 +136,29 @@ def lookup_linear_scan(token, entries):
     return best, best.strength
 
 
+def data_lines_linewise(path):
+    """(line_number, text) of each data line of a lexicon or corpus file, read
+    line by line as the readers did before they read a file whole: text mode
+    maps ``\\r\\n`` and ``\\r`` to ``\\n``, a leading BOM is dropped, and a blank
+    line or one whose first non-blank character is ``#`` is skipped. Bytes that
+    are not UTF-8 raise ValueError naming the first raw line that fails to decode."""
+    rows = []
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            for i, line in enumerate(fh, start=1):
+                if line.lstrip()[:1] not in ("", "#"):
+                    rows.append((i, line.rstrip("\n")))
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                for lineno, data in enumerate(raw, start=1):
+                    try:
+                        data.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+            raise ValueError(f"{path}: not valid UTF-8") from None
+    return rows
+
+
 def logistic_loss_and_gradient(x, target, w):
     """One class's objective at weights ``w`` (bias last): mean logistic loss
     over rows of ``x`` with +1/-1 ``target``, plus LOGISTIC_L2 / 2 times the

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import random
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensilex import cli, corpus as cp
 from tensilex.cli import main
@@ -166,6 +168,17 @@ def test_score_writes_utf8_whatever_the_locale(monkeypatch):
     assert main(["score", "--lexicon-dir", DEFAULT_LEXICON, "--tsv", "-"]) == 0
     sys.stdout.flush()
     assert stdout.getvalue() == "id\tstress\trelaxation\ncaf\u00e9\t-3\t1\n".encode()
+
+
+def test_score_writes_its_trace_as_utf8_whatever_the_locale(monkeypatch):
+    # Encoded as ASCII with backslashreplace, the trace would show 'caf\\xe9 so late'.
+    _ascii_stdin(monkeypatch, "caf\u00e9 so late\n".encode())
+    stderr = io.BytesIO()
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(stderr, encoding="ascii", errors="backslashreplace"))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert main(["score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", "-"]) == 0
+    sys.stderr.flush()
+    assert "  sentence 1: 'caf\u00e9 so late' -> stress -3, relaxation 1\n".encode() in stderr.getvalue()
 
 
 @pytest.mark.parametrize("good_lines", [1, 3000], ids=["first-read", "past-first-read"])
@@ -705,3 +718,67 @@ def test_score_trace_renders_like_explain(capsys, tmp_path):
     assert code == 0
     lex = load_lexicon_set(DEFAULT_LEXICON)
     assert err == "".join(f"--- {i}\n{explain(text, lex)}\n" for i, text in enumerate(texts, start=1))
+
+
+# Good and bad rows of each file, from which the contract test below draws its
+# files, along with free text and bytes.
+_SAMPLE_ROWS = {
+    "stress_terms.tsv": (["late\t2", "stress*\t3", "exam\t2"], ["exam\t9", "late\t2\tx", "Rush\t1"]),
+    "relax_terms.tsv": (["calm\t3", "chill*\t2"], ["calm\tthree", "calm\t3"]),
+    "boosters.tsv": (["so\t1", "very\t2"], ["bit\t0"]),
+    "negators.txt": (["not", "never"], ["no way"]),
+    "idioms.tsv": (["fed up\tstress\t3", "at ease\trelax\t2"], ["so !!\tstress\t1", "a b\tcalm\t1"]),
+    "emoticons.tsv": ([":(\tstress\t2", ":)\trelax\t2", ":|\tneutral\t1"], ["\trelax\t1"]),
+    "dictionary.txt": (["late", "home"], ["Home"]),
+    "corpus.tsv": (["a\ts\tso late\t-2,-3\t1,2", "b\ts\tcalm :)\t-1,-1\t3,4", "c\tt\tfed up\t-4,-4\t1,1",
+                    "d\ts\tvery late\t-3,-2\t1,1"],
+                   ["id\tsubcorpus\ttext\tstress_codes\trelax_codes", "e\ts\tx\t-6\t1", "f\ts\ty\t-1\t1,2"]),
+    "input.txt": (["so late", "calm :) !", "x\tfed up", "caf\u00e9"], []),
+}
+
+
+def _drawn_file(name, messy):
+    """Bytes of a file, in one line-ending style, with or without a byte-order mark:
+    distinct good rows (a corpus's after its header) or, if ``messy``, good and bad
+    rows mixed with free text, now and then followed by bytes that are not UTF-8."""
+    good, bad = _SAMPLE_ROWS[name]
+    header = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes"] if name == "corpus.tsv" else []
+    lines = (st.lists(st.sampled_from(good + bad) | st.text(max_size=6), max_size=5) if messy
+             else st.lists(st.sampled_from(good), unique=True, max_size=4).map(lambda rows: header + rows))
+    tail = st.sampled_from([b"", b"\xff", b"\xc3"]) if messy else st.just(b"")
+    return st.tuples(st.booleans(), lines, st.sampled_from(["\n", "\r\n", "\r"]), tail).map(
+        lambda t: ("\ufeff" * t[0] + "".join(line + t[2] for line in t[1])).encode("utf-8", "surrogatepass") + t[3])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([None, *_SAMPLE_ROWS]), st.data())
+def test_every_command_exits_cleanly_on_any_bytes(tmp_path_factory, messy, data):
+    # Whatever the bytes of the input, the corpus and the seven lexicon files
+    # (one of them drawn messy), no exception escapes, the exit code is 0, 1 or
+    # 2, and a failure says why on stderr. Only score may have written rows by then.
+    d = tmp_path_factory.mktemp("contract")
+    lex_dir = d / "lexicon"
+    lex_dir.mkdir()
+    for name in _SAMPLE_ROWS:
+        path = d / name if name in ("corpus.tsv", "input.txt") else lex_dir / name
+        path.write_bytes(data.draw(_drawn_file(name, name == messy), label=name))
+    corpus, lexicon = str(d / "corpus.tsv"), ("--lexicon-dir", str(lex_dir))
+    commands = [
+        ["score", *lexicon, str(d / "input.txt")],
+        ["score", *lexicon, "--tsv", "--trace", str(d / "input.txt")],
+        ["evaluate", *lexicon, corpus],
+        ["evaluate", *lexicon, corpus, "--supervised", "--k", "2", "--reps", "1", "--seed", "1"],
+        ["optimize", *lexicon, corpus, "--out-dir", str(d / "out"), "--seed", "1", "--max-passes", "2"],
+        ["agreement", corpus],
+        ["baseline", corpus, "--features", "3", "--scale", "stress", "--k", "2", "--reps", "1", "--seed", "1"],
+    ]
+    for argv in commands:
+        out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.flush(), err.flush()
+        assert code in (0, 1, 2), argv
+        if code:  # score's rows and trace come before the error, which ends stderr
+            said = err.buffer.getvalue() if argv[0] != "score" else err.buffer.getvalue().splitlines()[-1]
+            assert said.startswith((b"error:", b"I/O error:")), (argv, err.buffer.getvalue())
+            assert argv[0] == "score" or out.buffer.getvalue() == b"", argv

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from tensilex import errors
+from tensilex import errors, lexicon
 from tensilex.lexicon import (
     EMPTY_LEXICON,
     BoosterEntry,
@@ -23,7 +23,7 @@ from tensilex.lexicon import (
 )
 from tensilex.scorer import score_text
 
-from .oracles import lookup_linear_scan
+from .oracles import data_lines_linewise, lookup_linear_scan
 
 FILES = ("stress_terms.tsv", "relax_terms.tsv", "boosters.tsv", "negators.txt",
          "idioms.tsv", "emoticons.tsv", "dictionary.txt")
@@ -198,7 +198,12 @@ def test_two_list_lookup_matches_linear_scan_on_each_list(stress, relax, data):
     for kind, pattern in ((first, shared), (second, shared), (first, word), (second, stem + "*"),
                           (first, longer + "*")):
         lists[kind].append(LexiconEntry(pattern, kind, 3))
-    tokens = data.draw(st.lists(st.text(alphabet="abc", max_size=6), max_size=8))
+    # The second list also holds patterns over a partly overlapping alphabet, so
+    # that some keys of each list share no head with the other list's stems.
+    for pattern in data.draw(st.lists(st.tuples(st.text("cde", min_size=1, max_size=4), st.booleans())
+                                      .map(lambda t: t[0] + "*" * t[1]), max_size=6)):
+        lists[second].append(LexiconEntry(pattern, second, 2))
+    tokens = data.draw(st.lists(st.text(alphabet="abcde", max_size=6), max_size=8))
     tokens += [e.pattern.rstrip("*") for e in lists[Kind.STRESS] + lists[Kind.RELAXATION]]
     tokens += [word, longer + "a", shared.rstrip("*") + "b"]
 
@@ -217,6 +222,27 @@ def test_two_list_lookup_matches_linear_scan_on_each_list(stress, relax, data):
     assert lex.term_index(Kind.STRESS) is lex.term_index(Kind.RELAXATION) is lex.compiled_terms
     for token in tokens:
         assert lex.term_index(Kind.RELAXATION).lookup(token) == expected(token)
+
+
+def test_two_list_join_probes_only_keys_with_a_stem_head(monkeypatch):
+    # Stems "ab" and "cd" (heads of length 2): "a" is shorter than every stem,
+    # "xyz" shares no head, and only "abx" is probed.
+    calls = []
+    probe = lexicon._longest_stem
+
+    def counting(stems, lengths, token):
+        calls.append(token)
+        return probe(stems, lengths, token)
+
+    stress = [LexiconEntry(p, Kind.STRESS, 2) for p in ("a", "abx", "xyz")]
+    relax = [LexiconEntry(p, Kind.RELAXATION, 3) for p in ("ab*", "cd*")]
+    monkeypatch.setattr(lexicon, "_longest_stem", counting)
+    index = TermIndex(stress, relax)
+    monkeypatch.undo()
+    assert calls == ["abx"]
+    for token in ("a", "abx", "xyz", "abc", "cd"):
+        found = (lookup_linear_scan(token, stress), lookup_linear_scan(token, relax))
+        assert index.lookup(token) == tuple(f[0] for f in found if f is not None)
 
 
 def test_set_strength_does_not_reuse_compiled_index(paper_lexicon):
@@ -352,6 +378,45 @@ def test_hashtag_term_builds_and_scores():
     assert score_text("so #Stressed today", lex)[0].stress == -4
 
 
+_BODY_PIECES = st.lists(st.sampled_from(["\n", "\r\n", "\r", "#", "\t", " ", "late\t2", "\ufeff",
+                                         "\x0b\x1c\x85\u2028"])
+                        | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3), max_size=24)
+
+
+@given(st.booleans(), _BODY_PIECES, st.data())
+def test_reader_matches_the_line_by_line_oracle(tmp_path_factory, bom, pieces, data):
+    # Line endings of each kind, characters that str.splitlines would also
+    # split at, comments, blanks, a body without a final newline and, now and
+    # then, a byte that is not UTF-8.
+    body = (("\ufeff" if bom else "") + "".join(pieces)).encode()
+    if data.draw(st.integers(0, 3)) == 0:
+        at = data.draw(st.integers(0, len(body)))
+        body = body[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + body[at:]
+    path = tmp_path_factory.mktemp("reader") / "rows.tsv"
+    path.write_bytes(body)
+    try:
+        expected = data_lines_linewise(path)
+    except ValueError as exc:
+        with pytest.raises(errors.ParseError) as err:
+            lexicon._data_lines(path)
+        assert str(err.value) == str(exc)
+        return
+    assert lexicon._data_lines(path) == expected
+    assert lexicon._words(path) == frozenset(text.strip().lower() for _, text in expected)
+
+
+def test_file_with_bad_bytes_is_rejected_before_its_rows_are_read(tmp_path):
+    # Line 2 holds a bad row and line 4 a bad byte. The file is decoded whole
+    # first, so the byte is reported, whatever the file's size.
+    d = write_dir(tmp_path)
+    path = os.path.join(d, "relax_terms.tsv")
+    with open(path, "wb") as fh:
+        fh.write(b"calm\t3\nchill\t6\n" + b"# pad\n" * 3000 + b"caf\xff\t2\n")
+    with pytest.raises(errors.ParseError) as exc:
+        load_lexicon_set(d)
+    assert str(exc.value) == f"{path}: line 3003: not valid UTF-8"
+
+
 def test_byte_order_mark_is_skipped(tmp_path):
     d = write_dir(tmp_path, **{"stress_terms.tsv": "\ufeffdelayed\t3\n",
                                "negators.txt": "\ufeff# negators\nnot\n"})
@@ -425,6 +490,26 @@ def test_set_rejects_a_term_of_another_kind(fields, pattern):
     # A term's kind is its list's, so (kind, pattern) names a term.
     with pytest.raises(errors.ParseError, match=re.escape(repr(pattern))):
         _with(**fields)
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    (dict(stress_terms=(LexiconEntry("a", Kind.STRESS, 1), LexiconEntry("a", Kind.STRESS, 2),
+                        LexiconEntry("b", Kind.RELAXATION, 1))),
+     errors.DuplicateTerm, "duplicate stress pattern 'a'"),
+    (dict(stress_terms=(LexiconEntry("b", Kind.RELAXATION, 1), LexiconEntry("a", Kind.STRESS, 1),
+                        LexiconEntry("a", Kind.STRESS, 2))),
+     errors.ParseError, "stress pattern 'b' has kind relax"),
+    (dict(stress_terms=(LexiconEntry("a", Kind.STRESS, 1),),
+          relax_terms=(LexiconEntry("c", Kind.RELAXATION, 1), LexiconEntry("d", Kind.NEUTRAL, 1),
+                       LexiconEntry("c", Kind.RELAXATION, 2))),
+     errors.ParseError, "relax pattern 'd' has kind neutral"),
+    (dict(relax_terms=(LexiconEntry("c*", Kind.RELAXATION, 1), LexiconEntry("c*", Kind.RELAXATION, 2))),
+     errors.DuplicateTerm, "duplicate relax pattern 'c*'"),
+], ids=["stress-duplicate-first", "stress-kind-first", "relax-kind", "relax-duplicate"])
+def test_set_names_the_first_bad_term_in_list_order(fields, error, message):
+    with pytest.raises(errors.ParseError) as exc:
+        _with(**fields)
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_terms_has_no_neutral_list(paper_lexicon):
