@@ -60,7 +60,7 @@ def _input_lines(fh, path):
             yield (line.removeprefix("\ufeff") if i == 0 else line).rstrip("\n")
     except UnicodeDecodeError:
         if path == "-":
-            raise ParseError("stdin: not valid UTF-8") from None
+            raise ParseError("not valid UTF-8", path="stdin") from None
         raise lx._not_utf8(path) from None
 
 
@@ -68,8 +68,8 @@ def cmd_score(args) -> int:
     lex = _load_lexicon(args)
     out = sys.stdout
     path = args.input
-    if path == "-":  # decoded as a file is, whatever the locale's encoding
-        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    if path == "-":  # decoded and split into lines as a file is, whatever the locale and platform
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
     out.reconfigure(encoding="utf-8")  # rows are UTF-8, whatever the locale's encoding
     if args.trace:  # and so is the trace; reconfigure alone would reset the handler to strict
         sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
@@ -79,7 +79,8 @@ def cmd_score(args) -> int:
             if args.tsv:
                 text_id, tab, text = line.partition("\t")
                 if not tab:
-                    raise ParseError("expected id<TAB>text, found no tab", line=i)
+                    raise ParseError("expected id<TAB>text, found no tab", line=i,
+                                     path="stdin" if path == "-" else path)
             else:
                 text_id, text = str(i), line
             score, trace = score_text(text, lex)

@@ -79,20 +79,19 @@ def make_example(ex_id, subcorpus, text, stress_codes, relax_codes) -> Annotated
 
 
 def load_corpus(path) -> list[AnnotatedExample]:
-    header_seen = False
-
-    def build(ex_id, subcorpus, body, stress_text, relax_text):
-        nonlocal header_seen
-        if not header_seen:  # the first data line is the header
-            header_seen = True
+    def build(rows):
+        header = next(rows, None)  # the first data line
+        if header is not None:
             try:
-                _parse_codes(stress_text), _parse_codes(relax_text)
+                _parse_codes(header[3]), _parse_codes(header[4])
             except ParseError:
-                return None
-            raise ParseError("missing header: the first line is a data row")
-        return make_example(ex_id, subcorpus, body, _parse_codes(stress_text), _parse_codes(relax_text))
+                pass
+            else:
+                raise ParseError("missing header: the first line is a data row")
+        return [make_example(ex_id, subcorpus, body, _parse_codes(stress_text), _parse_codes(relax_text))
+                for ex_id, subcorpus, body, stress_text, relax_text in rows]
 
-    return list(_read_rows(path, 5, build)[1:])
+    return _read_rows(path, 5, build)
 
 
 def save_corpus(examples, path) -> None:

@@ -12,14 +12,17 @@ class MissingResource(TensilexError):
 class ParseError(TensilexError):
     """A data file line could not be parsed.
 
-    Carries the 1-based line (or row) number when known.
+    Carries the 1-based line (or row) number and the file's path when known,
+    and reads ``PATH: line N: message`` with both.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
+        self.line, self.path = line, path
 
 
 class DuplicateTerm(ParseError):

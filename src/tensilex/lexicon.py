@@ -11,9 +11,11 @@ A lexicon lives on disk as a directory of seven UTF-8 files:
     dictionary.txt     one word per line
 
 Each file is read whole: ``\n``, ``\r\n`` and ``\r`` end a line alike, and a
-file holding bytes that are not UTF-8 is rejected, naming its first bad line,
-before any of its rows is parsed. Blank lines, lines whose first non-blank
-character is ``#`` (comments) and a leading UTF-8 byte-order mark are skipped.
+file holding bytes that are not UTF-8 is rejected before any of its rows is
+parsed. Blank lines, lines whose first non-blank character is ``#`` (comments)
+and a leading UTF-8 byte-order mark are skipped. A bad row, or a line's bad
+bytes, is reported as ``PATH: line N: message``, in a corpus and ``score``
+input too; rows read from stdin are ``stdin: line N: message``.
 A term pattern may end in a single ``*`` wildcard meaning "any suffix".
 Strengths are integers 1..5.
 
@@ -288,15 +290,8 @@ class LexiconSet:
 
 EMPTY_LEXICON = LexiconSet((), (), (), frozenset(), (), (), frozenset())
 
-_FILES = (
-    "stress_terms.tsv",
-    "relax_terms.tsv",
-    "boosters.tsv",
-    "negators.txt",
-    "idioms.tsv",
-    "emoticons.tsv",
-    "dictionary.txt",
-)
+_FILES = ("stress_terms.tsv", "relax_terms.tsv", "boosters.tsv", "negators.txt",
+          "idioms.tsv", "emoticons.tsv", "dictionary.txt")
 
 
 @lru_cache(maxsize=4)
@@ -347,15 +342,16 @@ def _words(path) -> frozenset[str]:
 def _not_utf8(path) -> ParseError:
     """The error for a file at ``path`` that does not decode as UTF-8, naming its
     first bad line. The decoder reads ahead, so the line is found only here, by
-    decoding the file again line by line; a newline byte never falls inside a
-    UTF-8 sequence."""
+    decoding again each line that ``bytes.splitlines`` gives: it ends lines where
+    the reader does, and no line break byte falls inside a UTF-8 sequence."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return ParseError(f"{path}: line {lineno}: not valid UTF-8")
-    return ParseError(f"{path}: not valid UTF-8")
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return ParseError("not valid UTF-8", line=lineno, path=path)
+    return ParseError("not valid UTF-8", path=path)
 
 
 def _parse_int(text, what):
@@ -373,57 +369,55 @@ def _parse_kind(text):
 
 
 def _read_rows(path, n_cols, build):
-    """``build(*columns)`` for each data line of a TSV file with ``n_cols``
-    columns; a ParseError from any row is re-raised with its line number."""
-    entries = []
-    for lineno, text in _data_lines(path):
-        cols = text.split("\t")
-        try:
+    """``build(rows)`` for a TSV file whose data lines hold ``n_cols`` columns:
+    ``rows`` yields each line's column list, read lazily, after checking its
+    count. A ParseError from a row is re-raised as ``PATH: line N: message``."""
+    lines, lineno = _data_lines(path), None  # bad bytes raise here, before any row is built
+
+    def rows():
+        nonlocal lineno
+        for lineno, text in lines:
+            cols = text.split("\t")
             if len(cols) != n_cols:
                 raise ParseError(f"expected {n_cols} columns, got {len(cols)}")
-            entries.append(build(*cols))
-        except ParseError as exc:
-            raise type(exc)(str(exc), line=lineno) from None
-    return tuple(entries)
+            yield cols
+
+    try:
+        return build(rows())
+    except ParseError as exc:
+        raise type(exc)(str(exc), line=lineno, path=path) from None
 
 
-def _load_terms(path, kind):
-    """The entries of a term file's rows, of ``kind``; the loop of :func:`_read_rows`
-    with the row's build written in, as these are the longest files."""
+def _terms(rows, kind):
+    """The entries of a term file's ``rows``, of ``kind``; a pattern may appear once."""
     entries = {}
-    for lineno, text in _data_lines(path):
-        cols = text.split("\t")
-        try:
-            if len(cols) != 2:
-                raise ParseError(f"expected 2 columns, got {len(cols)}")
-            pattern = cols[0].strip().lower()
-            if pattern in entries:
-                raise DuplicateTerm(f"duplicate pattern {pattern!r}")
-            entries[pattern] = LexiconEntry(pattern, kind, _parse_int(cols[1], "strength"))
-        except ParseError as exc:
-            raise type(exc)(str(exc), line=lineno) from None
+    for pattern, strength in rows:
+        pattern = pattern.strip().lower()
+        if pattern in entries:
+            raise DuplicateTerm(f"duplicate pattern {pattern!r}")
+        entries[pattern] = LexiconEntry(pattern, kind, _parse_int(strength, "strength"))
     return tuple(entries.values())
 
 
 def load_lexicon_set(directory_path) -> LexiconSet:
     """Load and validate the seven-file lexicon directory."""
-    paths = {}
-    for name in _FILES:
-        path = os.path.join(directory_path, name)
+    paths = {name: os.path.join(directory_path, name) for name in _FILES}
+    for path in paths.values():
         if not os.path.isfile(path):
             raise MissingResource(f"missing lexicon file: {path}")
-        paths[name] = path
 
     return LexiconSet(
-        _load_terms(paths["stress_terms.tsv"], Kind.STRESS),
-        _load_terms(paths["relax_terms.tsv"], Kind.RELAXATION),
-        _read_rows(paths["boosters.tsv"], 2, lambda word, delta: BoosterEntry(
-            word.strip().lower(), _parse_int(delta, "booster delta"))),
+        _read_rows(paths["stress_terms.tsv"], 2, lambda rows: _terms(rows, Kind.STRESS)),
+        _read_rows(paths["relax_terms.tsv"], 2, lambda rows: _terms(rows, Kind.RELAXATION)),
+        _read_rows(paths["boosters.tsv"], 2, lambda rows: tuple(
+            BoosterEntry(word.strip().lower(), _parse_int(delta, "booster delta")) for word, delta in rows)),
         _words(paths["negators.txt"]),
-        _read_rows(paths["idioms.tsv"], 3, lambda phrase, kind, strength: IdiomEntry(
-            tuple(phrase.strip().lower().split()), _parse_kind(kind), _parse_int(strength, "strength"))),
-        _read_rows(paths["emoticons.tsv"], 3, lambda glyph, kind, strength: EmoticonEntry(
-            glyph, _parse_kind(kind), _parse_int(strength, "strength"))),
+        _read_rows(paths["idioms.tsv"], 3, lambda rows: tuple(
+            IdiomEntry(tuple(phrase.strip().lower().split()), _parse_kind(kind),
+                       _parse_int(strength, "strength")) for phrase, kind, strength in rows)),
+        _read_rows(paths["emoticons.tsv"], 3, lambda rows: tuple(
+            EmoticonEntry(glyph, _parse_kind(kind), _parse_int(strength, "strength"))
+            for glyph, kind, strength in rows)),
         _words(paths["dictionary.txt"]),
     )
 

@@ -141,7 +141,8 @@ def data_lines_linewise(path):
     line by line as the readers did before they read a file whole: text mode
     maps ``\\r\\n`` and ``\\r`` to ``\\n``, a leading BOM is dropped, and a blank
     line or one whose first non-blank character is ``#`` is skipped. Bytes that
-    are not UTF-8 raise ValueError naming the first raw line that fails to decode."""
+    are not UTF-8 raise ValueError naming the first line, numbered by the same
+    text-mode split, whose bytes fail to decode."""
     rows = []
     with open(path, encoding="utf-8-sig") as fh:
         try:
@@ -149,10 +150,12 @@ def data_lines_linewise(path):
                 if line.lstrip()[:1] not in ("", "#"):
                     rows.append((i, line.rstrip("\n")))
         except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                for lineno, data in enumerate(raw, start=1):
+            # Latin-1 maps each byte to the character of its value, so text mode
+            # splits the raw bytes at the same \n, \r\n and \r.
+            with open(path, encoding="latin-1") as raw:
+                for lineno, line in enumerate(raw, start=1):
                     try:
-                        data.decode("utf-8")
+                        line.encode("latin-1").decode("utf-8")
                     except UnicodeDecodeError:
                         raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
             raise ValueError(f"{path}: not valid UTF-8") from None

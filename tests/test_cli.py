@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -75,7 +76,7 @@ def test_score_tsv_line_without_tab_exit_2(capsys, lex_dir, tmp_path):
     code, out, err = run(capsys, "score", "--lexicon-dir", lex_dir, "--tsv", str(inp))
     assert code == 2
     assert out.splitlines() == ["id\tstress\trelaxation", "tw1\t-3\t1"]
-    assert err == "error: line 2: expected id<TAB>text, found no tab\n"
+    assert err == f"error: {inp}: line 2: expected id<TAB>text, found no tab\n"
 
 
 def test_score_order_preserved(capsys, lex_dir, tmp_path):
@@ -143,9 +144,10 @@ def test_score_file_not_utf8_exit_2(capsys, lex_dir, tmp_path, good_lines):
 
 
 def _ascii_stdin(monkeypatch, data):
-    """Stdin as Python opens it under a locale whose encoding is ASCII."""
+    """Stdin as Python opens it outside Windows under a locale whose encoding is ASCII:
+    lines split at ``\\n`` only."""
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
-                                                       errors="surrogateescape"))
+                                                       errors="surrogateescape", newline="\n"))
 
 
 def test_score_stdin_reads_utf8_as_a_file_does(capsys, tmp_path, monkeypatch):
@@ -158,6 +160,24 @@ def test_score_stdin_reads_utf8_as_a_file_does(capsys, tmp_path, monkeypatch):
     from_stdin = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", "-")
     assert from_stdin == from_file
     assert "    stress-term 'late' at token 4: base 2, -> 2 on stress\n" in from_stdin[2]
+
+
+def test_score_stdin_splits_lines_as_a_file_does(capsys, tmp_path, monkeypatch):
+    # \r ends a line in a file, so it ends one on stdin: two rows, not one.
+    data = b"so late\rso calm\n"
+    inp = tmp_path / "texts.txt"
+    inp.write_bytes(data)
+    from_file = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, str(inp))
+    _ascii_stdin(monkeypatch, data)
+    from_stdin = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "-")
+    assert from_stdin == from_file == (0, "id\tstress\trelaxation\n1\t-3\t1\n2\t-1\t4\n", "")
+
+
+def test_score_stdin_row_error_names_stdin(capsys, monkeypatch):
+    _ascii_stdin(monkeypatch, b"tw1\tso late\r\nno tab\r\n")
+    code, out, err = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--tsv", "-")
+    assert (code, out, err) == (2, "id\tstress\trelaxation\ntw1\t-3\t1\n",
+                                "error: stdin: line 2: expected id<TAB>text, found no tab\n")
 
 
 def test_score_writes_utf8_whatever_the_locale(monkeypatch):
@@ -759,9 +779,13 @@ def test_every_command_exits_cleanly_on_any_bytes(tmp_path_factory, messy, data)
     d = tmp_path_factory.mktemp("contract")
     lex_dir = d / "lexicon"
     lex_dir.mkdir()
-    for name in _SAMPLE_ROWS:
-        path = d / name if name in ("corpus.tsv", "input.txt") else lex_dir / name
+    paths = {name: d / name if name in ("corpus.tsv", "input.txt") else lex_dir / name
+             for name in _SAMPLE_ROWS}
+    for name, path in paths.items():
         path.write_bytes(data.draw(_drawn_file(name, name == messy), label=name))
+    # Only the messy file holds bad rows or bytes, and the input's good rows
+    # may lack the tab that --tsv needs.
+    at_fault = tuple(f"error: {paths[name]}: ".encode() for name in {messy, "input.txt"} - {None})
     corpus, lexicon = str(d / "corpus.tsv"), ("--lexicon-dir", str(lex_dir))
     commands = [
         ["score", *lexicon, str(d / "input.txt")],
@@ -781,4 +805,6 @@ def test_every_command_exits_cleanly_on_any_bytes(tmp_path_factory, messy, data)
         if code:  # score's rows and trace come before the error, which ends stderr
             said = err.buffer.getvalue() if argv[0] != "score" else err.buffer.getvalue().splitlines()[-1]
             assert said.startswith((b"error:", b"I/O error:")), (argv, err.buffer.getvalue())
+            if re.search(rb"\bline \d+: |not valid UTF-8", said):  # a row or bad-bytes error names its file
+                assert code == 2 and said.startswith(at_fault), (argv, said)
             assert argv[0] == "score" or out.buffer.getvalue() == b"", argv

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensilex import errors, lexicon
+from tensilex.corpus import load_corpus
 from tensilex.lexicon import (
     EMPTY_LEXICON,
     BoosterEntry,
@@ -415,6 +416,37 @@ def test_file_with_bad_bytes_is_rejected_before_its_rows_are_read(tmp_path):
     with pytest.raises(errors.ParseError) as exc:
         load_lexicon_set(d)
     assert str(exc.value) == f"{path}: line 3003: not valid UTF-8"
+
+
+def test_bad_bytes_line_counts_every_line_break(tmp_path):
+    # \r ends a line for the reader, so it ends one for the bad-bytes finder too.
+    d = write_dir(tmp_path)
+    path = os.path.join(d, "relax_terms.tsv")
+    with open(path, "wb") as fh:
+        fh.write(b"calm\t3\rchill\t2\rcaf\xff\t2\r")
+    with pytest.raises(errors.ParseError) as exc:
+        load_lexicon_set(d)
+    assert str(exc.value) == f"{path}: line 3: not valid UTF-8"
+
+
+@pytest.mark.parametrize("name, bad_row", [
+    ("stress_terms.tsv", "late\tlots"),
+    ("relax_terms.tsv", "chill\t9"),
+    ("boosters.tsv", "very\t3"),
+    ("idioms.tsv", "fed up\tcalm\t3"),
+    ("emoticons.tsv", ":(\tstress"),
+    ("corpus.tsv", "id\tsubcorpus\ttext\tcodes"),
+])
+def test_row_error_names_its_file_and_line(tmp_path, name, bad_row):
+    # A comment on line 1, the bad row on line 2, every line ended by \r\n.
+    d = write_dir(tmp_path)
+    path = os.path.join(d, name)
+    with open(path, "wb") as fh:
+        fh.write(f"# note\r\n{bad_row}\r\n".encode())
+    with pytest.raises(errors.ParseError) as exc:
+        load_corpus(path) if name == "corpus.tsv" else load_lexicon_set(d)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
 def test_byte_order_mark_is_skipped(tmp_path):
