@@ -15,7 +15,10 @@ file holding bytes that are not UTF-8 is rejected before any of its rows is
 parsed. Blank lines, lines whose first non-blank character is ``#`` (comments)
 and a leading UTF-8 byte-order mark are skipped. A bad row, or a line's bad
 bytes, is reported as ``PATH: line N: message``, in a corpus and ``score``
-input too; rows read from stdin are ``stdin: line N: message``.
+input too; rows read from stdin are ``stdin: line N: message``. So is a word
+that parses but that :class:`LexiconSet` rejects (one holding whitespace),
+at the first line in its file giving such a word; a set built in code names
+no file.
 A term pattern may end in a single ``*`` wildcard meaning "any suffix".
 Strengths are integers 1..5.
 
@@ -66,10 +69,6 @@ class LexiconEntry:
             _check_strength(self.strength)
         if "*" in self.pattern[:-1] or self.pattern == "*":
             raise ParseError(f"wildcard must be a single trailing '*': {self.pattern!r}")
-
-    @property
-    def is_wildcard(self) -> bool:
-        return self.pattern.endswith("*")
 
 
 class TermIndex:
@@ -191,7 +190,9 @@ def _check_tokens(fields, lowercase):
     if not valid([t for ts in fields.values() for t in ts]):
         what, text = next((what, t) for what, ts in fields.items() for t in ts if not valid([t]))
         case = ", lowercase" if lowercase else ""
-        raise ParseError(f"{what} {text!r} must be nonempty{case} and free of whitespace")
+        error = ParseError(f"{what} {text!r} must be nonempty{case} and free of whitespace")
+        error.field = what  # for load_lexicon_set to find the word's file and line
+        raise error
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ def load_lexicon_set(directory_path) -> LexiconSet:
         if not os.path.isfile(path):
             raise MissingResource(f"missing lexicon file: {path}")
 
-    return LexiconSet(
+    parts = (
         _read_rows(paths["stress_terms.tsv"], 2, lambda rows: _terms(rows, Kind.STRESS)),
         _read_rows(paths["relax_terms.tsv"], 2, lambda rows: _terms(rows, Kind.RELAXATION)),
         _read_rows(paths["boosters.tsv"], 2, lambda rows: tuple(
@@ -420,6 +421,37 @@ def load_lexicon_set(directory_path) -> LexiconSet:
             for glyph, kind, strength in rows)),
         _words(paths["dictionary.txt"]),
     )
+    try:
+        return LexiconSet(*parts)
+    except ParseError as exc:  # a word that LexiconSet rejects: name its file and first line
+        raise _located(exc, paths) from None
+
+
+# The file each word that LexiconSet checks is read from, and whether it is a
+# row's first column (else the whole line). An idiom token is not here: each
+# is checked as an IdiomEntry is built, with its row's line.
+_WORD_FILES = {"stress pattern": ("stress_terms.tsv", True), "relax pattern": ("relax_terms.tsv", True),
+               "booster": ("boosters.tsv", True), "negator": ("negators.txt", False),
+               "dictionary word": ("dictionary.txt", False), "emoticon glyph": ("emoticons.tsv", True)}
+
+
+def _located(exc, paths) -> ParseError:
+    """``exc``, a word error of a set that :func:`load_lexicon_set` read from ``paths``,
+    as the same error for the first data line of the word's file that gives a
+    rejected word, read as ``PATH: line N: message``; else ``exc``. The set checks
+    a word file's words in hash order, so this also names one word on every run."""
+    what = getattr(exc, "field", None)
+    if what not in _WORD_FILES:
+        return exc
+    name, in_column = _WORD_FILES[what]
+    verbatim = what == "emoticon glyph"
+    for lineno, line in _data_lines(paths[name]):
+        word = line.split("\t")[0] if in_column else line
+        try:  # the word as the loader reads it: a glyph verbatim, the rest stripped and lowercased
+            _check_tokens({what: [word if verbatim else word.strip().lower()]}, lowercase=not verbatim)
+        except ParseError as first:
+            return type(first)(str(first), line=lineno, path=paths[name])
+    return exc
 
 
 def lookup(token: str, entries) -> tuple[LexiconEntry, int] | None:

@@ -17,18 +17,21 @@ its magnitude at each of the five table strengths, its sentence's ``!``
 boost applied. The boost is non-decreasing, so the maximum of boosted
 values is the boosted maximum, and a plan needs no sentences. The
 magnitudes come from the scorer's :func:`term_strength` and
-:func:`sentence_magnitudes`, so rules 3-9 live only in the scorer, and
-:func:`rescore` evaluates a plan by lookups and maxima alone. A candidate
-re-scores only the texts whose score can move with the edited term: those
-whose plan holds a match of it that the table moves. Only those texts'
-errors can fall, and none below 0, so a term whose texts' summed error is
-below ``min_improvement`` is skipped untried: no edit of it could be kept,
-and the climb ends as if it had been tried. A larger ``min_improvement``
-skips more. A term matched only as a negated stress word moves no text,
-sums to 0 and is always skipped. The cross-validation driver compiles
-each text once per run and predicts its held-out texts with
-:func:`rescore` too. :func:`hill_climb` builds its lexicon once, from the
-final table.
+:func:`sentence_magnitudes`, so rules 3-9 live only in the scorer, and a
+plan is evaluated by lookups and maxima alone, in one loop: the climb's
+text errors and :func:`rescore`, which predicts the cross-validation
+driver's held-out texts, both go through it.
+
+The climb keeps the table, each term's texts (those whose plan holds a
+match of it that the table moves), each text's error and their total. A
+candidate sets the term's strength in the table and re-scores only that
+term's texts, since no other text's score can move; a rejected candidate
+puts the old strength back. Only those texts' errors can fall, and none
+below 0, so a term whose texts' summed error is below ``min_improvement``
+is skipped untried: no edit of it could be kept, and the climb ends as if
+it had been tried. A term matched only as a negated stress word moves no
+text, sums to 0 and is always skipped. :func:`hill_climb` builds its
+lexicon once, from the final table.
 
 Randomness comes from ``random.Random(seed)`` (CPython's Mersenne
 Twister); the reproducibility contract is determinism for a given seed,
@@ -198,60 +201,15 @@ def rescore(plan: Plan, table) -> DualScore:
     return DualScore(-stress, relax)
 
 
-class _ErrorTracker:
-    """Incremental corpus error over a strength table (a list by term id).
-
-    Reads the examples' plans and golds and never calls the scorer. An edit
-    changes only the final strengths of the edited term's matches, so just
-    the examples whose plan holds a match that moves with it are re-scored.
-    """
-
-    def __init__(self, table, plans, golds):
-        if not plans:
-            raise EmptyCorpus("no annotated examples to score against")
-        self.table, self.plans, self.golds = table, plans, golds
-        self.hits: list[list[int]] = [[] for _ in table]  # by term id: examples it moves
-        for i, plan in enumerate(plans):
-            for term in {term for term, _ in plan.stress_matches + plan.relax_matches}:
-                self.hits[term].append(i)
-        self.errors = self._errors(range(len(plans)))
-        self.total = sum(self.errors)
-
-    def _errors(self, examples) -> list[int]:
-        """Each example's |stress - gold| + |relaxation - gold| under the table (inlines :func:`_magnitudes`)."""
-        table, plans, golds, errors = self.table, self.plans, self.golds, []
-        for i in examples:
-            plan = plans[i]
-            stress, relax = plan.stress, plan.relax
-            for term, finals in plan.stress_matches:
-                final = finals[table[term]]
-                if final > stress:
-                    stress = final
-            for term, finals in plan.relax_matches:
-                final = finals[table[term]]
-                if final > relax:
-                    relax = final
-            gold_stress, gold_relax = golds[i]
-            errors.append(abs(stress + gold_stress) + abs(relax - gold_relax))
-        return errors
-
-    def total_at(self, term, strength, hit_error) -> tuple[int, list[int]]:
-        """Total error with term id ``term`` at ``strength``, and its examples' new errors.
-
-        ``hit_error`` is the summed current error of the examples ``term``
-        moves, ``sum(errors[i] for i in hits[term])``: the climb has it from
-        its skip test, so it is not summed again for each edit tried."""
-        table, hits = self.table, self.hits[term]
-        kept, table[term] = table[term], strength
-        updates = self._errors(hits)
-        table[term] = kept
-        return self.total + sum(updates) - hit_error, updates
-
-    def accept_at(self, term, strength, total, updates):
-        self.table[term] = strength
-        for i, new in zip(self.hits[term], updates):
-            self.errors[i] = new
-        self.total = total
+def _errors(plans, golds, texts, table) -> list[int]:
+    """Each of ``texts``' (positions in ``plans``) |stress - gold| + |relaxation - gold|
+    under ``table``; ``golds`` holds each text's (gold stress, gold relaxation)."""
+    errors = []
+    for i in texts:
+        stress, relax = _magnitudes(plans[i], table)
+        gold_stress, gold_relax = golds[i]
+        errors.append(abs(stress + gold_stress) + abs(relax - gold_relax))
+    return errors
 
 
 def hill_climb(lex: lx.LexiconSet, corpus, cfg: OptimizerConfig = OptimizerConfig()):
@@ -269,23 +227,23 @@ def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
 
     Lets a caller that climbs many times from one lexicon, such as the
     cross-validation driver, score and compile each text once and build no
-    lexicon.
-
-    A term is skipped, with neither edit tried, when the summed current
-    error of the texts it moves is below ``cfg.min_improvement``. The skip
-    is exact: an edit changes only those texts' errors, and an error is
-    never negative, so the total can fall by at most that sum and no edit
-    could be kept. A term that moves no text (one matched only as a negated
-    stress word) sums to 0 and is always skipped. A larger
-    ``min_improvement`` skips more terms. The skip draws no randomness and
-    changes no state, so the climb's result is that of trying every term.
+    lexicon. The skip (see the module docstring) draws no randomness and
+    changes no state, so the result is that of trying every term. Raises
+    :class:`EmptyCorpus` when there are no plans.
     """
+    if not plans:
+        raise EmptyCorpus("no annotated examples to score against")
     rng = random.Random(cfg.seed)
     keys = term_keys(lex)
     table = [e.strength for e in lex.stress_terms + lex.relax_terms]
-    tracker = _ErrorTracker(table, plans, [(ex.gold_stress, ex.gold_relax) for ex in examples])
-    report = OptimizationReport(initial_error=tracker.total)
-    hits, errors = tracker.hits, tracker.errors
+    golds = [(ex.gold_stress, ex.gold_relax) for ex in examples]
+    hits: list[list[int]] = [[] for _ in table]  # by term id: the texts it moves
+    for i, plan in enumerate(plans):
+        for term in {term for term, _ in plan.stress_matches + plan.relax_matches}:
+            hits[term].append(i)
+    errors = _errors(plans, golds, range(len(plans)), table)
+    total = sum(errors)
+    report = OptimizationReport(initial_error=total)
 
     for _ in range(cfg.max_passes):
         report.passes_run += 1
@@ -293,22 +251,29 @@ def hill_climb_tokenized(lex: lx.LexiconSet, plans, examples,
         rng.shuffle(order)
         changed = False
         for term in order:
-            hit_error = sum([errors[i] for i in hits[term]])
+            texts = hits[term]
+            hit_error = sum([errors[i] for i in texts])
             if hit_error < cfg.min_improvement:
                 continue  # no edit of it can lower the total by min_improvement
             old = table[term]
             for new in (old + 1, old - 1):
                 if not 1 <= new <= 5:
                     continue
-                total, updates = tracker.total_at(term, new, hit_error)
-                if tracker.total - total >= cfg.min_improvement:
-                    report.changes.append(Change(*keys[term], old, new, tracker.total, total))
-                    report.changes_made += 1
-                    tracker.accept_at(term, new, total, updates)
+                table[term] = new
+                updates = _errors(plans, golds, texts, table)
+                after = total + sum(updates) - hit_error
+                if total - after >= cfg.min_improvement:
+                    report.changes.append(Change(*keys[term], old, new, total, after))
+                    for i, error in zip(texts, updates):
+                        errors[i] = error
+                    total = after
                     changed = True
                     break
+            else:
+                table[term] = old  # neither edit was kept
         if not changed:
             break
 
-    report.final_error = tracker.total
+    report.changes_made = len(report.changes)
+    report.final_error = total
     return table, report

@@ -135,10 +135,10 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
 
     # One left-to-right pass over the tokens does rules 2-6. A mask only ever
     # reaches back to earlier tokens, so each token's emoticon is known before
-    # any later word reads it; emoticons' contributions go after the idioms'
-    # and before any term's.
+    # any later word reads it; emoticons' contributions are gathered apart and
+    # spliced in once, after the idioms' and before any term's.
     exclaim = False
-    emoticon_at = len(contributions)
+    emoticon_at, emoticons = len(contributions), []
     by_glyph = lex.emoticons_by_glyph
     boosters = lex.booster_deltas
     negators = lex.negators
@@ -155,9 +155,8 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                     masked = [False] * len(tokens)
                 masked[i] = True
                 if emo.kind is not Kind.NEUTRAL:
-                    contributions.insert(emoticon_at, TermContribution(
+                    emoticons.append(TermContribution(
                         i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, emo.kind, emo.glyph))
-                    emoticon_at += 1
             continue
         if word == URL_TOKEN or masked is not None and masked[i]:
             continue
@@ -190,6 +189,8 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
             contributions.append(TermContribution(
                 i, source, base, delta, repeat, term_strength(source, base, delta, repeat),
                 Kind.STRESS if negated else entry.kind, entry.pattern))
+
+    contributions[emoticon_at:emoticon_at] = emoticons
 
     # 7-9. Per-scale maxima, exclamation boost, clamp.
     stress_mag, relax_mag, stress_boosted, relax_boosted = sentence_magnitudes(

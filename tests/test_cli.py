@@ -805,6 +805,7 @@ def test_every_command_exits_cleanly_on_any_bytes(tmp_path_factory, messy, data)
         if code:  # score's rows and trace come before the error, which ends stderr
             said = err.buffer.getvalue() if argv[0] != "score" else err.buffer.getvalue().splitlines()[-1]
             assert said.startswith((b"error:", b"I/O error:")), (argv, err.buffer.getvalue())
-            if re.search(rb"\bline \d+: |not valid UTF-8", said):  # a row or bad-bytes error names its file
+            # A row, bad-bytes or set-level word error names its file.
+            if re.search(rb"\bline \d+: |not valid UTF-8|free of whitespace", said):
                 assert code == 2 and said.startswith(at_fault), (argv, said)
             assert argv[0] == "score" or out.buffer.getvalue() == b"", argv

@@ -449,6 +449,38 @@ def test_row_error_names_its_file_and_line(tmp_path, name, bad_row):
     assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
+@pytest.mark.parametrize("name, good_row, bad_row, message", [
+    ("negators.txt", "not", "No way", "negator 'no way' must be nonempty, lowercase and free of whitespace"),
+    ("dictionary.txt", "home", "no way", "dictionary word 'no way' must be nonempty, lowercase and free of whitespace"),
+    ("stress_terms.tsv", "late\t2", "so late\t3",
+     "stress pattern 'so late' must be nonempty, lowercase and free of whitespace"),
+    ("relax_terms.tsv", "calm\t3", " so  calm\t3",
+     "relax pattern 'so  calm' must be nonempty, lowercase and free of whitespace"),
+    ("boosters.tsv", "very\t2", "very much\t1", "booster 'very much' must be nonempty, lowercase and free of whitespace"),
+    ("emoticons.tsv", ":(\tstress\t2", ": )\trelax\t2", "emoticon glyph ': )' must be nonempty and free of whitespace"),
+], ids=["negators", "dictionary", "stress", "relax", "boosters", "emoticons"])
+def test_set_level_word_error_names_its_file_and_line(tmp_path, name, good_row, bad_row, message):
+    # Each row parses, and the set rejects the word it gives, read as the loader
+    # reads it (stripped and lowercased, a glyph verbatim). The error names the
+    # first such line, 3, after a comment and a good row. A word file's set is
+    # checked in hash order, so one with more bad words after it names line 3
+    # on every run too.
+    rows = [bad_row, "at all", bad_row] if name.endswith(".txt") else [bad_row]
+    d = write_dir(tmp_path, **{name: "\n".join(["# note", good_row, *rows, ""])})
+    path = os.path.join(d, name)
+    with pytest.raises(errors.ParseError) as exc:
+        load_lexicon_set(d)
+    assert (exc.value.path, exc.value.line) == (path, 3)
+    assert str(exc.value) == f"{path}: line 3: {message}"
+
+
+def test_set_level_word_error_of_a_built_set_names_no_file():
+    with pytest.raises(errors.ParseError) as exc:
+        _with(negators=frozenset({"no way"}))
+    assert (exc.value.path, exc.value.line) == (None, None)
+    assert str(exc.value) == "negator 'no way' must be nonempty, lowercase and free of whitespace"
+
+
 def test_byte_order_mark_is_skipped(tmp_path):
     d = write_dir(tmp_path, **{"stress_terms.tsv": "\ufeffdelayed\t3\n",
                                "negators.txt": "\ufeff# negators\nnot\n"})

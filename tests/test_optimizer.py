@@ -18,7 +18,6 @@ from tensilex.lexicon import (
 from tensilex.optimizer import (
     OptimizerConfig,
     Plan,
-    _ErrorTracker,
     compile_plan,
     compile_plans,
     hill_climb,
@@ -144,27 +143,20 @@ def test_min_improvement_validation():
         OptimizerConfig(max_passes=0)
 
 
-def _tracker(lex, corpus):
-    """An error tracker at ``lex``'s strengths over ``corpus``."""
-    table = [e.strength for kind in (Kind.STRESS, Kind.RELAXATION) for e in lex.terms(kind)]
-    return _ErrorTracker(table, compile_plans(lex, tokenize_corpus(lex, corpus)),
-                         [(ex.gold_stress, ex.gold_relax) for ex in corpus])
-
-
-def test_tracker_indexes_only_terms_that_score():
+def test_plans_hold_only_terms_that_score():
     lex = LexiconSet(
         stress_terms=(LexiconEntry("late", Kind.STRESS, 3),),
         relax_terms=(LexiconEntry("chill", Kind.RELAXATION, 2),),
         boosters=(), negators=frozenset({"not"}),
         idioms=(IdiomEntry(("chill", "out"), Kind.RELAXATION, 4),), emoticons=(),
         dictionary=frozenset("late chill out not so".split()))
-    corpus = [make_example("a", "s", "chill out so late", (-3,), (4,)),
-              make_example("b", "s", "not late. chill", (-1,), (2,))]
-    tracker = _tracker(lex, corpus)
+    texts = ["chill out so late", "not late. chill"]
+    plan_a, plan_b = compile_plans(lex, [score_text(text, lex)[1] for text in texts])
     # "chill" inside the idiom is masked, so only text b can move with it, and
     # "not late" scores 1 at every strength of "late", so text b cannot.
     assert term_keys(lex) == ((Kind.STRESS, "late"), (Kind.RELAXATION, "chill"))
-    assert tracker.hits == [[0], [1]]
+    assert [term for term, _ in plan_a.stress_matches + plan_a.relax_matches] == [0]
+    assert [term for term, _ in plan_b.stress_matches + plan_b.relax_matches] == [1]
 
 
 def test_compile_plan_boosts_each_match_and_folds_what_no_table_moves():
@@ -195,17 +187,22 @@ def _climb_recording_tries(monkeypatch, cfg):
               make_example("b", "s", "not rush. late", (-4,), (1,)),
               make_example("c", "s", "chill", (-1,), (3,)),
               make_example("d", "s", "not rush today", (-1,), (1,))]
-    tried = []
-    total_at = _ErrorTracker.total_at
+    # The climb's first call of the error function scores every text; each later
+    # call is one try, over the texts of the term tried, which here name it.
+    keys, plans = term_keys(lex), compile_plans(lex, tokenize_corpus(lex, corpus))
+    term_of = {tuple(i for i, plan in enumerate(plans)
+                     if term in {t for t, _ in plan.stress_matches + plan.relax_matches}): keys[term]
+               for term in range(len(keys))}
+    calls = []
+    errors = optimizer._errors
 
-    def recorded(self, term, strength, hit_error):
-        tried.append(term)
-        return total_at(self, term, strength, hit_error)
+    def recorded(plans, golds, texts, table):
+        calls.append(tuple(texts))
+        return errors(plans, golds, texts, table)
 
-    monkeypatch.setattr(_ErrorTracker, "total_at", recorded)
+    monkeypatch.setattr(optimizer, "_errors", recorded)
     optimized, report = hill_climb(lex, corpus, cfg)
-    keys = term_keys(lex)
-    return lex, optimized, report, {keys[term] for term in tried}
+    return lex, optimized, report, {term_of[texts] for texts in calls[1:]}
 
 
 def test_climb_never_tries_a_term_matched_only_under_negation(monkeypatch):
@@ -310,28 +307,24 @@ def _rescore_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_rescore_cases())
-def test_tracker_rescore_matches_scorer(case):
+def test_climb_errors_match_scorer(case):
+    # The climb's per-text errors: each text's plan under the table errs as the
+    # scorer does under a lexicon holding the table's strengths.
     lex, texts, table = case
     # Golds (-1, 1) and (-1, 5) give errors s + r - 2 and s - r + 4 for
     # magnitudes s and r, so equal errors on both mean equal scores.
     corpus = [make_example(f"t{i}r{gold}", "s", text, (-1,), (gold,))
               for i, text in enumerate(texts) for gold in (1, 5)]
-    tracker = _tracker(lex, corpus)
-    ids = {key: term for term, key in enumerate(term_keys(lex))}
-    edited = lex
-    for (kind, pattern), strength in table.items():
-        term = ids[kind, pattern]
-        hit_error = sum(tracker.errors[i] for i in tracker.hits[term])
-        total, updates = tracker.total_at(term, strength, hit_error)
-        tracker.accept_at(term, strength, total, updates)
-        edited = set_strength(edited, kind, pattern, strength)
+    plans = compile_plans(lex, tokenize_corpus(lex, corpus))
+    golds = [(ex.gold_stress, ex.gold_relax) for ex in corpus]
+    by_id = [table[key] for key in term_keys(lex)]
+    edited = lexicon.set_strengths(lex, table)
     expected = []
     for ex in corpus:
         score, trace = score_text(ex.text, edited)
         assert replay_trace(trace) == score
         expected.append(abs(score.stress - ex.gold_stress) + abs(score.relaxation - ex.gold_relax))
-    assert tracker.errors == expected
-    assert tracker.total == sum(expected)
+    assert optimizer._errors(plans, golds, range(len(plans)), by_id) == expected
 
 
 @settings(max_examples=200, deadline=None)

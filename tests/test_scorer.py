@@ -519,3 +519,24 @@ def test_scoring_time_flat_in_term_count():
     assert [score_text(t, base)[0] for t in texts] == [score_text(t, grown)[0] for t in texts]
     base_s, grown_s = _fastest_passes(texts, base, grown)
     assert grown_s <= 1.5 * base_s
+
+
+def test_scoring_time_linear_in_emoticons_between_terms():
+    # One 160,000-token sentence with its 80,000 emoticons between its 80,000
+    # term matches, or all before them. Both give the same contributions,
+    # emoticons' first, so the interleaved line is as fast only if an
+    # emoticon costs no more when term matches precede it.
+    lex = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir, "data", "default_lexicon"))
+    interleaved, emoticons_first = "late :( " * 80000, ":( " * 80000 + "late " * 80000
+    traces = {}
+
+    def seconds(text):
+        start = time.process_time()
+        traces[text] = score_text(text, lex)[1]
+        return time.process_time() - start
+
+    timed = [(seconds(interleaved), seconds(emoticons_first)) for _ in range(2)]
+    sources = [[c.source for c in traces[text].sentences[0].contributions]
+               for text in (interleaved, emoticons_first)]
+    assert sources[0] == sources[1] == [Source.EMOTICON] * 80000 + [Source.STRESS_TERM] * 80000
+    assert min(t for t, _ in timed) <= 1.5 * min(f for _, f in timed)
