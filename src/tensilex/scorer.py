@@ -105,9 +105,7 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     """Score one tokenized sentence; see the module pipeline description."""
     tokens = tuple(tokens)
     contributions: list[TermContribution] = []
-    # Which tokens an idiom or an emoticon covers; None, and not built, unless
-    # the sentence holds an idiom's first word or an emoticon's glyph.
-    masked = None
+    masked = [False] * len(tokens)  # which tokens an idiom or an emoticon covers
 
     # 1. Idioms override their constituent words: longest first, leftmost.
     # Only idioms whose first token is a word here can match, and only where
@@ -117,7 +115,6 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
     by_first = lex.idioms_by_first
     if not by_first.keys().isdisjoint(map(_normalized, tokens)):
         words = tuple(map(_normalized, tokens))
-        masked = [False] * len(tokens)
         starts: dict[str, list[int]] = {}
         for i, word in enumerate(words):
             if word in by_first:
@@ -151,14 +148,12 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                 exclaim = True
             emo = by_glyph.get(raw)
             if emo is not None:
-                if masked is None:
-                    masked = [False] * len(tokens)
                 masked[i] = True
                 if emo.kind is not Kind.NEUTRAL:
                     emoticons.append(TermContribution(
                         i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, emo.kind, emo.glyph))
             continue
-        if word == URL_TOKEN or masked is not None and masked[i]:
+        if word == URL_TOKEN or masked[i]:
             continue
         found = lookup(word)
         if not found:
@@ -168,16 +163,14 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
         j = i - 1  # booster immediately before, allowing one negator between
         if j >= 0 and tokens[j].normalized in negators:
             j -= 1
-        delta = (boosters.get(tokens[j].normalized, 0)
-                 if j >= 0 and (masked is None or not masked[j]) else 0)
+        delta = boosters.get(tokens[j].normalized, 0) if j >= 0 and not masked[j] else 0
 
         repeat = 1 if letters_removed >= 2 else 0
 
         j = i - 1  # negator immediately before, allowing one booster between
         if j >= 0 and tokens[j].normalized in boosters:
             j -= 1
-        negated = (j >= 0 and (masked is None or not masked[j])
-                   and tokens[j].normalized in negators)
+        negated = j >= 0 and not masked[j] and tokens[j].normalized in negators
 
         for entry in found:  # the stress match, then the relaxation match
             base = entry.strength

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from tensilex.corpus import make_example
 from tensilex.lexicon import Kind, LexiconEntry, LexiconSet
 from tensilex.scorer import score_text
+
+DEFAULT_LEXICON = os.path.join(os.path.dirname(__file__), os.pardir, "data", "default_lexicon")
 
 
 @pytest.fixture

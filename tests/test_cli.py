@@ -16,7 +16,7 @@ from tensilex.lexicon import load_lexicon_set, save_lexicon_set, set_strength, K
 from tensilex.optimizer import OptimizationReport
 from tensilex.scorer import explain
 
-from .conftest import make_reference_lexicon, make_synthetic_corpus
+from .conftest import DEFAULT_LEXICON, make_reference_lexicon, make_synthetic_corpus
 
 
 @pytest.fixture
@@ -164,13 +164,13 @@ def test_score_stdin_reads_utf8_as_a_file_does(capsys, tmp_path, monkeypatch):
 
 def test_score_stdin_splits_lines_as_a_file_does(capsys, tmp_path, monkeypatch):
     # \r ends a line in a file, so it ends one on stdin: two rows, not one.
-    data = b"so late\rso calm\n"
-    inp = tmp_path / "texts.txt"
-    inp.write_bytes(data)
-    from_file = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, str(inp))
-    _ascii_stdin(monkeypatch, data)
-    from_stdin = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "-")
-    assert from_stdin == from_file == (0, "id\tstress\trelaxation\n1\t-3\t1\n2\t-1\t4\n", "")
+    for data in (b"so late\rso calm\n", b"so late\rso calm\r"):
+        inp = tmp_path / "texts.txt"
+        inp.write_bytes(data)
+        from_file = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, str(inp))
+        _ascii_stdin(monkeypatch, data)
+        from_stdin = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "-")
+        assert from_stdin == from_file == (0, "id\tstress\trelaxation\n1\t-3\t1\n2\t-1\t4\n", ""), data
 
 
 def test_score_stdin_row_error_names_stdin(capsys, monkeypatch):
@@ -625,8 +625,6 @@ def test_baseline_bad_features_exit_2(capsys, tmp_path, value):
     assert "argument --features" in err and "Traceback" not in err
 
 
-DEFAULT_LEXICON = os.path.join(os.path.dirname(__file__), os.pardir, "data", "default_lexicon")
-
 GOLDEN_WORDS = ("the train is delayed late again very so not never relaxed calm chill out "
                 "at ease fed up holiday deadline worried quiet home :) :( !!!").split()
 
@@ -740,6 +738,45 @@ def test_score_trace_renders_like_explain(capsys, tmp_path):
     assert err == "".join(f"--- {i}\n{explain(text, lex)}\n" for i, text in enumerate(texts, start=1))
 
 
+def test_score_quick_start_trace_and_an_idiom_row(capsys, monkeypatch):
+    # The token forms, the booster, the repeated letters and the "!" boost.
+    _ascii_stdin(monkeypatch, b"sooo stressssed about the exam!!!\n")
+    code, out, err = run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", "-")
+    assert (code, out, err) == (0, "id\tstress\trelaxation\n1\t-5\t1\n", """\
+--- 1
+text score: stress -5, relaxation 1
+  sentence 1: 'sooo stressssed about the exam !!!' -> stress -5, relaxation 1
+    stress-term 'stress*' at token 1: base 3, booster +1, repeated letters +1, -> 5 on stress
+    stress-term 'exam' at token 4: base 2, -> 2 on stress
+    exclamation boost +1 on stress
+""")
+    # An idiom, an emoticon and the "!" boost: 3 from "fed up", boosted to 4.
+    _ascii_stdin(monkeypatch, b"totally fed up with this :( !\n")
+    assert run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "-")[1] == "id\tstress\trelaxation\n1\t-4\t1\n"
+
+
+def test_lexicon_with_marks_comments_and_crlf_scores_as_the_original(capsys, tmp_path):
+    # Each file gains a BOM and a "# comment" line at its head, and every line ending becomes \r\n.
+    for name in os.listdir(DEFAULT_LEXICON):
+        body = b"\xef\xbb\xbf# comment\n" + Path(DEFAULT_LEXICON, name).read_bytes()
+        (tmp_path / name).write_bytes(body.replace(b"\n", b"\r\n"))
+    inp = tmp_path / "in.txt"  # not a lexicon file: the loader reads only its seven names
+    inp.write_text("sooo stressssed about the exam!!!\n", encoding="utf-8")
+    assert (run(capsys, "score", "--lexicon-dir", str(tmp_path), "--trace", str(inp))
+            == run(capsys, "score", "--lexicon-dir", DEFAULT_LEXICON, "--trace", str(inp)))
+
+
+def test_two_row_half_point_corpus(capsys, tmp_path):
+    # Predictions -3, -1 and 1, 4: exact and within1 against the rounded golds
+    # (-3, -1 and 2, 5), pearson and mad against the raw means (-2.5, -1 and 1.5, 4.5).
+    path = tmp_path / "half.tsv"
+    path.write_text("\n".join(HALF_POINT_ROWS[:3]) + "\n", encoding="utf-8")
+    out = run(capsys, "evaluate", "--lexicon-dir", DEFAULT_LEXICON, "--unrounded", str(path))[1]
+    assert out.splitlines()[1:] == ["stress\t2\t100.000\t100.000\t1.000\t0.250", "relax\t2\t0.000\t100.000\t1.000\t0.500"]
+    out = run(capsys, "agreement", str(path))[1]
+    assert {"stress\talpha\tall\t0.571", "relax\tmad\t1v2\t1.000"} <= set(out.splitlines())
+
+
 # Good and bad rows of each file, from which the contract test below draws its
 # files, along with free text and bytes.
 _SAMPLE_ROWS = {
@@ -776,13 +813,28 @@ def test_every_command_exits_cleanly_on_any_bytes(tmp_path_factory, messy, data)
     # Whatever the bytes of the input, the corpus and the seven lexicon files
     # (one of them drawn messy), no exception escapes, the exit code is 0, 1 or
     # 2, and a failure says why on stderr. Only score may have written rows by then.
-    d = tmp_path_factory.mktemp("contract")
+    _run_every_command(tmp_path_factory.mktemp("contract"), messy,
+                       lambda name: data.draw(_drawn_file(name, name == messy), label=name))
+
+
+@pytest.mark.parametrize("messy, bad", [(name, bad) for name, (_, rows) in _SAMPLE_ROWS.items() for bad in rows])
+def test_every_command_exits_cleanly_on_each_bad_row(tmp_path, messy, bad):
+    # The same contract on every bad sample row, each among its file's good rows.
+    def body(name):
+        good = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes"] * (name == "corpus.tsv") + _SAMPLE_ROWS[name][0]
+        return "".join(f"{row}\n" for row in good[:1] + [bad] * (name == messy) + good[1:]).encode()
+
+    _run_every_command(tmp_path, messy, body)
+
+
+def _run_every_command(d, messy, body):
+    """Run each command on files whose bytes are ``body(name)``; check how it ends."""
     lex_dir = d / "lexicon"
     lex_dir.mkdir()
     paths = {name: d / name if name in ("corpus.tsv", "input.txt") else lex_dir / name
              for name in _SAMPLE_ROWS}
     for name, path in paths.items():
-        path.write_bytes(data.draw(_drawn_file(name, name == messy), label=name))
+        path.write_bytes(body(name))
     # Only the messy file holds bad rows or bytes, and the input's good rows
     # may lack the tab that --tsv needs.
     at_fault = tuple(f"error: {paths[name]}: ".encode() for name in {messy, "input.txt"} - {None})

@@ -91,3 +91,11 @@ def test_demo_stdout_pinned(name):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == DEMO_STDOUT[name]
+
+
+def test_readme_python_quick_start(capsys, monkeypatch):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        code = fh.read().split("\n## Quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)  # it loads data/default_lexicon
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines()[0] == "-5 1"

@@ -1,4 +1,3 @@
-import os
 import random
 import time
 from dataclasses import FrozenInstanceError, fields, replace
@@ -29,6 +28,7 @@ from tensilex.scorer import (
 )
 from tensilex.textproc import Token, TokenizedText, process
 
+from .conftest import DEFAULT_LEXICON
 from .oracles import score_sentence_scan
 
 
@@ -169,8 +169,7 @@ def test_url_never_matches():
 
 
 def test_url_dots_do_not_split_sentences():
-    lex = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
-                                        "data", "default_lexicon"))
+    lex = load_lexicon_set(DEFAULT_LEXICON)
     assert score("nice day www.delayed.com", lex) == (-1, 1)
     # The "!" boosts "late" only if the URL leaves the two in one sentence.
     assert score("late again!", lex) == (-3, 1)
@@ -178,8 +177,7 @@ def test_url_dots_do_not_split_sentences():
 
 
 def test_exclamation_after_url_still_boosts():
-    lex = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
-                                        "data", "default_lexicon"))
+    lex = load_lexicon_set(DEFAULT_LEXICON)
     assert score("so late!", lex) == (-4, 1)
     assert score("so late www.x.com !", lex) == (-4, 1)
     assert score("so late www.x.com!", lex) == (-4, 1)
@@ -447,8 +445,7 @@ def test_scoring_time_flat_in_idiom_and_emoticon_count():
         words.add("".join(rng.choice("bcdfghklmnprstvz") + rng.choice("aeiou")
                           for _ in range(rng.randint(2, 4))))
     words = sorted(words)
-    default = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
-                                            "data", "default_lexicon"))
+    default = load_lexicon_set(DEFAULT_LEXICON)
     terms = rng.sample(words, 3000)
     base = LexiconSet(
         tuple(LexiconEntry(w + "*" * (i % 5 == 0), Kind.STRESS, 1 + i % 5) for i, w in enumerate(terms[:1500])),
@@ -494,8 +491,7 @@ def test_scoring_time_flat_in_term_count():
             pattern = pattern[:rng.randint(3, min(8, len(pattern)))] + "*"
         if pattern not in extra:
             extra.append(pattern)
-    default = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir,
-                                            "data", "default_lexicon"))
+    default = load_lexicon_set(DEFAULT_LEXICON)
 
     def entries(patterns, kind, wildcards):
         return tuple(LexiconEntry(p + "*" * (wildcards and i % 5 == 0), kind, 1 + i % 5)
@@ -526,7 +522,7 @@ def test_scoring_time_linear_in_emoticons_between_terms():
     # term matches, or all before them. Both give the same contributions,
     # emoticons' first, so the interleaved line is as fast only if an
     # emoticon costs no more when term matches precede it.
-    lex = load_lexicon_set(os.path.join(os.path.dirname(__file__), os.pardir, "data", "default_lexicon"))
+    lex = load_lexicon_set(DEFAULT_LEXICON)
     interleaved, emoticons_first = "late :( " * 80000, ":( " * 80000 + "late " * 80000
     traces = {}
 

@@ -57,6 +57,8 @@ def test_segment_keeps_urls_whole():
     assert segment_sentences("see www.x.com/a?b=c. so late!") == ["see www.x.com/a?b=c.", "so late!"]
     assert segment_sentences("HTTP://t.co/x!! ok") == ["HTTP://t.co/x!!", "ok"]
     assert segment_sentences("a.www.x b") == ["a.", "www.", "x b"]  # not a URL chunk
+    assert segment_sentences("see www.x.com. so late!") == ["see www.x.com.", "so late!"]
+    assert segment_sentences("late http://t.co/x again!") == ["late http://t.co/x again!"]
 
 
 def test_tokenize_url_and_hashtag():
