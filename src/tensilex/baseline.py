@@ -13,30 +13,33 @@ to a max |gradient| of LOGISTIC_TOLERANCE, within LOGISTIC_MAX_ITERATIONS.
 Corpus-level work runs on :class:`CompiledFeatures`: the texts' features
 as arrays over one lexicographically sorted vocabulary. A sweep extracts
 and compiles its corpus once and hands each fold a row subset of it;
-``information_gain`` and ``train`` compile a plain :class:`FeatureVector`
-list on entry, so both take the same path. Information gain counts each
-feature's per-class presence with one ``np.bincount`` and computes the
-gain once per distinct count vector, which thousands of features share,
-with arrays that repeat a per-feature loop's arithmetic to the bit.
-A design matrix is the texts' entries scattered through a rank array from
-vocabulary id to column. A model scores a fold's held-out texts with one
-stacked product, which gives each row the arithmetic ``predict`` and
-``posterior`` give one text. Each Newton iteration solves every
-unconverged one-vs-rest class's system in one batched solve.
+``information_gain`` and ``train`` take :class:`FeatureVector`s and
+compile them on entry, so both take the same path. Information gain
+counts each feature's per-class presence with one ``np.bincount`` and
+computes the gain once per distinct count vector, which thousands of
+features share, with arrays that repeat a per-feature loop's arithmetic
+to the bit. A feature subset names each feature once, so it maps each
+feature to one column; a design matrix is the texts' entries scattered
+through a rank array from vocabulary id to column, with each dense count
+written over any sparse feature of the same name. A model scores a
+fold's held-out texts with one stacked product, which gives each row the
+arithmetic ``predict`` and ``posterior`` give one text. Each Newton
+iteration solves every unconverged one-vs-rest class's system in one
+batched solve.
 
 A sweep does its per-fold work once per fold, not once per cell. A fold
 ranks its features once, only as deep as the widest cell: one stable
 sort of the gains, cut at that depth, so the ranking is exactly
 ``information_gain``'s prefix. It builds one design matrix per side
-(training and held-out) over the widest subset. A cell's matrices are
-column cuts of those: every subset holds the dense counts, so a
-column's values depend only on its feature's name, and ``take`` returns
-them in the C order a cell's own matrix has, so every fit and prediction
-is the same to the bit. A fold's feature sets along the grid are cuts of
-one ranking, so each logistic fit after the fold's first starts from the
-previous one's weights; its weights agree with a cold fit's to the fit
-tolerance. On generated corpora a fit from zeros takes 5 or 6 Newton
-steps, a warm one 2 to 4.
+(training and held-out) over the widest subset. A cell takes its
+matrices' columns by name from those: a column's values depend only on
+its feature's name, and ``take`` returns them in the C order a cell's
+own matrix has, so every fit and prediction is the same to the bit. A
+fold's feature sets along the grid are cuts of one ranking, so each
+logistic fit after the fold's first starts from the previous one's
+weights; its weights agree with a cold fit's to the fit tolerance.
+``train`` fits from zeros. On generated corpora a fit from zeros takes
+5 or 6 Newton steps, a warm one 2 to 4.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,9 +99,7 @@ class CompiledFeatures:
 
 
 def compile_features(vectors) -> CompiledFeatures:
-    """``vectors``' features as arrays; compiled features are returned as they are."""
-    if isinstance(vectors, CompiledFeatures):
-        return vectors
+    """The features of the :class:`FeatureVector`s ``vectors`` as arrays."""
     names = [feature for vec in vectors for feature in vec.counts]
     vocabulary = sorted(set(names))
     index = dict(zip(vocabulary, range(len(vocabulary))))
@@ -125,15 +125,15 @@ class TrainedModel:
     kind: str  # "nb" | "logistic"
     classes: tuple[int, ...]
     subset: tuple[str, ...]  # frozen feature subset incl. dense counts
-    neutral: int  # tie-break target code (-1 or 1)
+    neutral: int  # tie-break target code: the class of least magnitude
     # nb: log prior per class, log likelihood per class x feature
     # logistic: weight matrix per class x (features + bias)
     params: dict[str, np.ndarray]
 
-    # Built on first use, or by train, and kept in the instance __dict__,
-    # outside the dataclass fields, so equality does not see them.
+    # Built on first use and kept in the instance __dict__, outside the
+    # dataclass fields, so equality does not see them.
     @cached_property
-    def columns(self) -> _Columns:
+    def columns(self) -> dict[str, int]:
         """:func:`_columns` of the subset."""
         return _columns(self.subset)
 
@@ -245,10 +245,8 @@ def _ranking(features: CompiledFeatures, labels, depth=None) -> FeatureTable:
 
 
 def information_gain(vectors, labels) -> FeatureTable:
-    """Rank sparse features by reduction in label entropy (presence/absence).
-
-    ``vectors`` are :class:`FeatureVector`s or their :class:`CompiledFeatures`.
-    """
+    """Rank the :class:`FeatureVector`s' sparse features by reduction in
+    label entropy (presence/absence)."""
     _check_labels(vectors, labels)
     return _ranking(compile_features(vectors), labels)
 
@@ -260,71 +258,57 @@ def select_top(table: FeatureTable, n: int) -> tuple[str, ...]:
     return table.vocabulary[:n] + DENSE_FEATURES
 
 
-class _Columns(NamedTuple):
-    """Where a subset's features go in a design matrix.
+def _columns(subset) -> dict[str, int]:
+    """``{feature: column}`` of a subset, which must name each feature once."""
+    column = dict(zip(subset, range(len(subset))))
+    if len(column) < len(subset):
+        repeated = next(f for j, f in enumerate(subset) if column[f] != j)
+        raise ValueError(f"feature subset names {repeated!r} more than once")
+    return column
 
-    The matrix is first filled with one work column per distinct feature
-    and a spare last one, then ``source`` picks each subset column's work
-    column, so a repeated feature fills each of its columns.
+
+def _design_matrix(features: CompiledFeatures, column: dict[str, int]) -> np.ndarray:
+    """One row per text, one column per feature of the :func:`_columns` map
+    ``column``, in column order.
+
+    Maps vocabulary ids to columns through a rank array, so the cost is the
+    number of entries, not rows x features.
     """
-    column: dict[str, int]  # feature -> work column
-    dense_at: np.ndarray  # work columns of the dense counts in the subset
-    dense_of: np.ndarray  # and their indices in DENSE_FEATURES
-    source: np.ndarray  # work column of each subset column
-
-
-def _columns(subset) -> _Columns:
-    column: dict[str, int] = {}
-    for feature in subset:
-        column.setdefault(feature, len(column))
-    dense = [(column[f], i) for i, f in enumerate(DENSE_FEATURES) if f in column]
-    return _Columns(column, np.array([j for j, _ in dense], dtype=np.intp),
-                    np.array([i for _, i in dense], dtype=np.intp),
-                    np.array([column[f] for f in subset], dtype=np.intp))
-
-
-def _design_matrix(vectors, subset, columns=None) -> np.ndarray:
-    """One row per text, one column per ``subset`` feature; ``columns`` is
-    the subset's :func:`_columns`, built here when not given.
-
-    Maps vocabulary ids to work columns through a rank array, so the cost is
-    the number of entries, not rows x features.
-    """
-    features = compile_features(vectors)
-    columns = columns or _columns(subset)
-    spare = len(columns.column)
+    m = len(column)
     # The rank array's extra last slot takes the subset features no text has.
-    rank = np.full(len(features.vocabulary) + 1, spare)
-    rank[np.fromiter(map(features.index.get, columns.column, repeat(-1)), np.intp, spare)] = \
-        np.arange(spare)
-    return _scatter(columns, features.rows, rank[features.ids], features.counts, features.totals)
+    rank = np.full(len(features.vocabulary) + 1, m)
+    rank[np.fromiter(map(features.index.get, column, repeat(-1)), np.intp, m)] = np.arange(m)
+    return _scatter(column, features.rows, rank[features.ids], features.counts, features.totals)
 
 
 def _vector_matrix(model: TrainedModel, vec: FeatureVector) -> np.ndarray:
     """``vec``'s one-row design matrix for ``model``.
 
-    The vector's features map straight to the model's work columns: a
-    one-text vocabulary would be sorted and indexed only to be mapped back,
-    which costs more than the rest of a prediction.
+    The vector's features map straight to the model's columns: a one-text
+    vocabulary would be sorted and indexed only to be mapped back, which
+    costs more than the rest of a prediction.
     """
-    column = model.columns.column
+    column = model.columns
     n = len(vec.counts)
-    return _scatter(model.columns, 0,
+    return _scatter(column, 0,
                     np.fromiter(map(column.get, vec.counts, repeat(len(column))), np.intp, n),
                     np.fromiter(vec.counts.values(), float, n),
                     np.array([[vec.n_unigrams, vec.n_bigrams, vec.n_trigrams]], dtype=float))
 
 
-def _scatter(columns: _Columns, rows, cols, counts, totals) -> np.ndarray:
-    """The design matrix of entries already mapped to work columns; entries
-    of features outside the subset go to the spare work column. A dense count
-    takes precedence over a sparse feature of the same name."""
-    x = np.zeros((len(totals), len(columns.column) + 1))
+def _scatter(column: dict[str, int], rows, cols, counts, totals) -> np.ndarray:
+    """The design matrix of entries already mapped to columns; entries of
+    features outside the subset go to a spare last column, which is dropped.
+    A dense count is written over a sparse feature of the same name."""
+    m = len(column)
+    x = np.zeros((len(totals), m + 1))
     x[rows, cols] = counts
-    x[:, columns.dense_at] = totals[:, columns.dense_of]
-    # take, unlike x[:, source], returns C order; the logistic fit's
-    # products round differently on another layout.
-    return x.take(columns.source, axis=1)
+    for i, feature in enumerate(DENSE_FEATURES):
+        if feature in column:
+            x[:, column[feature]] = totals[:, i]
+    # A C-order copy, not a view: the logistic fit's products round
+    # differently on another layout.
+    return x[:, :m].copy()
 
 
 def _check_kind(kind) -> None:
@@ -332,26 +316,16 @@ def _check_kind(kind) -> None:
         raise ValueError(f"unknown classifier kind {kind!r}")
 
 
-def train(kind: str, vectors, labels, subset, start=None) -> TrainedModel:
-    """Fit a ``kind`` model on ``vectors`` (:class:`FeatureVector`s or their
-    :class:`CompiledFeatures`) over the feature ``subset``.
-
-    ``start``, a logistic model of the same training texts, warm-starts a
-    logistic fit: each subset feature starts at ``start``'s weight for it
-    (its first column, if a name repeats), a new feature at 0, and the bias
-    at ``start``'s bias.
-    """
+def train(kind: str, vectors, labels, subset) -> TrainedModel:
+    """Fit a ``kind`` model from zeros on the :class:`FeatureVector`s
+    ``vectors`` over the feature ``subset``, which names each feature once."""
     _check_kind(kind)
     _check_labels(vectors, labels)
     if not vectors:
         raise EmptyCorpus("empty training set")
-    classes = tuple(sorted(set(labels)))
-    initial = _start_weights(kind, start, classes, subset)
-    columns = _columns(subset)
-    model = _fit(kind, _design_matrix(vectors, subset, columns), np.array(labels), classes,
-                 subset, initial)
-    vars(model)["columns"] = columns  # what the cached property would build
-    return model
+    column = _columns(subset)  # a repeated feature fails before any work
+    x = _design_matrix(compile_features(vectors), column)
+    return _fit(kind, x, np.array(labels), tuple(sorted(set(labels))), subset, None)
 
 
 def _fit(kind, x, y, classes, subset, start) -> TrainedModel:
@@ -370,22 +344,14 @@ def _fit(kind, x, y, classes, subset, start) -> TrainedModel:
     return TrainedModel(kind, classes, tuple(subset), min(classes, key=abs), params)
 
 
-def _start_weights(kind, start: TrainedModel | None, classes, subset) -> np.ndarray | None:
-    """The initial logistic weights over ``subset`` that ``start`` gives, or
-    None without a start."""
-    if start is None:
-        return None
-    if kind != "logistic" or start.kind != "logistic":
-        raise ValueError(f"only a logistic fit takes a start, got {kind!r} from {start.kind!r}")
-    if start.classes != classes:
-        raise ValueError(f"the start's classes {start.classes} are not the labels' {classes}")
-    first: dict[str, int] = {}
-    for j, feature in enumerate(start.subset):
-        first.setdefault(feature, j)
+def _start_weights(start: TrainedModel, subset) -> np.ndarray:
+    """The initial logistic weights over ``subset`` that the logistic model
+    ``start`` gives: each feature starts at ``start``'s weight for it, a new
+    feature at 0, and the bias at ``start``'s bias."""
     old = start.params["weights"]
     # A zero column past the start's features serves every new feature.
-    padded = np.hstack([old[:, :-1], np.zeros((len(classes), 1))])
-    at = [first.get(feature, len(start.subset)) for feature in subset]
+    padded = np.hstack([old[:, :-1], np.zeros((len(old), 1))])
+    at = [start.columns.get(feature, len(start.subset)) for feature in subset]
     return np.hstack([padded[:, at], old[:, -1:]])
 
 
@@ -498,10 +464,10 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
     corpus's features are extracted and compiled once, each training fold's
     features are ranked once to the largest size in ``grid``, its training
     and held-out design matrices are built once over that widest subset,
-    and each cell fits and predicts on column cuts of them. Feature
-    selection thus happens inside each training fold. Each logistic cell
-    after a fold's first is warm-started from the fold's previous logistic
-    model.
+    and each cell fits and predicts on its features' columns of them,
+    taken by name. Feature selection thus happens inside each training
+    fold. Each logistic cell after a fold's first is warm-started from the
+    fold's previous logistic model.
     """
     if scale not in ("stress", "relax"):
         raise ValueError(f"unknown scale {scale!r}")
@@ -522,21 +488,17 @@ def sweep(corpus, scale: str, kinds=("nb", "logistic"), grid=SWEEP_GRID,
         train_features, test_features = features.take(train_at), features.take(test_at)
         train_labels = [labels[i] for i in train_at]
         table = _ranking(train_features, train_labels, widest)
-        wide = select_top(table, widest)
-        columns = _columns(wide)
-        x_train = _design_matrix(train_features, wide, columns)
-        x_test = _design_matrix(test_features, wide, columns)
+        column = _columns(select_top(table, widest))
+        x_train = _design_matrix(train_features, column)
+        x_test = _design_matrix(test_features, column)
         y, classes = np.array(train_labels), tuple(sorted(set(train_labels)))
-        dense = np.arange(len(table.vocabulary), len(wide))
         predictions, latest = {}, None  # latest: the fold's last logistic model
         for kind, n in cells:
-            # Every subset is a prefix of the wide one's sparse features plus
-            # the dense counts, and a column's values depend only on its
-            # feature's name, so a cell's matrices are column cuts of the
-            # wide ones; take keeps C order.
+            # A column's values depend only on its feature's name, so a cell
+            # takes its matrices' columns by name; take keeps C order.
             subset = select_top(table, n)
-            cut = np.concatenate([np.arange(len(subset) - len(DENSE_FEATURES)), dense])
-            start = _start_weights(kind, latest if kind == "logistic" else None, classes, subset)
+            cut = [column[f] for f in subset]
+            start = None if kind == "nb" or latest is None else _start_weights(latest, subset)
             model = _fit(kind, x_train.take(cut, axis=1), y, classes, subset, start)
             if kind == "logistic":
                 latest = model

@@ -19,7 +19,7 @@ from . import baseline as bl
 from . import corpus as cp
 from . import lexicon as lx
 from . import metrics as mx
-from .errors import ParseError, TensilexError
+from .errors import InsufficientData, LengthError, ParseError, TensilexError
 from .optimizer import OptimizerConfig, hill_climb
 from .scorer import format_trace, score_text
 
@@ -143,10 +143,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_agreement(args) -> int:
     corpus = cp.load_corpus(args.codes)
+    # CodingMatrix makes these checks too, but cannot name the file. An
+    # example has as many coders on each scale.
+    if not corpus:
+        raise InsufficientData(f"{args.codes}: no items to code")
+    first = corpus[0]
+    n_coders = len(first.coder_stress)
+    if n_coders < 2:
+        raise InsufficientData(f"{args.codes}: need at least 2 coders, example {first.id!r} has 1")
+    for ex in corpus:
+        if len(ex.coder_stress) != n_coders:
+            raise LengthError(f"{args.codes}: ragged coding matrix: example {ex.id!r} has "
+                              f"{len(ex.coder_stress)} coders, example {first.id!r} {n_coders}")
     scales = (("stress", lambda ex: ex.coder_stress), ("relax", lambda ex: ex.coder_relax))
     # Both matrices are built, and checked, before anything is printed.
     matrices = [mx.CodingMatrix(tuple(codes_of(ex) for ex in corpus)) for _, codes_of in scales]
-    n_coders = len(matrices[0].cells[0])
 
     print("scale\tstatistic\tcoders\tvalue")
     for (scale, codes_of), matrix in zip(scales, matrices):

@@ -19,6 +19,7 @@ input too; rows read from stdin are ``stdin: line N: message``. So is a word
 that parses but that :class:`LexiconSet` rejects (one holding whitespace),
 at the first line in its file giving such a word; a set built in code names
 no file.
+
 A term pattern may end in a single ``*`` wildcard meaning "any suffix".
 Strengths are integers 1..5.
 

@@ -352,19 +352,18 @@ def test_design_matrix_matches_plain_lookup():
     # a sparse feature named like a dense count
     vectors.append(FeatureVector({"<n_unigrams>": 7, "late": 2}, 3, 2, 1))
     vocabulary = sorted({f for vec in vectors for f in vec.counts})
+    sparse = [f for f in vocabulary if f not in DENSE_FEATURES]
     subsets = [
-        tuple(vocabulary),
-        tuple(vocabulary[:5]) + DENSE_FEATURES,
+        tuple(vocabulary),  # the dense count takes precedence over its sparse namesake
+        tuple(sparse[:5]) + DENSE_FEATURES,
         ("<n_bigrams>", "late", "never seen", "<n_trigrams>", "again", "<n_unigrams>"),
         ("absent", "also absent"),
         DENSE_FEATURES[::-1],
-        ("late", "<n_unigrams>", "late"),  # a repeated feature fills each column
-        ("again", "late", "<n_bigrams>", "never seen", "late", "<n_bigrams>"),  # all at once
         (),
     ]
     for subset in subsets:
         expected = design_matrix_plain(vectors, subset)
-        got = baseline._design_matrix(vectors, subset)
+        got = baseline._design_matrix(baseline.compile_features(vectors), baseline._columns(subset))
         assert got.shape == (len(vectors), len(subset))
         assert got.tolist() == expected
         model = TrainedModel("nb", (1,), subset, 1, {})
@@ -389,7 +388,7 @@ def test_a_text_scores_the_same_alone_and_in_a_batch(kind):
     vectors = [extract_features(ex.text) for ex in golden_corpus()]
     labels = [ex.gold_stress for ex in golden_corpus()]
     model = train(kind, vectors, labels, select_top(information_gain(vectors, labels), 30))
-    x = baseline._design_matrix(vectors, model.subset)
+    x = baseline._design_matrix(baseline.compile_features(vectors), baseline._columns(model.subset))
     batch = baseline._scores(model, x)
     for row, vec in zip(batch, vectors):
         alone = baseline._scores(model, baseline._vector_matrix(model, vec))
@@ -456,9 +455,8 @@ def test_train_empty_rejected():
 @pytest.mark.parametrize("kind", ["nb", "logistic"])
 def test_model_keeps_its_columns_out_of_equality_and_saved_form(kind):
     vectors, labels = corpus_vectors(["good day", "bad day", "so bad", "good good"], [1, 2, 2, 1])
-    subset = ("good", "day", "good", "never seen") + DENSE_FEATURES  # a repeated feature too
+    subset = ("good", "day", "never seen") + DENSE_FEATURES
     model = train(kind, vectors, labels, subset)
-    assert "columns" in vars(model)  # train keeps the columns it built
     probes = [extract_features(t) for t in ("good day", "bad bad day", "")]
     first = [(predict(model, p), posterior(model, p)) for p in probes]
     # Later calls read the column map and tie order the first call built.
@@ -596,12 +594,12 @@ def test_sweep_cells_are_cuts_equal_to_their_own_design_matrices(monkeypatch):
             predictions.clear()
             out = fit_predict(train_at, test_at, fold_seed)
             train_features, test_features = features.take(train_at), features.take(test_at)
-            table = information_gain(train_features, [labels[i] for i in train_at])
+            table = baseline._ranking(train_features, [labels[i] for i in train_at])
             assert [subset for _, subset in fits] == [select_top(table, n) for _ in kinds for n in grid]
             assert [subset for _, subset in predictions] == [subset for _, subset in fits]
             for (x, subset), (x_test, _) in zip(fits, predictions):
                 for got, side in ((x, train_features), (x_test, test_features)):
-                    want = baseline._design_matrix(side, subset)
+                    want = baseline._design_matrix(side, baseline._columns(subset))
                     assert got.flags.c_contiguous and (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes()  # bit for bit
             folds.append(len(fits))
@@ -641,29 +639,31 @@ def test_warm_started_sweep_fits_converge(monkeypatch):
 
 
 def test_a_start_gives_its_weights_by_feature_name():
-    start = TrainedModel("logistic", (1, 2), ("a", "b", "a"), 1,
+    start = TrainedModel("logistic", (1, 2), ("a", "b", "d"), 1,
                          {"weights": np.array([[1.0, 2.0, 3.0, 9.0], [4.0, 5.0, 6.0, 8.0]])})
-    # A new feature starts at 0, a repeated name at its first column's weight.
-    assert baseline._start_weights("logistic", start, (1, 2), ("c", "a", "b", "a")).tolist() == \
-        [[0.0, 1.0, 2.0, 1.0, 9.0], [0.0, 4.0, 5.0, 4.0, 8.0]]
+    # A new feature starts at 0, a dropped one is left out, the bias is kept.
+    assert baseline._start_weights(start, ("c", "d", "a")).tolist() == \
+        [[0.0, 3.0, 1.0, 9.0], [0.0, 6.0, 4.0, 8.0]]
 
 
-def test_train_rejects_a_bad_start_before_design_matrix(monkeypatch):
+def test_train_rejects_a_repeated_feature_before_design_matrix(monkeypatch):
     vectors, labels = corpus_vectors(["good day", "bad day", "so bad", "good good"], [1, 2, 2, 1])
-    subset = ("good", "bad") + DENSE_FEATURES
-    logistic = train("logistic", vectors, labels, subset)
-    nb = train("nb", vectors, labels, subset)
-    other_classes = train("logistic", vectors, [1, 2, 3, 1], subset)
+    # A sparse feature named like a dense count: select_top then names it twice.
+    named_dense = [FeatureVector({"<n_unigrams>": 1, "good": 1}, 2, 1, 0),
+                   FeatureVector({"bad": 1}, 1, 0, 0)]
+    dense_repeat = select_top(information_gain(named_dense, [1, 2]), 2)
+    assert dense_repeat.count("<n_unigrams>") == 2
 
-    def no_matrix(*args):
-        raise AssertionError("design matrix built before the start was checked")
+    def no_work(*args):
+        raise AssertionError("features compiled before the subset was checked")
 
-    monkeypatch.setattr(baseline, "_design_matrix", no_matrix)
-    for kind, start, message in (("logistic", nb, "only a logistic fit takes a start"),
-                                 ("nb", logistic, "only a logistic fit takes a start"),
-                                 ("logistic", other_classes, "classes")):
-        with pytest.raises(ValueError, match=message):
-            train(kind, vectors, labels, subset, start)
+    monkeypatch.setattr(baseline, "compile_features", no_work)
+    monkeypatch.setattr(baseline, "_design_matrix", no_work)
+    for vecs, ys, subset, repeated in ((vectors, labels, ("good", "bad", "good"), "good"),
+                                       (named_dense, [1, 2], dense_repeat, "<n_unigrams>")):
+        for kind in ("nb", "logistic"):
+            with pytest.raises(ValueError, match=f"'{repeated}' more than once"):
+                train(kind, vecs, ys, subset)
 
 
 def test_sweep_rejects_bad_grid_before_work(monkeypatch):

@@ -561,18 +561,21 @@ def test_agreement_identical_coders(capsys, tmp_path):
 def test_agreement_single_coder_exit_2(capsys, tmp_path):
     path = tmp_path / "one.tsv"
     path.write_text("id\tsub\ttext\tstress_codes\trelax_codes\na\ts\tx\t-1\t1\n")
-    code, _, err = run(capsys, "agreement", str(path))
-    assert code == 2
+    code, out, err = run(capsys, "agreement", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: need at least 2 coders, example 'a' has 1\n")
 
 
-@pytest.mark.parametrize("rows", [[], ["a\ts\tx\t-1,-2\t1,1", "b\ts\ty\t-1,-2,-2\t1,1,2"]])
+@pytest.mark.parametrize("rows", [[], ["a\ts\tx\t-1,-2\t1,1", "b\ts\ty\t-1,-2\t1,2",
+                                       "c\ts\ty\t-1,-2,-2\t1,1,2", "d\ts\tz\t-1\t1"]])
 def test_agreement_bad_coding_file_exit_2(capsys, tmp_path, rows):
-    # A header-only file, and rows with different coder counts.
+    # A header-only file, and rows with different coder counts. The error names
+    # the corpus, and in a ragged one the first example that differs from the first.
+    message = ("ragged coding matrix: example 'c' has 3 coders, example 'a' 2" if rows
+               else "no items to code")
     path = tmp_path / "codes.tsv"
     path.write_text("\n".join(["id\tsub\ttext\tstress_codes\trelax_codes"] + rows) + "\n")
     code, out, err = run(capsys, "agreement", str(path))
-    assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_baseline_features_fixed_deterministic(capsys, tmp_path):
@@ -780,13 +783,13 @@ def test_two_row_half_point_corpus(capsys, tmp_path):
 # Good and bad rows of each file, from which the contract test below draws its
 # files, along with free text and bytes.
 _SAMPLE_ROWS = {
-    "stress_terms.tsv": (["late\t2", "stress*\t3", "exam\t2"], ["exam\t9", "late\t2\tx", "Rush\t1"]),
+    "stress_terms.tsv": (["late\t2", "stress*\t3", "exam\t2"], ["exam\t9", "late\t2\tx", "ru sh\t1"]),
     "relax_terms.tsv": (["calm\t3", "chill*\t2"], ["calm\tthree", "calm\t3"]),
     "boosters.tsv": (["so\t1", "very\t2"], ["bit\t0"]),
     "negators.txt": (["not", "never"], ["no way"]),
     "idioms.tsv": (["fed up\tstress\t3", "at ease\trelax\t2"], ["so !!\tstress\t1", "a b\tcalm\t1"]),
     "emoticons.tsv": ([":(\tstress\t2", ":)\trelax\t2", ":|\tneutral\t1"], ["\trelax\t1"]),
-    "dictionary.txt": (["late", "home"], ["Home"]),
+    "dictionary.txt": (["late", "home"], ["ho me"]),
     "corpus.tsv": (["a\ts\tso late\t-2,-3\t1,2", "b\ts\tcalm :)\t-1,-1\t3,4", "c\tt\tfed up\t-4,-4\t1,1",
                     "d\ts\tvery late\t-3,-2\t1,1"],
                    ["id\tsubcorpus\ttext\tstress_codes\trelax_codes", "e\ts\tx\t-6\t1", "f\ts\ty\t-1\t1,2"]),
@@ -819,16 +822,22 @@ def test_every_command_exits_cleanly_on_any_bytes(tmp_path_factory, messy, data)
 
 @pytest.mark.parametrize("messy, bad", [(name, bad) for name, (_, rows) in _SAMPLE_ROWS.items() for bad in rows])
 def test_every_command_exits_cleanly_on_each_bad_row(tmp_path, messy, bad):
-    # The same contract on every bad sample row, each among its file's good rows.
+    # The same contract on every bad sample row, each among its file's good rows,
+    # and every command that reads the file fails on it, naming the file.
     def body(name):
         good = ["id\tsubcorpus\ttext\tstress_codes\trelax_codes"] * (name == "corpus.tsv") + _SAMPLE_ROWS[name][0]
         return "".join(f"{row}\n" for row in good[:1] + [bad] * (name == messy) + good[1:]).encode()
 
-    _run_every_command(tmp_path, messy, body)
+    in_lexicon = messy not in ("corpus.tsv", "input.txt")
+    path = tmp_path / "lexicon" / messy if in_lexicon else tmp_path / messy
+    for argv, code, err in _run_every_command(tmp_path, messy, body):
+        if ("--lexicon-dir" in argv) if in_lexicon else (str(path) in argv):
+            assert code == 2 and err.startswith(f"error: {path}: ".encode()), (argv, code, err)
 
 
 def _run_every_command(d, messy, body):
-    """Run each command on files whose bytes are ``body(name)``; check how it ends."""
+    """Run each command on files whose bytes are ``body(name)``; check how it ends,
+    and return each command's argv, exit code and stderr bytes."""
     lex_dir = d / "lexicon"
     lex_dir.mkdir()
     paths = {name: d / name if name in ("corpus.tsv", "input.txt") else lex_dir / name
@@ -848,6 +857,7 @@ def _run_every_command(d, messy, body):
         ["agreement", corpus],
         ["baseline", corpus, "--features", "3", "--scale", "stress", "--k", "2", "--reps", "1", "--seed", "1"],
     ]
+    ended = []
     for argv in commands:
         out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -861,3 +871,5 @@ def _run_every_command(d, messy, body):
             if re.search(rb"\bline \d+: |not valid UTF-8|free of whitespace", said):
                 assert code == 2 and said.startswith(at_fault), (argv, said)
             assert argv[0] == "score" or out.buffer.getvalue() == b"", argv
+        ended.append((argv, code, err.buffer.getvalue()))
+    return ended
