@@ -10,6 +10,7 @@ collapsing repeats (two or more removals trigger the scorer's +1 emphasis rule).
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,8 +23,13 @@ from typing import NamedTuple
 _PIECE_RE = re.compile(r"(?<!\S)((?=(?i:https?://|www\.))\S*[^\s.!?])"
                        r"|([#@]?\w[\w']*)|([^\w\s.!?]*[.!?]+)|([^\w\s.!?]+)")
 _RUN_RE = re.compile(r"(.)\1+")
+# A run of three or more; group 1 is its first two characters.
+_LONG_RUN_RE = re.compile(r"((.)\2)\2+")
 # In a two-capped form, exactly its length-two runs (a newline is never in a run).
 _PAIR_RE = re.compile(r"(.)\1")
+# A match's group 1, as a replacement that runs no Python code per match (CPython
+# 3.11 expands a template such as r"\1" in Python, which is slower still).
+_group1 = operator.itemgetter(1)
 
 URL_TOKEN = "<url>"
 
@@ -47,12 +53,16 @@ class TokenizedText:
 _new_token = tuple.__new__
 
 
-def _sentences(text: str, recognised):
+def _sentences(text: str, corrector):
     """Each sentence of ``text`` as its slice of a line and its tokens, from one
-    walk over each line's pieces. Given a ``recognised`` word set, each word
-    but a hashtag or mention is spell-corrected as its token is built; only a
-    word holding a repeated character calls :func:`correct_spelling`, since
-    any other word it would only lowercase."""
+    walk over each line's pieces. Given a :class:`_Corrector`, a word it
+    shares takes the shared token; each other word but a hashtag or mention
+    is spell-corrected as its token is built, and only a word holding a
+    repeated character calls :func:`correct_spelling`, since any other word it
+    would only lowercase. Given none, no word is looked up or corrected."""
+    if corrector is not None:
+        # The corrector's own word set: correct_spelling's cache lookup then hits by identity.
+        shared, recognised = corrector.shared, corrector.recognised
     for line in text.splitlines():
         start, tokens = None, []
         for match in _PIECE_RE.finditer(line):
@@ -62,8 +72,11 @@ def _sentences(text: str, recognised):
             if url:
                 tokens.append(_new_token(Token, (url, URL_TOKEN, 0, False)))
             elif word:
+                if corrector is not None and (token := shared.get(word)):
+                    tokens.append(token)
+                    continue
                 lowered = word.lower()
-                if recognised is None or word[0] in "#@" or not _RUN_RE.search(lowered):
+                if corrector is None or word[0] in "#@" or not _RUN_RE.search(lowered):
                     tokens.append(_new_token(Token, (word, lowered, 0, False)))
                 else:
                     tokens.append(_new_token(Token, (word, *correct_spelling(word, recognised), False)))
@@ -121,7 +134,7 @@ def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     lowered = raw.lower()
     if not _RUN_RE.search(lowered):
         return lowered, 0
-    capped = _RUN_RE.sub(lambda m: m.group(1) * 2, lowered)
+    capped = _LONG_RUN_RE.sub(_group1, lowered)
     if capped in recognised:
         return capped, len(lowered) - len(capped)
     skeleton, doubles = _runs(capped)
@@ -129,7 +142,7 @@ def correct_spelling(raw: str, recognised) -> tuple[str, int]:
     # A recognised word is reachable when it has the same skeleton and its
     # length-two runs are some of the capped form's; it collapses the others.
     best = None
-    for word, kept in _skeleton_index(frozenset(recognised)).get(skeleton, ()):
+    for word, kept in _corrector(frozenset(recognised)).skeletons.get(skeleton, ()):
         if set(kept).issubset(doubles):
             collapsed = [run for run in doubles if run not in kept]
             if best is None or (len(collapsed), collapsed) < best[0]:
@@ -144,28 +157,45 @@ def _runs(word: str) -> tuple[str, list[int]]:
     A longer run keeps a pair, so a word holding one shares no skeleton
     with any two-capped form.
     """
-    skeleton = _PAIR_RE.sub(lambda m: m.group(1), word)
+    skeleton = _PAIR_RE.sub(_group1, word)
     return skeleton, [m.start() - k for k, m in enumerate(_PAIR_RE.finditer(word))]
 
 
+class _Corrector(NamedTuple):
+    """The spelling corrector compiled for one word set."""
+    recognised: frozenset
+    # One token for each recognised word that correction maps to itself with
+    # nothing removed; it comes from the word set alone, never from the texts.
+    shared: dict[str, Token]
+    # Each recognised word and its kept runs' positions, by skeleton.
+    skeletons: dict[str, tuple[tuple[str, tuple[int, ...]], ...]]
+
+
 @functools.lru_cache(maxsize=4)
-def _skeleton_index(recognised: frozenset) -> dict[str, tuple[tuple[str, tuple[int, ...]], ...]]:
-    """Each recognised word and its kept runs' positions, by skeleton; built once per word set."""
+def _corrector(recognised: frozenset) -> _Corrector:
+    """The corrector for a word set; built on its first use, for the last four sets."""
+    # Already lowercase with no run of three or more: correct_spelling returns it as it is.
+    shared = {word: Token(word, word, 0, False) for word in recognised
+              if word.lower() == word and not _LONG_RUN_RE.search(word)}
     index: dict[str, list] = {}
     for word in recognised:
         skeleton, kept = _runs(word)
         index.setdefault(skeleton, []).append((word, tuple(kept)))
-    return {skeleton: tuple(words) for skeleton, words in index.items()}
+    return _Corrector(recognised, shared, {skeleton: tuple(words) for skeleton, words in index.items()})
 
 
 def process(text: str, recognised) -> TokenizedText:
     """Segment, tokenize and spell-correct a whole text. Punctuation runs,
     URLs, hashtags and mentions are kept as tokenized.
 
+    A recognised word that correction maps to itself (lowercase, no run of
+    three or more) takes one token shared by every text scored against the
+    same word set; tokens are equal to freshly built ones, but whether two
+    are the same object is no part of the contract.
+
     Pass ``recognised`` as a frozenset, such as ``lex.recognised_words``: a
-    plain ``set`` works but costs about 0.45 ms more per text, because it is
-    copied into a fresh frozenset that the spelling corrector's cache then
-    hashes and compares."""
-    # Frozen once here, not once per corrected token.
-    recognised = frozenset(recognised)
-    return TokenizedText(tuple(tuple(tokens) for _, tokens in _sentences(text, recognised)))
+    plain ``set`` works but costs about 0.3 ms more per text with 7,436 words,
+    because it is copied into a fresh frozenset that the corrector's cache
+    then hashes and compares."""
+    corrector = _corrector(frozenset(recognised))
+    return TokenizedText(tuple(tuple(tokens) for _, tokens in _sentences(text, corrector)))

@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensilex import lexicon, optimizer
-from tensilex.corpus import make_example
+from tensilex import lexicon, optimizer, textproc
+from tensilex.corpus import crossval_supervised, make_example
 from tensilex.errors import EmptyCorpus
 from tensilex.lexicon import (
     BoosterEntry,
@@ -385,3 +385,17 @@ def test_climb_compiles_no_lexicon_per_candidate(monkeypatch):
     assert report.changes_made >= 2
     assert calls == {"score": len(corpus), "set_strengths": 1}
     assert optimized == lex
+
+
+def test_copies_of_a_lexicon_share_one_spelling_corrector():
+    lex = make_reference_lexicon()
+    corpus = make_synthetic_corpus(lex, n_texts=40, seed=4)
+    start = set_strength(lex, Kind.STRESS, "strainword1", 2)
+    textproc._corrector.cache_clear()
+    optimized, _ = hill_climb(start, corpus, OptimizerConfig(seed=5))
+    crossval_supervised(start, corpus, k=4, reps=1)
+    for copy in (lex, start, optimized):
+        score_text("today strainword1 agaaain", copy)
+    # The copies' recognised words are one interned set, so the cache hits by identity.
+    assert optimized.recognised_words is start.recognised_words is lex.recognised_words
+    assert textproc._corrector.cache_info().misses == 1

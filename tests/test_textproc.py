@@ -3,6 +3,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensilex import textproc
+from tensilex.scorer import score_text
 from tensilex.textproc import (
     URL_TOKEN,
     Token,
@@ -12,6 +14,7 @@ from tensilex.textproc import (
     tokenize,
 )
 
+from .conftest import make_reference_lexicon
 from .oracles import correct_spelling_bruteforce, process_composed, segment_masked
 
 
@@ -251,15 +254,45 @@ _FRAGMENTS = st.one_of(
     st.text(alphabet="abAB!?.:#@' ", min_size=1, max_size=6))
 
 
+# Recognised words the walk may meet: upper case, runs of three or more,
+# hashtags, mentions and apostrophes among them.
+_WORDS = st.one_of(
+    st.sampled_from(("so", "worried", "hello", "helo", "ab", "aab", "abb", "calm", "Hello",
+                     "WORRIED", "sooo", "Sooo", "helllooo", "aaabbb", "#calm", "#sooo", "#Sooo",
+                     "@bob", "@Bob", "don't", "Don't", "b'")),
+    st.text(alphabet="abAB#@'", min_size=1, max_size=6))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_FRAGMENTS, st.sampled_from(("", " ", "  "))), max_size=12),
-       st.frozensets(st.sampled_from(("so", "worried", "hello", "helo", "ab", "aab", "abb", "calm")),
-                     max_size=6))
+       st.frozensets(_WORDS, max_size=8))
 def test_process_matches_tokenize_then_correct(fragments, recognised):
     # Fragments joined with no space merge into one chunk: URLs then run on.
     text = "".join(fragment + gap for fragment, gap in fragments)
     assert process(text, recognised) == process_composed(text, recognised)
     assert process(text, set(recognised)) == process_composed(text, recognised)
+    # A shared token is the one correction would build for its word.
+    for word, token in textproc._corrector(recognised).shared.items():
+        assert token == Token(word, *correct_spelling(word, recognised), False)
+
+
+def test_a_recognised_word_is_one_shared_token():
+    words = frozenset({"late", "so", "bus", "Calm", "sooo", "#calm"})
+    first, = process("So late #calm!", words).sentences
+    second, = process("the bus is late #calm", words).sentences
+    assert first[1] is second[3] and first[2] is second[4]
+    assert first[1] == Token("late", "late", 0, False)
+    # Only words that correction maps to themselves unchanged are shared.
+    assert sorted(textproc._corrector(words).shared) == ["#calm", "bus", "late", "so"]
+
+
+def test_the_shared_tokens_do_not_grow_with_the_texts():
+    lex = make_reference_lexicon()
+    shared = textproc._corrector(lex.recognised_words).shared
+    size = len(shared)
+    for n in range(200):
+        score_text(f"Unheard{n} wooords today x{n}y LATE strainword1 #tag{n} @who{n}", lex)
+    assert len(shared) == size
 
 
 @settings(max_examples=200, deadline=None)
