@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 
 from . import lexicon as lx
 from .errors import EmptyCorpus, TooSmall
-from .scorer import DualScore, ScoreTrace, Source, score_text, sentence_magnitudes, term_strength
+from .scorer import (_SCORES, DualScore, ScoreTrace, Source, score_text, sentence_magnitudes,
+                     term_strength)
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,10 @@ def _magnitudes(plan: Plan, table) -> tuple[int, int]:
 
 def rescore(plan: Plan, table) -> DualScore:
     """The score of ``plan``'s text with its term matches at ``table``, a list of
-    strengths by term id; idioms and emoticons keep theirs."""
+    strengths by term id; idioms and emoticons keep theirs. The score is one of
+    the scorer's shared ones."""
     stress, relax = _magnitudes(plan, table)
-    return DualScore(-stress, relax)
+    return _SCORES[-stress, relax]
 
 
 def _errors(plans, golds, texts, table) -> list[int]:

@@ -6,6 +6,11 @@ after idiom overrides, emoticons, booster words, repeated-letter emphasis,
 negation, and the sentence-level exclamation boost. A text takes the
 extreme sentence value on each scale. Every score comes with a trace that
 replays to the same numbers.
+
+A score can take only 25 values, so the scorer builds each :class:`DualScore`
+once, at import, and every sentence and text score is one of those shared
+objects: equal to a freshly built one, but whether two scores are the same
+object is no part of the contract. :func:`replay_trace` builds its own.
 """
 
 from __future__ import annotations
@@ -72,6 +77,18 @@ class ScoreTrace:
     score: DualScore
 
 
+# The 25 scores, built once through the validating constructor; keyed by (stress, relaxation).
+_SCORES = {(stress, relax): DualScore(stress, relax)
+           for stress in range(-5, 0) for relax in range(1, 6)}
+
+# The members the hot path reads, as module globals: a global read is several
+# times faster than an enum attribute read.
+_STRESS, _RELAXATION, _NEUTRAL = Kind.STRESS, Kind.RELAXATION, Kind.NEUTRAL
+_STRESS_TERM, _RELAX_TERM = Source.STRESS_TERM, Source.RELAX_TERM
+_NEGATED_STRESS, _NEGATED_RELAX = Source.NEGATED_STRESS, Source.NEGATED_RELAX
+_IDIOM, _EMOTICON = Source.IDIOM, Source.EMOTICON
+
+
 def _clamp(value: int) -> int:
     return max(1, min(5, value))
 
@@ -79,7 +96,7 @@ def _clamp(value: int) -> int:
 def term_strength(source: Source, base: int, delta: int, repeat: int) -> int:
     """Rules 3-6: a matched term's final strength, ``base + delta + repeat``
     clamped to 1..5; a negated stress word is neutralised to 1."""
-    if source is Source.NEGATED_STRESS:
+    if source is _NEGATED_STRESS:
         return 1
     return _clamp(base + delta + repeat)
 
@@ -90,7 +107,7 @@ def sentence_magnitudes(finals, exclaim: bool) -> tuple[int, int, bool, bool]:
     strongest (1 if none); a ``!`` adds 1, clamped, to a scale already at 2+."""
     stress_mag = relax_mag = 1
     for scale, final in finals:
-        if scale is Kind.STRESS:
+        if scale is _STRESS:
             stress_mag = max(stress_mag, final)
         else:
             relax_mag = max(relax_mag, final)
@@ -125,9 +142,9 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
                 if words[i:i + width] == idiom.tokens and not any(masked[i:i + width]):
                     # An idiom masks its tokens and, unless neutral, scores its own strength.
                     masked[i:i + width] = [True] * width
-                    if idiom.kind is not Kind.NEUTRAL:
+                    if idiom.kind is not _NEUTRAL:
                         contributions.append(TermContribution(
-                            i, Source.IDIOM, idiom.strength, 0, 0, idiom.strength, idiom.kind,
+                            i, _IDIOM, idiom.strength, 0, 0, idiom.strength, idiom.kind,
                             " ".join(idiom.tokens)))
 
     # One left-to-right pass over the tokens does rules 2-6. A mask only ever
@@ -149,9 +166,9 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
             emo = by_glyph.get(raw)
             if emo is not None:
                 masked[i] = True
-                if emo.kind is not Kind.NEUTRAL:
+                if emo.kind is not _NEUTRAL:
                     emoticons.append(TermContribution(
-                        i, Source.EMOTICON, emo.strength, 0, 0, emo.strength, emo.kind, emo.glyph))
+                        i, _EMOTICON, emo.strength, 0, 0, emo.strength, emo.kind, emo.glyph))
             continue
         if word == URL_TOKEN or masked[i]:
             continue
@@ -174,21 +191,21 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
 
         for entry in found:  # the stress match, then the relaxation match
             base = entry.strength
-            if entry.kind is Kind.RELAXATION:
+            if entry.kind is _RELAXATION:
                 # A negated relaxing word becomes a stress word of the same (boosted) strength.
-                source = Source.NEGATED_RELAX if negated else Source.RELAX_TERM
+                source = _NEGATED_RELAX if negated else _RELAX_TERM
             else:
-                source = Source.NEGATED_STRESS if negated else Source.STRESS_TERM
+                source = _NEGATED_STRESS if negated else _STRESS_TERM
             contributions.append(TermContribution(
                 i, source, base, delta, repeat, term_strength(source, base, delta, repeat),
-                Kind.STRESS if negated else entry.kind, entry.pattern))
+                _STRESS if negated else entry.kind, entry.pattern))
 
     contributions[emoticon_at:emoticon_at] = emoticons
 
     # 7-9. Per-scale maxima, exclamation boost, clamp.
     stress_mag, relax_mag, stress_boosted, relax_boosted = sentence_magnitudes(
         [(c.scale, c.final_strength) for c in contributions], exclaim)
-    score = DualScore(-stress_mag, relax_mag)
+    score = _SCORES[-stress_mag, relax_mag]
     trace = SentenceTrace(tokens, tuple(contributions), exclaim, stress_boosted, relax_boosted, score)
     return score, trace
 
@@ -196,8 +213,8 @@ def score_sentence(tokens, lex: LexiconSet) -> tuple[DualScore, SentenceTrace]:
 def score_tokenized(doc: TokenizedText, lex: LexiconSet) -> tuple[DualScore, ScoreTrace]:
     """Score an already-tokenized text; with no sentences, the baselines."""
     traces = [score_sentence(sentence, lex)[1] for sentence in doc.sentences]
-    score = DualScore(min([t.score.stress for t in traces], default=STRESS_BASELINE),
-                      max([t.score.relaxation for t in traces], default=RELAX_BASELINE))
+    score = _SCORES[min([t.score.stress for t in traces], default=STRESS_BASELINE),
+                    max([t.score.relaxation for t in traces], default=RELAX_BASELINE)]
     return score, ScoreTrace(tuple(traces), score)
 
 

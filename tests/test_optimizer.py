@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensilex import lexicon, optimizer, textproc
+from tensilex import lexicon, optimizer, scorer, textproc
 from tensilex.corpus import crossval_supervised, make_example
 from tensilex.errors import EmptyCorpus
 from tensilex.lexicon import (
@@ -173,6 +173,9 @@ def test_compile_plan_boosts_each_match_and_folds_what_no_table_moves():
     assert plan == Plan(1, 4, ((0, boosted),), ((1, boosted),))
     assert rescore(plan, [3, 2]) == trace.score == DualScore(-4, 4)
     assert rescore(plan, [1, 4]) == DualScore(-1, 5)
+    # Both give the scorer's shared scores.
+    assert rescore(plan, [3, 2]) is trace.score
+    assert rescore(plan, [1, 4]) is scorer._SCORES[-1, 5]
 
 
 def _climb_recording_tries(monkeypatch, cfg):

@@ -1,10 +1,14 @@
+import gc
 import random
 import time
+import types
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensilex import scorer, textproc
 from tensilex.lexicon import (
     BoosterEntry,
     EmoticonEntry,
@@ -208,7 +212,9 @@ def test_trace_records_are_frozen_slotted_and_hashable():
         assert not hasattr(record, "__dict__")
         with pytest.raises(FrozenInstanceError):
             setattr(record, fields(record)[0].name, None)
-        assert record == twin and record is not twin and hash(record) == hash(twin)
+        assert record == twin and hash(record) == hash(twin)
+        # Scores are shared; every other record is built per text.
+        assert (record is twin) if type(record) is DualScore else (record is not twin)
     assert repr(trace) == (
         "ScoreTrace(sentences=(SentenceTrace(tokens=("
         "Token(raw='very', normalized='very', letters_removed=0, is_punct_run=False), "
@@ -224,6 +230,50 @@ def test_trace_records_are_frozen_slotted_and_hashable():
         "exclamation_present=False, stress_boosted=False, relax_boosted=False, "
         "score=DualScore(stress=-4, relaxation=1)),), "
         "score=DualScore(stress=-4, relaxation=1))")
+
+
+def test_there_are_25_shared_scores():
+    assert len(scorer._SCORES) == 25
+    for (stress, relax), score in scorer._SCORES.items():
+        assert type(score) is DualScore and score == DualScore(stress, relax)
+    lex = rich_lexicon()
+    first, first_trace = score_text("So worried. Calm", lex)
+    second, _ = score_text("calm and worried", lex)
+    assert first == DualScore(-3, 3)
+    assert first is second is scorer._SCORES[-3, 3]
+    assert first_trace.sentences[0].score is score_text("I am worried", lex)[0]
+
+
+def _reachable(roots, stop=frozenset()):
+    """Each object reachable from ``roots`` by id, not counting ids in ``stop``
+    and not looking into classes or modules."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in stop or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_a_retained_trace_owns_few_tracked_objects():
+    # A held result keeps every GC-tracked object it owns for the cyclic GC to
+    # traverse; shared scores, terminator tokens and recognised-word tokens
+    # are not the text's own.
+    lex = load_lexicon_set(DEFAULT_LEXICON)
+    text = "Sooo stressed about the exam!!! Can't sleep :( Calm down?! www.x.com. ok."
+    result = score_text(text, lex)
+    shared = _reachable([scorer._SCORES, textproc._TERMINATORS, lex, *Kind, *Source,
+                         textproc._corrector(lex.recognised_words)])
+    gc.collect()
+    owned = Counter(type(obj).__name__ for obj in _reachable(result, shared).values()
+                    if gc.is_tracked(obj))
+    # The tokens built per text: "Sooo" (corrected), "Can't" and "Calm"
+    # (capitalised), four words the dictionary lacks, the URL and ":(".
+    # Tuples: the sentences, each sentence's tokens, and two sentences' contributions.
+    assert owned == {
+        "ScoreTrace": 1, "SentenceTrace": 4, "TermContribution": 5, "Token": 9, "tuple": 7}
 
 
 def test_explain_text_is_pinned():

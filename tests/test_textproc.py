@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -251,7 +252,8 @@ _FRAGMENTS = st.one_of(
                      "#Sooo", "#calm", "@Bob", "@Wooorried!", "wooorried", "WORRIED", "Helllooo",
                      "soo", "sooo", "aabb", "aaabbb", "don't", "!!!", "?!", "...", ":)", ":-(",
                      "::", "a!", "b?c", "\n")),
-    st.text(alphabet="abAB!?.:#@' ", min_size=1, max_size=6))
+    st.text(alphabet="abAB!?.:#@' ", min_size=1, max_size=6),
+    st.text(alphabet=".!?", min_size=1, max_size=5))
 
 
 # Recognised words the walk may meet: upper case, runs of three or more,
@@ -293,6 +295,29 @@ def test_the_shared_tokens_do_not_grow_with_the_texts():
     for n in range(200):
         score_text(f"Unheard{n} wooords today x{n}y LATE strainword1 #tag{n} @who{n}", lex)
     assert len(shared) == size
+
+
+def test_short_terminator_runs_are_shared_tokens():
+    runs = {"".join(run) for n in (1, 2, 3) for run in itertools.product(".!?", repeat=n)}
+    assert len(runs) == 39 and set(textproc._TERMINATORS) == runs
+    for run, token in textproc._TERMINATORS.items():
+        assert type(token) is Token and token == Token(run, run, 0, True)
+    words = frozenset({"late", "so"})
+    for run in (".", "!!!", "?!"):
+        found = [token for text in (f"So late{run}", f"bus {run} late {run}")
+                 for tokens in (*process(text, words).sentences, tokenize(text))
+                 for token in tokens if token.raw == run]
+        assert len(found) == 6 and all(token is textproc._TERMINATORS[run] for token in found)
+
+
+def test_other_punctuation_runs_are_built_per_text():
+    words = frozenset({"late"})
+    for run in ("!!!!", ":)"):
+        texts = (f"late {run}", f"x {run}")
+        from_process = [process(text, words).sentences[-1][-1] for text in texts]
+        from_tokenize = [tokenize(text)[-1] for text in texts]
+        for first, second in (from_process, from_tokenize):
+            assert first == second == Token(run, run, 0, True) and first is not second
 
 
 @settings(max_examples=200, deadline=None)
